@@ -19,7 +19,8 @@ from .errors import (
     VocabError,
 )
 from .grid import CellId, GridSpec, RawTrajectory, cell_center, discretize, filter_od_groups, group_by_od, shift_cell, to_cell
-from .model import Model, ModelConfig, attention, backward, ffn, forward, init_model, multi_head, nll_loss
+from .model import Model, ModelConfig, backward, forward, init_model, nll_loss
+from .dataio import TOOL_VERSION as __version__
 from .checkpoint import load_checkpoint, read_checkpoint, save_checkpoint, write_checkpoint
 from .online import Session, open_session, partial_verdict
 from .scoring import (
@@ -43,5 +44,3 @@ from .synth import (
 from .training import TrainConfig, train
 from .vocab import EncodedTrajectory, Token, Vocab, bucket_duration, build_vocab, decode, encode
 from .evaluate import EvalReport, PRPoint, ablation_eval, completion_ratio_eval, f1, per_agent_eval, pr_auc, pr_curve
-
-__version__ = "0.1.0"

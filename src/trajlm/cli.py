@@ -53,89 +53,6 @@ def derive_seed(root: int, name: str) -> int:
 # Config handling
 # ---------------------------------------------------------------------------
 
-POL_PRESET = """\
-[run]
-preset = pol
-seed = 7
-
-[world]
-n_agents = 50
-n_days = 100
-n_anomalous_agents = 5
-anomalous_days = 14
-alt_prob = 0.35
-configurations = staypoint
-
-[model]
-d_model = 64
-n_heads = 4
-n_layers = 2
-d_ff = 128
-max_seq_len = 24
-dropout = 0.0
-precision = float64
-
-[train]
-epochs = 30
-batch_size = 100
-learning_rate = 0.003
-clip_norm = 1.0
-
-[score]
-scope = per_agent
-
-[eval]
-ratios = 0.2,0.4,0.6,0.8,1.0
-"""
-
-PORTO_PRESET = """\
-[run]
-preset = porto
-seed = 11
-
-[grid]
-origin_x = 0
-origin_y = 0
-cell_size = 100
-n_cols = 24
-n_rows = 24
-
-[routes]
-n_od_pairs = 20
-routes_per_pair = 40
-noise = 0.08
-
-[anomaly]
-fraction = 0.05
-ratio = 0.3
-dist = 3
-kinds = random_shift,detour
-
-[model]
-d_model = 64
-n_heads = 4
-n_layers = 4
-d_ff = 256
-max_seq_len = 96
-dropout = 0.0
-precision = float64
-
-[train]
-epochs = 30
-batch_size = 64
-learning_rate = 0.003
-clip_norm = 1.0
-
-[score]
-scope = global
-
-[eval]
-ratios = 0.2,0.4,0.6,0.8,1.0
-"""
-
-PRESETS = {"pol": POL_PRESET, "porto": PORTO_PRESET}
-
-
 class RunConfig:
     """Config file wrapper: typed getters plus the text hash embedded in artifacts."""
 
@@ -214,8 +131,8 @@ class RunConfig:
         )
 
     def ratios(self) -> list[float]:
-        raw = self.get("eval", "ratios", str, "0.2,0.4,0.6,0.8,1.0")
-        return [float(x) for x in raw.split(",") if x.strip()]
+        return self.get("eval", "ratios", lambda raw: [float(x) for x in raw.split(",") if x.strip()],
+                        [0.2, 0.4, 0.6, 0.8, 1.0])
 
 
 # ---------------------------------------------------------------------------

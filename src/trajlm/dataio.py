@@ -129,22 +129,43 @@ def write_truth(path, records: list[TruthRecord], config_hash: str = "") -> None
             ])
 
 
+def _csv_rows(path, fh, header: list[str], what: str, prefix: bool = False):
+    """Yield (path:line, fields) for each data row of a CSV artifact, after its header.
+
+    Every row has exactly the header's fields or, with prefix, at least them.
+    '#' provenance lines and blank lines are skipped. Each line is parsed on its
+    own: the artifacts never quote a line break, and line numbers stay exact.
+    """
+    rows = (
+        (f"{path}:{lineno}", next(csv.reader([line])))
+        for lineno, line in enumerate(fh, start=1)
+        if line.strip() and not line.startswith("#")
+    )
+    n = len(header)
+    first = next(rows, (path, None))[1]
+    if first is None or (first[:n] if prefix else first) != header:
+        raise DataError(f"{path}: expected {what} CSV header {','.join(header)}, got {first}")
+    for where, row in rows:
+        if len(row) < n or (not prefix and len(row) > n):
+            raise DataError(f"{where}: {what} row needs {n} fields, got {row}")
+        yield where, row
+
+
 def read_truth(path) -> dict[str, TruthRecord]:
     out: dict[str, TruthRecord] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = csv.reader(line for line in fh if not line.startswith("#"))
-        header = next(rows, None)
-        if header is None or header[:2] != ["id", "label"]:
-            raise DataError(f"{path}: expected truth CSV header starting id,label")
-        for row in rows:
-            rec = TruthRecord(
-                traj_id=row[0],
-                label=row[1],
-                kind=row[2] if len(row) > 2 else "",
-                ratio=float(row[3]) if len(row) > 3 and row[3] else None,
-                dist=int(row[4]) if len(row) > 4 and row[4] else None,
-                pos=int(row[5]) if len(row) > 5 and row[5] else None,
-            )
+        for where, row in _csv_rows(path, fh, ["id", "label"], "truth", prefix=True):
+            try:
+                rec = TruthRecord(
+                    traj_id=row[0],
+                    label=row[1],
+                    kind=row[2] if len(row) > 2 else "",
+                    ratio=float(row[3]) if len(row) > 3 and row[3] else None,
+                    dist=int(row[4]) if len(row) > 4 and row[4] else None,
+                    pos=int(row[5]) if len(row) > 5 and row[5] else None,
+                )
+            except ValueError as e:
+                raise DataError(f"{where}: bad truth row {row}: {e}") from e
             out[rec.traj_id] = rec
     return out
 
@@ -165,22 +186,18 @@ def write_scores(path, reports: list[ScoreReport], config_hash: str = "") -> Non
 
 
 def read_scores(path) -> list[ScoreReport]:
+    header = ["id", "agent", "perplexity", "threshold", "verdict"]
     out = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = csv.reader(line for line in fh if not line.startswith("#"))
-        header = next(rows, None)
-        if header != ["id", "agent", "perplexity", "threshold", "verdict"]:
-            raise DataError(f"{path}: unexpected score CSV header {header}")
-        for row in rows:
-            out.append(
-                ScoreReport(
-                    traj_id=row[0],
-                    agent=row[1] or None,
-                    perplexity=float(row[2]),
-                    threshold=float(row[3]),
-                    verdict=row[4],
-                )
-            )
+        for where, row in _csv_rows(path, fh, header, "score"):
+            try:
+                perplexity, threshold = float(row[2]), float(row[3])
+            except ValueError as e:
+                raise DataError(f"{where}: bad score row {row}: {e}") from e
+            out.append(ScoreReport(
+                traj_id=row[0], agent=row[1] or None, perplexity=perplexity,
+                threshold=threshold, verdict=row[4],
+            ))
     return out
 
 
@@ -213,20 +230,20 @@ def write_thresholds(path, table: ThresholdTable, config_hash: str = "") -> None
 
 
 def read_thresholds(path) -> ThresholdTable:
+    header = ["scope", "agent", "threshold", "mean", "std", "count"]
     table = ThresholdTable(global_threshold=None)
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = csv.reader(line for line in fh if not line.startswith("#"))
-        header = next(rows, None)
-        if header != ["scope", "agent", "threshold", "mean", "std", "count"]:
-            raise DataError(f"{path}: unexpected thresholds CSV header {header}")
-        for row in rows:
+        for where, row in _csv_rows(path, fh, header, "thresholds"):
             scope, agent, threshold, mean, std, count = row
-            prov = (float(mean), float(std), int(count))
+            try:
+                value, prov = float(threshold), (float(mean), float(std), int(count))
+            except ValueError as e:
+                raise DataError(f"{where}: bad thresholds row {row}: {e}") from e
             if scope == "global":
-                table.global_threshold = float(threshold)
+                table.global_threshold = value
                 table.provenance["global"] = prov
             else:
-                table.per_agent[agent] = float(threshold)
+                table.per_agent[agent] = value
                 table.provenance[agent] = prov
     return table
 

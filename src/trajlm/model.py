@@ -6,6 +6,11 @@ ReLU feed-forward, each wrapped with a residual connection), a final layer
 norm, and a linear projection to vocabulary logits. Forward, loss, and the
 full analytic backward pass are implemented here directly so gradients can be
 verified against finite differences; float64 is the default precision.
+
+forward_batch is the only implementation of the block. Training, batch
+scoring and online sessions all run it: a session passes its per-layer
+key/value cache and feeds one new row per call, so its results differ from a
+batch forward only by BLAS summation order.
 """
 
 from __future__ import annotations
@@ -140,73 +145,20 @@ def init_model(cfg: ModelConfig, vocab_hash: str = "") -> Model:
 # Building-block operations
 # ---------------------------------------------------------------------------
 
-def causal_mask(seq_len: int) -> np.ndarray:
-    """Lower-triangular visibility mask: position i may attend to j <= i."""
-    return np.tril(np.ones((seq_len, seq_len), dtype=bool))
-
-
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Max-subtracted softmax; -inf entries come out as exact zeros."""
-    m = np.max(x, axis=axis, keepdims=True)
-    e = np.exp(x - m)
-    return e / np.sum(e, axis=axis, keepdims=True)
-
-
-def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-    """Scaled dot-product attention over (seq, d_k) matrices.
-
-    mask is boolean (seq, seq) with True where attention is allowed; masked
-    scores are forced to -inf before the softmax, so each attention row is a
-    probability distribution over visible positions only.
-    """
-    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2 or q.shape[1] != k.shape[1]:
-        raise DomainError(f"attention expects (seq, d_k) inputs, got q{q.shape} k{k.shape}")
-    if v.shape[0] != k.shape[0]:
-        raise DomainError(f"keys and values disagree on sequence length: {k.shape} vs {v.shape}")
-    d_k = q.shape[1]
-    scores = q @ k.T / np.sqrt(np.asarray(d_k, dtype=q.dtype))
-    if mask is not None:
-        scores = np.where(mask, scores, -np.inf)
-    return softmax(scores, axis=-1) @ v
-
-
-def multi_head(
-    x: np.ndarray,
-    wq: np.ndarray,
-    wk: np.ndarray,
-    wv: np.ndarray,
-    wo: np.ndarray,
-    n_heads: int,
-    mask: np.ndarray | None = None,
-) -> np.ndarray:
-    """Multi-head attention over a (seq, d_model) input: project, split heads,
-    attend independently, concatenate, and mix with the output projection."""
-    seq, d_model = x.shape
-    if d_model % n_heads != 0:
-        raise DomainError(f"d_model {d_model} not divisible by n_heads {n_heads}")
-    if wq.shape != (d_model, d_model):
-        raise DomainError(f"projection shape mismatch: {wq.shape} vs ({d_model}, {d_model})")
-    d_head = d_model // n_heads
-    q, k, v = x @ wq, x @ wk, x @ wv
-    heads = []
-    for h in range(n_heads):
-        sl = slice(h * d_head, (h + 1) * d_head)
-        heads.append(attention(q[:, sl], k[:, sl], v[:, sl], mask))
-    return np.concatenate(heads, axis=1) @ wo
-
-
-def ffn(x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray, b2: np.ndarray) -> np.ndarray:
-    """Position-wise feed-forward: max(0, x W1 + b1) W2 + b2."""
-    if x.shape[-1] != w1.shape[0] or w1.shape[1] != w2.shape[0] or w2.shape[1] != b2.shape[-1]:
-        raise DomainError(f"ffn shape mismatch: x{x.shape} w1{w1.shape} w2{w2.shape}")
-    return np.maximum(0.0, x @ w1 + b1) @ w2 + b2
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
 
 
 def layernorm(x: np.ndarray, g: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, tuple]:
     """Row-wise layer norm over the last axis; returns (y, cache-for-backward)."""
-    mu = x.mean(axis=-1, keepdims=True)
+    # add.reduce / n is what x.mean computes, without mean's per-call overhead,
+    # which dominates the one-row calls of a session push.
+    n = x.shape[-1]
+    mu = np.add.reduce(x, axis=-1, keepdims=True) / n
     xc = x - mu
-    var = np.mean(xc * xc, axis=-1, keepdims=True)
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * inv
     return g * xhat + b, (xhat, inv, g)
@@ -249,43 +201,62 @@ def forward_batch(
     ids: np.ndarray,
     collect: bool = False,
     dropout_rng: np.random.Generator | None = None,
+    kv: list[tuple[np.ndarray, np.ndarray]] | None = None,
+    pos: int = 0,
 ) -> tuple[np.ndarray, dict | None]:
-    """Run the network over an (n_seq, seq_len) id batch.
+    """Run the network over an (n_seq, t_new) id batch at positions [pos, pos + t_new).
 
-    Returns logits of shape (n_seq, seq_len, vocab_size) and, when collect is
+    Returns logits of shape (n_seq, t_new, vocab_size) and, when collect is
     set, the intermediate activations needed by backward(). Dropout is applied
     only when a dropout_rng is supplied (training mode).
+
+    kv is an optional key/value cache: one (keys, values) pair of
+    (n_seq, max_seq_len, d_model) buffers per layer whose rows [0, pos) hold
+    the projections of the tokens fed before. The call writes the new rows
+    [pos, pos + t_new) and attends over rows [0, pos + t_new). Without kv the
+    batch is a whole sequence and pos is 0.
     """
     cfg = model.config
     p = model.params
     ids = np.asarray(ids)
     if ids.ndim != 2:
         raise DomainError(f"expected (n_seq, seq_len) ids, got shape {ids.shape}")
-    n_seq, seq_len = ids.shape
-    if seq_len > cfg.max_seq_len:
-        raise DomainError(f"sequence length {seq_len} exceeds max_seq_len {cfg.max_seq_len}")
+    n_seq, t_new = ids.shape
+    end = pos + t_new
+    if end > cfg.max_seq_len:
+        raise DomainError(f"sequence length {end} exceeds max_seq_len {cfg.max_seq_len}")
     if ids.min() < 0 or ids.max() >= cfg.vocab_size:
         raise DomainError(f"token ids must lie in [0, {cfg.vocab_size})")
 
     rate = cfg.dropout_rate if dropout_rng is not None else 0.0
     cache: dict | None = {"ids": ids, "layers": []} if collect else None
 
-    x = p["tok_emb"][ids] + p["pos_emb"][:seq_len]
+    x = p["tok_emb"][ids] + p["pos_emb"][pos:end]
     if rate > 0.0:
         m = _dropout_mask(dropout_rng, x.shape, rate, cfg.dtype)
         x = x * m
         if collect:
             cache["drop_emb"] = m
-    visible = causal_mask(seq_len)
+    # Row i (position pos + i) sees keys j <= pos + i; a single new row sees them all.
+    visible = np.tri(t_new, end, pos, dtype=bool) if t_new > 1 else None
     scale = np.sqrt(np.asarray(cfg.d_head, dtype=cfg.dtype))
 
     for i in range(cfg.n_layers):
         pre = f"layers.{i}"
         a, ln1_cache = layernorm(x, p[f"{pre}.ln1.g"], p[f"{pre}.ln1.b"])
         qh = _split_heads(a @ p[f"{pre}.attn.wq"], cfg.n_heads)
-        kh = _split_heads(a @ p[f"{pre}.attn.wk"], cfg.n_heads)
-        vh = _split_heads(a @ p[f"{pre}.attn.wv"], cfg.n_heads)
-        scores = np.where(visible, qh @ kh.transpose(0, 1, 3, 2) / scale, -np.inf)
+        k = a @ p[f"{pre}.attn.wk"]
+        v = a @ p[f"{pre}.attn.wv"]
+        if kv is not None:
+            k_buf, v_buf = kv[i]
+            k_buf[:, pos:end] = k
+            v_buf[:, pos:end] = v
+            k, v = k_buf[:, :end], v_buf[:, :end]
+        kh = _split_heads(k, cfg.n_heads)
+        vh = _split_heads(v, cfg.n_heads)
+        scores = qh @ kh.transpose(0, 1, 3, 2) / scale
+        if visible is not None:
+            scores = np.where(visible, scores, -np.inf)
         attn = softmax(scores, axis=-1)
         ctx = _merge_heads(attn @ vh)
         attn_out = ctx @ p[f"{pre}.attn.wo"]
@@ -327,9 +298,8 @@ def forward(model: Model, ids) -> np.ndarray:
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    m = np.max(logits, axis=-1, keepdims=True)
-    shifted = logits - m
-    return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def nll_loss(logits: np.ndarray, targets: np.ndarray, pad_mask: np.ndarray) -> float:

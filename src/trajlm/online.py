@@ -1,10 +1,12 @@
 """Incremental trajectory scoring with per-layer key/value caches.
 
-A session consumes one token at a time. For each new token only one attention
-query row is computed per layer against the cached keys/values of the prefix,
-so scoring a whole stream costs O(n^2 d) instead of the O(n^3 d) of re-running
-a full forward pass per prefix. Per-token results match the batch scorer to
-within floating-point summation-order differences (1e-9 relative in float64).
+A session consumes one token at a time. Each push runs the batch kernel,
+model.forward_batch, on the one new row with the session's key/value cache,
+so only one attention query row is computed per layer against the cached keys
+and values of the prefix; scoring a whole stream costs O(n^2 d) instead of the
+O(n^3 d) of re-running a full forward pass per prefix. The only difference
+from batch scoring is BLAS summation order, so per-token results match the
+batch scorer to 1e-9 relative in float64.
 """
 
 from __future__ import annotations
@@ -14,30 +16,24 @@ import math
 import numpy as np
 
 from .errors import DomainError, SessionFullError
-from .model import LN_EPS, Model, log_softmax
+from .model import Model, forward_batch, log_softmax
 from .scoring import ScoreReport, ThresholdTable, classify
-
-
-def _ln_row(x: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
-    mu = x.mean()
-    xc = x - mu
-    var = np.mean(xc * xc)
-    return g * (xc / np.sqrt(var + LN_EPS)) + b
 
 
 class Session:
     """Single-owner incremental scorer over one immutable model.
 
     The caches hold the post-projection key and value rows of every pushed
-    token, one (max_seq_len, d_model) buffer per layer; pushes append one row
-    per layer and never touch earlier rows.
+    token, one (1, max_seq_len, d_model) buffer each per layer; pushes append
+    one row per layer and never touch earlier rows.
     """
 
     def __init__(self, model: Model):
         cfg = model.config
+        shape = (1, cfg.max_seq_len, cfg.d_model)
         self.model = model
-        self._k = [np.zeros((cfg.max_seq_len, cfg.d_model), dtype=cfg.dtype) for _ in range(cfg.n_layers)]
-        self._v = [np.zeros((cfg.max_seq_len, cfg.d_model), dtype=cfg.dtype) for _ in range(cfg.n_layers)]
+        self._kv = [(np.zeros(shape, dtype=cfg.dtype), np.zeros(shape, dtype=cfg.dtype))
+                    for _ in range(cfg.n_layers)]
         self.pushed_ids: list[int] = []
         self.surprisal_sum = 0.0
         self.scored_count = 0
@@ -53,7 +49,8 @@ class Session:
     def cached_kv(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
         """Views of the key/value rows cached so far for one layer."""
         t = len(self.pushed_ids)
-        return self._k[layer][:t], self._v[layer][:t]
+        k, v = self._kv[layer]
+        return k[0, :t], v[0, :t]
 
     @property
     def running_perplexity(self) -> float:
@@ -61,38 +58,15 @@ class Session:
             raise DomainError("no scored positions yet")
         return math.exp(self.surprisal_sum / self.scored_count)
 
-    def _advance(self, token_id: int) -> None:
-        """Feed one token through the network, extending each layer's cache."""
-        cfg = self.model.config
-        p = self.model.params
-        if self.full:
-            raise SessionFullError(f"session already holds max_seq_len={cfg.max_seq_len} tokens")
-        if not 0 <= token_id < cfg.vocab_size:
-            raise DomainError(f"token id {token_id} out of range [0, {cfg.vocab_size})")
-        pos = len(self.pushed_ids)
-        n_heads, d_head = cfg.n_heads, cfg.d_head
-        scale = np.sqrt(np.asarray(d_head, dtype=cfg.dtype))
+    def _advance(self, token_ids: list[int]) -> None:
+        """Feed tokens through the network in one cached call, extending each layer's cache.
 
-        x = p["tok_emb"][token_id] + p["pos_emb"][pos]
-        for i in range(cfg.n_layers):
-            pre = f"layers.{i}"
-            a = _ln_row(x, p[f"{pre}.ln1.g"], p[f"{pre}.ln1.b"])
-            self._k[i][pos] = a @ p[f"{pre}.attn.wk"]
-            self._v[i][pos] = a @ p[f"{pre}.attn.wv"]
-            qh = (a @ p[f"{pre}.attn.wq"]).reshape(n_heads, d_head)
-            kh = self._k[i][: pos + 1].reshape(pos + 1, n_heads, d_head)
-            vh = self._v[i][: pos + 1].reshape(pos + 1, n_heads, d_head)
-            scores = np.einsum("hd,thd->ht", qh, kh) / scale
-            scores -= scores.max(axis=1, keepdims=True)
-            e = np.exp(scores)
-            attn = e / e.sum(axis=1, keepdims=True)
-            ctx = np.einsum("ht,thd->hd", attn, vh).reshape(cfg.d_model)
-            x = x + ctx @ p[f"{pre}.attn.wo"]
-            f = _ln_row(x, p[f"{pre}.ln2.g"], p[f"{pre}.ln2.b"])
-            x = x + np.maximum(0.0, f @ p[f"{pre}.ffn.w1"] + p[f"{pre}.ffn.b1"]) @ p[f"{pre}.ffn.w2"] + p[f"{pre}.ffn.b2"]
-        hf = _ln_row(x, p["final_ln.g"], p["final_ln.b"])
-        self._last_logits = hf @ p["w_out"]
-        self.pushed_ids.append(token_id)
+        forward_batch validates the ids and the length before it writes a cache
+        row, so a rejected call leaves the session unchanged.
+        """
+        logits, _ = forward_batch(self.model, [token_ids], kv=self._kv, pos=len(self.pushed_ids))
+        self._last_logits = logits[0, -1]
+        self.pushed_ids.extend(token_ids)
 
     def push(self, token_id: int) -> tuple[float, float]:
         """Score one arriving token; returns (its surprisal, running perplexity).
@@ -111,7 +85,7 @@ class Session:
         if not 0 <= token_id < self.model.config.vocab_size:
             raise DomainError(f"token id {token_id} out of range [0, {self.model.config.vocab_size})")
         s = float(-logp[token_id])
-        self._advance(token_id)
+        self._advance([token_id])
         self.surprisal_sum += s
         self.scored_count += 1
         return s, self.running_perplexity
@@ -125,13 +99,8 @@ def open_session(model: Model, conditioning_ids: list[int]) -> Session:
     """
     if not conditioning_ids:
         raise DomainError("conditioning must contain at least one token")
-    if len(conditioning_ids) > model.config.max_seq_len:
-        raise DomainError(
-            f"conditioning length {len(conditioning_ids)} exceeds max_seq_len {model.config.max_seq_len}"
-        )
     session = Session(model)
-    for token_id in conditioning_ids:
-        session._advance(int(token_id))
+    session._advance([int(t) for t in conditioning_ids])
     return session
 
 

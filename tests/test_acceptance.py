@@ -13,7 +13,7 @@ import pytest
 
 from trajlm import dataio
 from trajlm.checkpoint import load_checkpoint, save_checkpoint
-from trajlm.cli import derive_seed, main
+from trajlm.cli import _pol_records, derive_seed, main
 from trajlm.evaluate import ablation_eval, completion_ratio_eval, f1, per_agent_eval, pr_auc
 from trajlm.grid import GridSpec
 from trajlm.model import ModelConfig, backward, forward_batch, init_model, nll_loss
@@ -34,7 +34,6 @@ from trajlm.synth import (
     gen_route_corpus,
     inject_detour,
     inject_random_shift,
-    pol_location_tokens,
 )
 from trajlm.training import TrainConfig, train
 from trajlm.vocab import EncodedTrajectory, Token, build_vocab
@@ -48,19 +47,6 @@ def report_line(criterion: int, name: str, passed: bool, detail: str) -> None:
 # ---------------------------------------------------------------------------
 # Shared experiment fixtures
 # ---------------------------------------------------------------------------
-
-def _pol_records(corpus, configuration="staypoint"):
-    return [
-        dataio.CorpusRecord(
-            traj_id=t.traj_id,
-            tokens=pol_location_tokens(t, configuration, corpus.config.gps_grid),
-            agent=t.agent,
-            weekday=t.weekday,
-            label=t.label,
-        )
-        for t in corpus.trajectories
-    ]
-
 
 def _train_pol(records, d_model, d_ff, epochs, seed, max_seq_len=24):
     vocab = build_vocab([dataio.full_tokens(r) for r in records])
@@ -78,7 +64,7 @@ def pol_run():
     trained on all data including the anomalous days."""
     world = WorldConfig(n_agents=50, n_days=100, n_anomalous_agents=5, anomalous_days=14, seed=7)
     corpus = gen_pol_corpus(world)
-    records = _pol_records(corpus)
+    records = _pol_records(corpus, "staypoint")
     vocab, model, encoded = _train_pol(records, d_model=64, d_ff=128, epochs=30, seed=1)
     ppls = [perplexity(model, t) for t in encoded]
     table = compute_thresholds(ppls, [t.agent for t in encoded], group_by_agent=True)
@@ -140,7 +126,7 @@ def memorized_run():
     world = WorldConfig(n_agents=20, n_days=98, n_anomalous_agents=3, anomalous_days=14,
                         seed=21, alt_prob=0.0)
     corpus = gen_pol_corpus(world)
-    records = _pol_records(corpus)
+    records = _pol_records(corpus, "staypoint")
     vocab, model, encoded = _train_pol(records, d_model=48, d_ff=96, epochs=60, seed=5, max_seq_len=16)
     return dict(corpus=corpus, model=model, encoded={t.traj_id: t for t in encoded})
 

@@ -1,5 +1,6 @@
 import io
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +9,8 @@ from trajlm.checkpoint import read_checkpoint
 from trajlm.cli import main
 from trajlm.scoring import token_log_probs
 from trajlm.vocab import Vocab
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 POL_TINY = """\
 [run]
@@ -265,6 +268,46 @@ def test_exit_codes(pol_config, tmp_path):
     assert run("score") == 1  # missing required arguments
 
 
+SCORES_HEAD = "id,agent,perplexity,threshold,verdict\n"
+THRESHOLDS_HEAD = "scope,agent,threshold,mean,std,count\n"
+GOOD_INPUTS = {
+    "truth.csv": "id,label\nt1,anomalous\n",
+    "scores.csv": SCORES_HEAD + "t1,,2.0,3.0,normal\n",
+    "thresholds.csv": THRESHOLDS_HEAD + "global,,3.0,2.0,1.0,8\n",
+    "run.ini": POL_TINY,
+}
+
+
+@pytest.mark.parametrize("command, name, text, code", [
+    ("eval", "truth.csv", "id,label\nt1\n", 2),
+    ("eval", "truth.csv", "id,label,kind,ratio\nt1,anomalous,shift,abc\n", 2),
+    ("eval", "scores.csv", SCORES_HEAD + "t1,,notanumber,3.0,normal\n", 2),
+    ("eval", "scores.csv", SCORES_HEAD + "t1,,2.0\n", 2),
+    ("report", "thresholds.csv", THRESHOLDS_HEAD + "global,,notanumber,2.0,1.0,8\n", 2),
+    ("report", "thresholds.csv", THRESHOLDS_HEAD + "global,,3.0\n", 2),
+    ("report", "run.ini", POL_TINY.replace("ratios = 0.5,1.0", "ratios = 0.5,abc"), 1),
+], ids=["truth-no-label", "truth-bad-ratio", "scores-bad-float", "scores-short-row",
+        "thresholds-bad-float", "thresholds-short-row", "config-bad-ratio"])
+def test_bad_input_exits_with_one_line_error(pol_pipeline, capsys, command, name, text, code):
+    p = pol_pipeline
+    for file, good in GOOD_INPUTS.items():
+        (p["tmp"] / file).write_text(text if file == name else good)
+    path = {file: p["tmp"] / file for file in GOOD_INPUTS}
+    if command == "eval":
+        argv = ["eval", "--truth", path["truth.csv"], "--scores", path["scores.csv"],
+                "--out", p["tmp"] / "eval.csv"]
+    else:
+        argv = ["report", "--kind", "completion", "--config", path["run.ini"], "--out-dir", p["tmp"] / "rep",
+                "--checkpoint", p["ckpt"], "--vocab", p["vocab"], "--corpus", p["corpus"],
+                "--thresholds", path["thresholds.csv"], "--truth", path["truth.csv"]]
+    capsys.readouterr()
+    assert run(*argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    if code == 2:
+        assert f"{name}:2:" in err
+
+
 def test_vocab_hash_mismatch_is_a_model_error(pol_pipeline, tmp_path):
     p = pol_pipeline
     other = tmp_path / "other_vocab.tsv"
@@ -275,25 +318,18 @@ def test_vocab_hash_mismatch_is_a_model_error(pol_pipeline, tmp_path):
 
 
 def test_shipped_pol_preset_counts(tmp_path):
-    from trajlm.cli import POL_PRESET
-
-    cfg = tmp_path / "pol.ini"
-    cfg.write_text(POL_PRESET)
     out = tmp_path / "data"
-    assert run("gen-data", "--config", cfg, "--out-dir", out) == 0
+    assert run("gen-data", "--config", CONFIGS / "pol.ini", "--out-dir", out) == 0
     records = dataio.read_corpus(out / "corpus_staypoint.jsonl")
     assert len(records) == 50 * 100
     assert sum(1 for r in records if r.label == "anomalous") == 5 * 14
 
 
 def test_shipped_porto_preset_od_groups(tmp_path):
-    from trajlm.cli import PORTO_PRESET
     from trajlm.grid import CellId, filter_od_groups, group_by_od
 
-    cfg = tmp_path / "porto.ini"
-    cfg.write_text(PORTO_PRESET)
     out = tmp_path / "data"
-    assert run("gen-data", "--config", cfg, "--out-dir", out) == 0
+    assert run("gen-data", "--config", CONFIGS / "porto.ini", "--out-dir", out) == 0
     for name in ("train.jsonl", "eval_random_shift.jsonl", "eval_detour.jsonl"):
         records = dataio.read_corpus(out / name)
         routes = [

@@ -6,14 +6,10 @@ import pytest
 from trajlm.errors import ConfigError, DomainError
 from trajlm.model import (
     ModelConfig,
-    attention,
     backward,
-    causal_mask,
-    ffn,
     forward,
     forward_batch,
     init_model,
-    multi_head,
     nll_loss,
     param_shapes,
 )
@@ -60,94 +56,137 @@ def test_init_statistics():
     assert abs(float(np.std(m.params["tok_emb"]))) < 0.05
 
 
-# --- attention -------------------------------------------------------------
+# --- attention (activations collected by forward_batch) ----------------------
+
+def _layers(model, ids):
+    _, cache = forward_batch(model, np.asarray(ids), collect=True)
+    return cache["layers"]
+
+
+def _merge(h):
+    b, n_heads, t, dh = h.shape
+    return h.transpose(0, 2, 1, 3).reshape(b, t, n_heads * dh)
+
 
 def test_attention_singleton_returns_value_row():
-    rng = np.random.default_rng(0)
-    q, k, v = rng.normal(size=(1, 4)), rng.normal(size=(1, 4)), rng.normal(size=(1, 6))
-    out = attention(q, k, v, causal_mask(1))
-    assert np.allclose(out, v)
+    for lc in _layers(tiny_model(), [[7]]):
+        assert np.all(lc["attn"] == 1.0)
+        assert np.allclose(lc["ctx"], _merge(lc["vh"]), rtol=1e-12, atol=0)
 
 
 def test_attention_position_zero_sees_only_first_value():
-    rng = np.random.default_rng(1)
-    q, k = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
-    v1, v2 = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
-    v2[0] = v1[0]  # same first row, later rows differ
-    out1 = attention(q, k, v1, causal_mask(3))
-    out2 = attention(q, k, v2, causal_mask(3))
-    assert np.array_equal(out1[0], out2[0])
-    assert np.allclose(out1[0], v1[0])
+    for lc in _layers(tiny_model(), [[3, 4, 5, 6]]):
+        assert np.all(lc["attn"][:, :, 0, 0] == 1.0)
+        assert np.all(lc["attn"][:, :, 0, 1:] == 0.0)
+        assert np.allclose(lc["ctx"][:, 0], _merge(lc["vh"])[:, 0], rtol=1e-12, atol=0)
 
 
 def test_attention_identical_keys_uniform_running_mean():
-    rng = np.random.default_rng(2)
-    q = rng.normal(size=(4, 3))
-    k = np.tile(rng.normal(size=(1, 3)), (4, 1))
-    v = rng.normal(size=(4, 5))
-    out = attention(q, k, v, causal_mask(4))
-    for i in range(4):
-        assert np.allclose(out[i], v[: i + 1].mean(axis=0))
+    m = tiny_model()
+    for i in range(TINY.n_layers):
+        m.params[f"layers.{i}.attn.wk"][:] = 0.0  # every key is the zero vector
+    for lc in _layers(m, [[3, 4, 5, 6, 7]]):
+        v = _merge(lc["vh"])[0]
+        for i in range(5):
+            assert np.allclose(lc["attn"][0, :, i, : i + 1], 1.0 / (i + 1), rtol=1e-12, atol=0)
+            assert np.allclose(lc["ctx"][0, i], v[: i + 1].mean(axis=0), rtol=1e-12, atol=1e-15)
 
 
 def test_attention_rows_are_distributions():
     rng = np.random.default_rng(3)
-    q, k, v = rng.normal(size=(5, 4)), rng.normal(size=(5, 4)), np.ones((5, 1))
-    out = attention(q, k, v, causal_mask(5))
-    assert np.allclose(out, 1.0, atol=1e-12)  # row sums of attention == 1
+    ids = rng.integers(1, TINY.vocab_size, size=(3, TINY.max_seq_len))
+    above = ~np.tri(TINY.max_seq_len, dtype=bool)
+    for lc in _layers(tiny_model(), ids):
+        assert np.all(lc["attn"][..., above] == 0.0)
+        assert np.allclose(lc["attn"].sum(axis=-1), 1.0, rtol=0, atol=1e-12)
 
 
 def test_attention_shape_mismatch():
-    with pytest.raises(DomainError):
-        attention(np.zeros((2, 3)), np.zeros((2, 4)), np.zeros((2, 3)))
+    m = tiny_model()
+    for ids in (np.array([3, 4]), np.ones((1, 2, 2), dtype=int)):
+        with pytest.raises(DomainError):
+            forward_batch(m, ids)
 
 
-# --- multi-head ------------------------------------------------------------
+def _hand_attention(qh, kh, vh):
+    """softmax(q k^T / sqrt(d_head)) v under the causal mask, one head at a time."""
+    t, d_head = qh.shape
+    scores = qh @ kh.T / math.sqrt(d_head)
+    scores[~np.tri(t, dtype=bool)] = -np.inf
+    w = np.exp(scores - scores.max(axis=1, keepdims=True))
+    return (w / w.sum(axis=1, keepdims=True)) @ vh
+
 
 def test_multi_head_single_head_reduces_to_attention():
-    rng = np.random.default_rng(4)
-    d = 6
-    x = rng.normal(size=(5, d))
-    wq, wk, wv, wo = (rng.normal(size=(d, d)) for _ in range(4))
-    mask = causal_mask(5)
-    expected = attention(x @ wq, x @ wk, x @ wv, mask) @ wo
-    assert np.allclose(multi_head(x, wq, wk, wv, wo, 1, mask), expected)
+    cfg = ModelConfig(vocab_size=20, d_model=6, n_heads=1, n_layers=2, d_ff=8, max_seq_len=8, seed=4)
+    for lc in _layers(init_model(cfg), [[3, 4, 5, 6, 7]]):
+        expected = _hand_attention(lc["qh"][0, 0], lc["kh"][0, 0], lc["vh"][0, 0])
+        assert np.allclose(lc["ctx"][0], expected, rtol=1e-12, atol=1e-15)
 
 
 @pytest.mark.parametrize("h", [1, 2, 3, 6])
 def test_multi_head_output_shape(h):
-    rng = np.random.default_rng(5)
-    x = rng.normal(size=(4, 6))
-    wq, wk, wv, wo = (rng.normal(size=(6, 6)) for _ in range(4))
-    assert multi_head(x, wq, wk, wv, wo, h, causal_mask(4)).shape == (4, 6)
+    cfg = ModelConfig(vocab_size=20, d_model=6, n_heads=h, n_layers=1, d_ff=8, max_seq_len=8, seed=5)
+    (lc,) = _layers(init_model(cfg), [[3, 4, 5, 6]])
+    assert lc["qh"].shape == (1, h, 4, 6 // h)
+    assert lc["ctx"].shape == (1, 4, 6)
+    for head in range(h):
+        sl = slice(head * (6 // h), (head + 1) * (6 // h))
+        expected = _hand_attention(lc["qh"][0, head], lc["kh"][0, head], lc["vh"][0, head])
+        assert np.allclose(lc["ctx"][0, :, sl], expected, rtol=1e-12, atol=1e-15)
 
 
 def test_multi_head_zero_output_projection():
+    m = tiny_model()
+    for i in range(TINY.n_layers):
+        m.params[f"layers.{i}.attn.wo"][:] = 0.0
+    ref = forward(m, [3, 4, 5, 6])
     rng = np.random.default_rng(6)
-    x = rng.normal(size=(4, 6))
-    wq, wk, wv = (rng.normal(size=(6, 6)) for _ in range(3))
-    out = multi_head(x, wq, wk, wv, np.zeros((6, 6)), 2, causal_mask(4))
-    assert np.all(out == 0.0)
+    for i in range(TINY.n_layers):
+        for w in ("wq", "wk", "wv"):
+            m.params[f"layers.{i}.attn.{w}"] = rng.normal(size=(TINY.d_model, TINY.d_model))
+    assert np.array_equal(forward(m, [3, 4, 5, 6]), ref)
 
 
-# --- feed-forward ----------------------------------------------------------
+# --- feed-forward (activations collected by forward_batch) --------------------
 
 def test_ffn_zeros():
-    assert np.all(ffn(np.zeros((3, 2)), np.zeros((2, 4)), np.zeros(4), np.zeros((4, 2)), np.zeros(2)) == 0)
+    m = tiny_model()
+    for i in range(TINY.n_layers):
+        for name in ("w1", "b1", "w2", "b2"):
+            m.params[f"layers.{i}.ffn.{name}"][:] = 0.0
+    ref = forward(m, [3, 4, 5])
+    for lc in _layers(m, [[3, 4, 5]]):
+        assert np.all(lc["relu"] == 0.0)
+    m.params["layers.0.ffn.w2"][:] = 1.0  # multiplies all-zero activations
+    assert np.array_equal(forward(m, [3, 4, 5]), ref)
 
 
 def test_ffn_relu_kills_negative_preactivations():
-    x = np.ones((2, 2))
-    w1 = -np.ones((2, 3))
-    b2 = np.array([5.0, -1.0])
-    out = ffn(x, w1, np.zeros(3), np.ones((3, 2)), b2)
-    assert np.allclose(out, np.tile(b2, (2, 1)))
+    m = tiny_model()
+    for lc in _layers(m, [[3, 4, 5, 6]]):
+        assert np.array_equal(lc["relu"], np.maximum(0.0, lc["pre_act"]))
+        assert np.any(lc["pre_act"] < 0.0)
+    for i in range(TINY.n_layers):
+        m.params[f"layers.{i}.ffn.b1"][:] = -1e3
+    for lc in _layers(m, [[3, 4, 5, 6]]):
+        assert np.all(lc["relu"] == 0.0)
 
 
 def test_ffn_scalar_hand_case():
-    # max(0, 0.5*2 + 1) * 3 - 1 = 5
-    out = ffn(np.array([[0.5]]), np.array([[2.0]]), np.array([1.0]), np.array([[3.0]]), np.array([-1.0]))
-    assert np.allclose(out, 5.0)
+    # With d_model 1 the layer norm input is centred to 0, so f equals ln2.b.
+    cfg = ModelConfig(vocab_size=6, d_model=1, n_heads=1, n_layers=1, d_ff=1, max_seq_len=4, seed=0)
+    m = init_model(cfg)
+    m.params["layers.0.ln2.b"][:] = 0.5
+    m.params["layers.0.ffn.w1"][:] = 2.0
+    m.params["layers.0.ffn.b1"][:] = 1.0
+    (lc,) = _layers(m, [[3, 4]])
+    assert np.all(lc["f"] == 0.5)
+    assert np.all(lc["pre_act"] == 2.0)  # 0.5 * 2 + 1
+    assert np.all(lc["relu"] == 2.0)
+    m.params["layers.0.ffn.b1"][:] = -2.0
+    (lc,) = _layers(m, [[3, 4]])
+    assert np.all(lc["relu"] == 0.0)  # max(0, 0.5 * 2 - 2)
 
 
 # --- forward ---------------------------------------------------------------

@@ -60,6 +60,12 @@ def test_push_matches_batch_scorer(model):
         assert abs(s.running_perplexity - perplexity(model, enc)) < 1e-9 * perplexity(model, enc)
 
 
+def _flat(cache, layer, name):
+    """(1, h, T, dh) -> (T, d), to compare with the session's flat rows."""
+    x = cache["layers"][layer][name]
+    return x[0].transpose(1, 0, 2).reshape(x.shape[2], CFG.d_model)
+
+
 def test_cache_matches_full_forward_kv(model):
     ids = [3, 4, 5, 6, 7, 8]
     s = open_session(model, ids[:1])
@@ -67,12 +73,53 @@ def test_cache_matches_full_forward_kv(model):
         s.push(tok)
     _, cache = forward_batch(model, np.asarray(ids)[None, :], collect=True)
     for layer in range(CFG.n_layers):
-        # (B, h, T, dh) -> (T, d) to compare with the session's flat rows
-        kh = cache["layers"][layer]["kh"].transpose(0, 2, 1, 3).reshape(len(ids), CFG.d_model)
-        vh = cache["layers"][layer]["vh"].transpose(0, 2, 1, 3).reshape(len(ids), CFG.d_model)
         k, v = s.cached_kv(layer)
-        assert np.allclose(k, kh, rtol=1e-9, atol=1e-12)
-        assert np.allclose(v, vh, rtol=1e-9, atol=1e-12)
+        assert np.allclose(k, _flat(cache, layer, "kh"), rtol=1e-9, atol=1e-12)
+        assert np.allclose(v, _flat(cache, layer, "vh"), rtol=1e-9, atol=1e-12)
+
+
+def test_prefill_then_push_matches_batch(model):
+    ids = [int(x) for x in np.random.default_rng(11).integers(1, CFG.vocab_size, size=20)]
+    batch_lp = token_log_probs(model, EncodedTrajectory(ids=ids, prefix_len=1))
+    k = 5
+    s = open_session(model, ids[:k])  # one cached call with t_new = 5
+    surprisals = np.array([s.push(tok)[0] for tok in ids[k:]])
+    assert np.max(np.abs(surprisals + batch_lp[k - 1:]) / np.abs(batch_lp[k - 1:])) < 1e-9
+    _, cache = forward_batch(model, np.asarray(ids)[None, :], collect=True)
+    for layer in range(CFG.n_layers):
+        k_rows, v_rows = s.cached_kv(layer)
+        assert np.allclose(k_rows, _flat(cache, layer, "kh"), rtol=1e-9, atol=1e-12)
+        assert np.allclose(v_rows, _flat(cache, layer, "vh"), rtol=1e-9, atol=1e-12)
+
+
+def test_offset_chunks_match_full_forward(model):
+    """Chunks with t_new > 1 at pos > 0 see the cached prefix under the offset mask."""
+    ids = np.random.default_rng(12).integers(1, CFG.vocab_size, size=(2, 20))
+    full, cache = forward_batch(model, ids, collect=True)
+    shape = (2, CFG.max_seq_len, CFG.d_model)
+    kv = [(np.zeros(shape), np.zeros(shape)) for _ in range(CFG.n_layers)]
+    chunks = [(0, 3), (3, 8), (8, 9), (9, 20)]
+    logits = np.concatenate([forward_batch(model, ids[:, a:b], kv=kv, pos=a)[0] for a, b in chunks], axis=1)
+    assert np.allclose(logits, full, rtol=1e-9, atol=1e-12)
+    for layer, (k_buf, v_buf) in enumerate(kv):
+        for name, buf in (("kh", k_buf), ("vh", v_buf)):
+            want = cache["layers"][layer][name].transpose(0, 2, 1, 3).reshape(2, 20, CFG.d_model)
+            assert np.allclose(buf[:, :20], want, rtol=1e-9, atol=1e-12)
+            assert np.all(buf[:, 20:] == 0.0)
+
+
+def test_cached_call_past_max_seq_len_leaves_session_unchanged():
+    cfg = ModelConfig(vocab_size=10, d_model=8, n_heads=2, n_layers=2, d_ff=16, max_seq_len=6, seed=0)
+    s = open_session(init_model(cfg), [1, 3, 4])
+    buffers = [(k.copy(), v.copy()) for k, v in s._kv]
+    logits = s._last_logits.copy()
+    for bad in ([5, 6, 7, 8], [5, 99]):  # past max_seq_len; valid length with an unknown id
+        with pytest.raises(DomainError):
+            s._advance(bad)
+        assert s.pushed_ids == [1, 3, 4]
+        assert np.array_equal(s._last_logits, logits)
+        for (k, v), (k0, v0) in zip(s._kv, buffers):
+            assert np.array_equal(k, k0) and np.array_equal(v, v0)
 
 
 def test_push_into_full_session_errors_without_mutation():
