@@ -28,8 +28,8 @@ from .scoring import (
     ThresholdTable,
     classify,
     compute_thresholds,
-    dataset_perplexity,
     perplexity,
+    score_corpus,
     surprisal,
     token_log_probs,
 )

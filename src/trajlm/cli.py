@@ -20,12 +20,12 @@ import numpy as np
 
 from . import dataio
 from .checkpoint import read_checkpoint, write_checkpoint
-from .errors import ConfigError, DataError, TrajLMError
+from .errors import ConfigError, DataError, TrajLMError, decoding
 from .evaluate import ablation_eval, completion_ratio_eval, global_eval, per_agent_eval
 from .grid import GridSpec
-from .model import Model, ModelConfig, init_model
+from .model import ModelConfig, init_model
 from .online import open_session, partial_verdict
-from .scoring import ThresholdTable, compute_thresholds, perplexity, score_trajectory
+from .scoring import score_corpus
 from .synth import (
     AnomalySpec,
     WorldConfig,
@@ -67,7 +67,8 @@ class RunConfig:
 
     @classmethod
     def from_path(cls, path) -> "RunConfig":
-        return cls(Path(path).read_text(encoding="utf-8"))
+        with decoding(path, ConfigError):
+            return cls(Path(path).read_text(encoding="utf-8"))
 
     def get(self, section: str, key: str, cast=str, default=None):
         if not self.parser.has_option(section, key):
@@ -272,9 +273,9 @@ def cmd_train(args) -> int:
     if args.resume:
         model = read_checkpoint(args.checkpoint_in or args.out, expected_vocab_hash=vocab.hash())
         if loss_path is not None and loss_path.exists():
-            start_epoch = sum(
-                1 for line in loss_path.read_text().splitlines() if line and not line.startswith(("#", "epoch"))
-            )
+            with decoding(loss_path):
+                lines = loss_path.read_text(encoding="utf-8").splitlines()
+            start_epoch = sum(1 for line in lines if line and not line.startswith(("#", "epoch")))
     else:
         model = init_model(cfg.model_config(len(vocab)), vocab_hash=vocab.hash())
     tc = cfg.train_config()
@@ -283,7 +284,7 @@ def cmd_train(args) -> int:
     if loss_path is not None:
         log_fh = open(loss_path, mode, encoding="utf-8")
         if mode == "w":
-            log_fh.write(f"# config_hash={cfg.hash} tool_version={dataio.TOOL_VERSION}\n")
+            log_fh.write(dataio.provenance_comment(cfg.hash))
             log_fh.write("epoch,loss\n")
 
     def log_fn(epoch: int, loss: float) -> None:
@@ -302,13 +303,6 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _fit_threshold_table(model: Model, encoded, scope: str) -> ThresholdTable:
-    ppls = [perplexity(model, t) for t in encoded]
-    agents = [t.agent for t in encoded]
-    group = scope == "per_agent" and any(a is not None for a in agents)
-    return compute_thresholds(ppls, agents, group_by_agent=group)
-
-
 def cmd_score(args) -> int:
     cfg = RunConfig.from_path(args.config) if args.config else None
     config_hash = cfg.hash if cfg else "-"
@@ -316,20 +310,14 @@ def cmd_score(args) -> int:
     vocab = Vocab.load(args.vocab)
     model = read_checkpoint(args.checkpoint, expected_vocab_hash=vocab.hash())
     _, encoded = _load_encoded(args.corpus, vocab)
-    if args.fit_thresholds:
-        table = _fit_threshold_table(model, encoded, scope)
-        out = args.thresholds_out or args.thresholds
-        if out:
-            dataio.write_thresholds(out, table, config_hash)
-            print(f"[score] fitted thresholds -> {out}")
-    else:
-        if not args.thresholds:
-            raise ConfigError("either --thresholds or --fit-thresholds is required")
-        table = dataio.read_thresholds(args.thresholds)
-    reports = [
-        score_trajectory(model, t, table, scope=scope, with_surprisal=bool(args.per_position))
-        for t in encoded
-    ]
+    if not (args.fit_thresholds or args.thresholds):
+        raise ConfigError("either --thresholds or --fit-thresholds is required")
+    table = None if args.fit_thresholds else dataio.read_thresholds(args.thresholds)
+    reports, table = score_corpus(model, encoded, scope, table)
+    out = args.fit_thresholds and (args.thresholds_out or args.thresholds)
+    if out:
+        dataio.write_thresholds(out, table, config_hash)
+        print(f"[score] fitted thresholds -> {out}")
     dataio.write_scores(args.out, reports, config_hash)
     if args.per_position:
         dataio.write_surprisals(
@@ -381,9 +369,9 @@ def cmd_eval(args) -> int:
         _, encoded = _load_encoded(args.corpus, vocab)
         table = dataio.read_thresholds(args.thresholds)
         scope = args.scope or (cfg.get("score", "scope", str, "global") if cfg else "global")
-        reports = [score_trajectory(model, t, table, scope=scope) for t in encoded]
+        reports, _ = score_corpus(model, encoded, scope, table)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# config_hash={config_hash} tool_version={dataio.TOOL_VERSION}\n")
+        fh.write(dataio.provenance_comment(config_hash))
         if args.per_agent:
             fh.write("agent,f1,pr_auc,tp,fp,fn,tn\n")
             for agent, rep in per_agent_eval(reports, truth).items():
@@ -408,8 +396,7 @@ def _train_eval_pipeline(cfg: RunConfig):
         model = init_model(cfg.model_config(len(vocab)), vocab_hash=vocab.hash())
         encoded = [dataio.encode_record(r, vocab) for r in records]
         train(model, encoded, cfg.train_config())
-        table = _fit_threshold_table(model, encoded, "per_agent")
-        reports = [score_trajectory(model, t, table, scope="per_agent") for t in encoded]
+        reports, _ = score_corpus(model, encoded, "per_agent")
         truth = {r.traj_id: r.label for r in records}
         return per_agent_eval(reports, truth)
 
@@ -431,14 +418,14 @@ def cmd_report(args) -> int:
         result = ablation_eval(corpora, _train_eval_pipeline(cfg))
         summary = out_dir / "ablation.csv"
         with open(summary, "w", encoding="utf-8") as fh:
-            fh.write(f"# config_hash={cfg.hash} tool_version={dataio.TOOL_VERSION}\n")
+            fh.write(dataio.provenance_comment(cfg.hash))
             fh.write("configuration,average_f1,average_pr_auc\n")
             for name, entry in result.items():
                 fh.write(f"{name},{entry.average_f1!r},{entry.average_pr_auc!r}\n")
         for name, entry in result.items():
             detail = out_dir / f"ablation_{name}.csv"
             with open(detail, "w", encoding="utf-8") as fh:
-                fh.write(f"# config_hash={cfg.hash} tool_version={dataio.TOOL_VERSION}\n")
+                fh.write(dataio.provenance_comment(cfg.hash))
                 fh.write("agent,f1,pr_auc\n")
                 for agent, rep in entry.per_agent.items():
                     fh.write(f"{agent},{rep.f1!r},{rep.pr_auc!r}\n")
@@ -458,7 +445,7 @@ def cmd_report(args) -> int:
         result = completion_ratio_eval(model, encoded, truth, cfg.ratios(), table, scope="global")
         out = out_dir / "completion.csv"
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(f"# config_hash={cfg.hash} tool_version={dataio.TOOL_VERSION}\n")
+            fh.write(dataio.provenance_comment(cfg.hash))
             fh.write("ratio,f1,pr_auc\n")
             for ratio in sorted(result):
                 f1_v, auc = result[ratio]

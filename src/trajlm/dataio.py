@@ -14,7 +14,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 
-from .errors import DataError
+from .errors import DataError, decoding
 from .scoring import ScoreReport, ThresholdTable
 from .vocab import EncodedTrajectory, Token, Vocab, encode
 
@@ -84,7 +84,7 @@ def write_corpus(path, records: list[CorpusRecord], config_hash: str = "") -> No
 
 def read_corpus(path) -> list[CorpusRecord]:
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with decoding(path), open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -110,14 +110,15 @@ def read_corpus(path) -> list[CorpusRecord]:
     return records
 
 
-def _comment(config_hash: str) -> str:
+def provenance_comment(config_hash: str) -> str:
+    """The '#' first line of every CSV artifact: config hash and tool version."""
     meta = provenance(config_hash)
     return f"# config_hash={meta['config_hash']} tool_version={meta['tool_version']}\n"
 
 
 def write_truth(path, records: list[TruthRecord], config_hash: str = "") -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_comment(config_hash))
+        fh.write(provenance_comment(config_hash))
         writer = csv.writer(fh)
         writer.writerow(["id", "label", "kind", "ratio", "dist", "pos"])
         for r in records:
@@ -129,44 +130,44 @@ def write_truth(path, records: list[TruthRecord], config_hash: str = "") -> None
             ])
 
 
-def _csv_rows(path, fh, header: list[str], what: str, prefix: bool = False):
-    """Yield (path:line, fields) for each data row of a CSV artifact, after its header.
+def _csv_rows(path, header: list[str], what: str, prefix: bool = False):
+    """Yield (path:line, fields) for each data row of the CSV artifact at path, after its header.
 
     Every row has exactly the header's fields or, with prefix, at least them.
     '#' provenance lines and blank lines are skipped. Each line is parsed on its
     own: the artifacts never quote a line break, and line numbers stay exact.
     """
-    rows = (
-        (f"{path}:{lineno}", next(csv.reader([line])))
-        for lineno, line in enumerate(fh, start=1)
-        if line.strip() and not line.startswith("#")
-    )
-    n = len(header)
-    first = next(rows, (path, None))[1]
-    if first is None or (first[:n] if prefix else first) != header:
-        raise DataError(f"{path}: expected {what} CSV header {','.join(header)}, got {first}")
-    for where, row in rows:
-        if len(row) < n or (not prefix and len(row) > n):
-            raise DataError(f"{where}: {what} row needs {n} fields, got {row}")
-        yield where, row
+    with decoding(path), open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = (
+            (f"{path}:{lineno}", next(csv.reader([line])))
+            for lineno, line in enumerate(fh, start=1)
+            if line.strip() and not line.startswith("#")
+        )
+        n = len(header)
+        first = next(rows, (path, None))[1]
+        if first is None or (first[:n] if prefix else first) != header:
+            raise DataError(f"{path}: expected {what} CSV header {','.join(header)}, got {first}")
+        for where, row in rows:
+            if len(row) < n or (not prefix and len(row) > n):
+                raise DataError(f"{where}: {what} row needs {n} fields, got {row}")
+            yield where, row
 
 
 def read_truth(path) -> dict[str, TruthRecord]:
     out: dict[str, TruthRecord] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for where, row in _csv_rows(path, fh, ["id", "label"], "truth", prefix=True):
-            try:
-                rec = TruthRecord(
-                    traj_id=row[0],
-                    label=row[1],
-                    kind=row[2] if len(row) > 2 else "",
-                    ratio=float(row[3]) if len(row) > 3 and row[3] else None,
-                    dist=int(row[4]) if len(row) > 4 and row[4] else None,
-                    pos=int(row[5]) if len(row) > 5 and row[5] else None,
-                )
-            except ValueError as e:
-                raise DataError(f"{where}: bad truth row {row}: {e}") from e
-            out[rec.traj_id] = rec
+    for where, row in _csv_rows(path, ["id", "label"], "truth", prefix=True):
+        try:
+            rec = TruthRecord(
+                traj_id=row[0],
+                label=row[1],
+                kind=row[2] if len(row) > 2 else "",
+                ratio=float(row[3]) if len(row) > 3 and row[3] else None,
+                dist=int(row[4]) if len(row) > 4 and row[4] else None,
+                pos=int(row[5]) if len(row) > 5 and row[5] else None,
+            )
+        except ValueError as e:
+            raise DataError(f"{where}: bad truth row {row}: {e}") from e
+        out[rec.traj_id] = rec
     return out
 
 
@@ -176,7 +177,7 @@ def truth_labels(truth: dict[str, TruthRecord]) -> dict[str, str]:
 
 def write_scores(path, reports: list[ScoreReport], config_hash: str = "") -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_comment(config_hash))
+        fh.write(provenance_comment(config_hash))
         writer = csv.writer(fh)
         writer.writerow(["id", "agent", "perplexity", "threshold", "verdict"])
         for r in reports:
@@ -188,16 +189,15 @@ def write_scores(path, reports: list[ScoreReport], config_hash: str = "") -> Non
 def read_scores(path) -> list[ScoreReport]:
     header = ["id", "agent", "perplexity", "threshold", "verdict"]
     out = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for where, row in _csv_rows(path, fh, header, "score"):
-            try:
-                perplexity, threshold = float(row[2]), float(row[3])
-            except ValueError as e:
-                raise DataError(f"{where}: bad score row {row}: {e}") from e
-            out.append(ScoreReport(
-                traj_id=row[0], agent=row[1] or None, perplexity=perplexity,
-                threshold=threshold, verdict=row[4],
-            ))
+    for where, row in _csv_rows(path, header, "score"):
+        try:
+            perplexity, threshold = float(row[2]), float(row[3])
+        except ValueError as e:
+            raise DataError(f"{where}: bad score row {row}: {e}") from e
+        out.append(ScoreReport(
+            traj_id=row[0], agent=row[1] or None, perplexity=perplexity,
+            threshold=threshold, verdict=row[4],
+        ))
     return out
 
 
@@ -205,12 +205,10 @@ def write_surprisals(path, reports: list[ScoreReport], vocab: Vocab,
                      encoded: dict[str, EncodedTrajectory], config_hash: str = "") -> None:
     """Per-position dump: id,pos,token,surprisal (one row per scored token)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_comment(config_hash))
+        fh.write(provenance_comment(config_hash))
         writer = csv.writer(fh)
         writer.writerow(["id", "pos", "token", "surprisal"])
         for r in reports:
-            if r.surprisal is None:
-                continue
             ids = encoded[r.traj_id].ids
             for value, pos in zip(r.surprisal.values, r.surprisal.target_positions):
                 writer.writerow([r.traj_id, pos, str(vocab.token(ids[pos])), repr(float(value))])
@@ -218,7 +216,7 @@ def write_surprisals(path, reports: list[ScoreReport], vocab: Vocab,
 
 def write_thresholds(path, table: ThresholdTable, config_hash: str = "") -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_comment(config_hash))
+        fh.write(provenance_comment(config_hash))
         writer = csv.writer(fh)
         writer.writerow(["scope", "agent", "threshold", "mean", "std", "count"])
         if table.global_threshold is not None:
@@ -232,19 +230,18 @@ def write_thresholds(path, table: ThresholdTable, config_hash: str = "") -> None
 def read_thresholds(path) -> ThresholdTable:
     header = ["scope", "agent", "threshold", "mean", "std", "count"]
     table = ThresholdTable(global_threshold=None)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for where, row in _csv_rows(path, fh, header, "thresholds"):
-            scope, agent, threshold, mean, std, count = row
-            try:
-                value, prov = float(threshold), (float(mean), float(std), int(count))
-            except ValueError as e:
-                raise DataError(f"{where}: bad thresholds row {row}: {e}") from e
-            if scope == "global":
-                table.global_threshold = value
-                table.provenance["global"] = prov
-            else:
-                table.per_agent[agent] = value
-                table.provenance[agent] = prov
+    for where, row in _csv_rows(path, header, "thresholds"):
+        scope, agent, threshold, mean, std, count = row
+        try:
+            value, prov = float(threshold), (float(mean), float(std), int(count))
+        except ValueError as e:
+            raise DataError(f"{where}: bad thresholds row {row}: {e}") from e
+        if scope == "global":
+            table.global_threshold = value
+            table.provenance["global"] = prov
+        else:
+            table.per_agent[agent] = value
+            table.provenance[agent] = prov
     return table
 
 

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and `decoding` for text that is not UTF-8."""
+
+import contextlib
 
 
 class TrajLMError(Exception):
@@ -39,3 +41,12 @@ class SessionFullError(TrajLMError, RuntimeError):
 
 class DataError(TrajLMError, ValueError):
     """Corpus or report file does not match its documented schema."""
+
+
+@contextlib.contextmanager
+def decoding(path, error: type[TrajLMError] = DataError):
+    """Re-raise a UnicodeDecodeError from reading `path` inside the block as `error` naming it."""
+    try:
+        yield
+    except UnicodeDecodeError as e:
+        raise error(f"{path}: not UTF-8 text ({e.reason})") from e

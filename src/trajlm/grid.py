@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
-from .errors import DataError, DomainError
+from .errors import DataError, DomainError, decoding
 
 
 class CellId(NamedTuple):
@@ -153,7 +153,7 @@ def shift_cell(c: CellId, dist: int, direction: tuple[int, int], g: GridSpec) ->
 
 def read_raw_trajectories(path) -> Iterator[RawTrajectory]:
     """Read line-delimited {"id", "agent_id"?, "points": [[x, y, t], ...]} records."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with decoding(path), open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

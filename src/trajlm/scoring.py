@@ -5,11 +5,14 @@ head: entry i of the log-prob vector is log P(ids[i+1] | ids[0..i]). The head
 token (agent id or SOT) only conditions and is never itself a prediction
 target. Perplexity is exp of the mean surprisal over those scored positions,
 so a perfectly predicted trajectory scores exactly 1.
+
+`score_corpus` is the one batch entry point: one surprisal trace per trajectory
+gives its perplexity, threshold fit, verdict and localization. `perplexity` and
+`score_corpus` share one formula, `SurprisalTrace.perplexity`, so they agree bit for bit.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -30,6 +33,11 @@ class SurprisalTrace:
 
     values: np.ndarray
     target_positions: list[int]
+
+    @property
+    def perplexity(self) -> float:
+        """exp(mean surprisal)."""
+        return float(np.exp(np.mean(self.values)))
 
 
 @dataclass
@@ -84,15 +92,7 @@ def surprisal(model: Model, traj: EncodedTrajectory) -> SurprisalTrace:
 
 def perplexity(model: Model, traj: EncodedTrajectory) -> float:
     """exp(mean surprisal) over the trajectory's scored transitions."""
-    lp = token_log_probs(model, traj)
-    return float(np.exp(-np.mean(lp)))
-
-
-def dataset_perplexity(model: Model, corpus: list[EncodedTrajectory]) -> float:
-    """Arithmetic mean of per-trajectory perplexities."""
-    if not corpus:
-        raise DomainError("corpus is empty")
-    return float(np.mean([perplexity(model, t) for t in corpus]))
+    return surprisal(model, traj).perplexity
 
 
 def compute_thresholds(
@@ -152,17 +152,20 @@ def classify(
     )
 
 
-def score_trajectory(
-    model: Model,
-    traj: EncodedTrajectory,
-    table: ThresholdTable,
-    scope: str = "global",
-    with_surprisal: bool = False,
-) -> ScoreReport:
-    """Convenience wrapper: perplexity + verdict (+ optional per-position trace)."""
-    trace = surprisal(model, traj) if with_surprisal else None
-    if trace is not None:
-        ppl = float(math.exp(float(np.mean(trace.values))))
-    else:
-        ppl = perplexity(model, traj)
-    return classify(traj.traj_id, ppl, table, scope=scope, agent=traj.agent, trace=trace)
+def score_corpus(model: Model, corpus: list[EncodedTrajectory], scope: str = "global",
+                 table: ThresholdTable | None = None) -> tuple[list[ScoreReport], ThresholdTable]:
+    """Score every trajectory from one surprisal trace each; returns (reports, table).
+
+    With table None, thresholds are fitted on these same perplexities, with
+    per-agent entries under scope 'per_agent' for the agents the corpus has.
+    Every report carries its trace.
+    """
+    traces = [surprisal(model, t) for t in corpus]
+    ppls = [trace.perplexity for trace in traces]
+    if table is None:
+        table = compute_thresholds(ppls, [t.agent for t in corpus], group_by_agent=scope == "per_agent")
+    reports = [
+        classify(t.traj_id, ppl, table, scope=scope, agent=t.agent, trace=trace)
+        for t, ppl, trace in zip(corpus, ppls, traces)
+    ]
+    return reports, table

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import DomainError, VocabError
+from .errors import DomainError, VocabError, decoding
 
 TOKEN_KINDS = ("activity", "agent_id", "cell", "duration_bucket", "special", "staypoint", "weekday")
 
@@ -112,7 +112,7 @@ class Vocab:
     @classmethod
     def load(cls, path) -> "Vocab":
         tokens = []
-        with open(path, "r", encoding="utf-8") as fh:
+        with decoding(path), open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh):
                 line = line.rstrip("\n")
                 if not line:

@@ -21,9 +21,8 @@ from trajlm.online import open_session
 from trajlm.scoring import (
     classify,
     compute_thresholds,
-    dataset_perplexity,
     perplexity,
-    score_trajectory,
+    score_corpus,
     surprisal,
     token_log_probs,
 )
@@ -66,9 +65,7 @@ def pol_run():
     corpus = gen_pol_corpus(world)
     records = _pol_records(corpus, "staypoint")
     vocab, model, encoded = _train_pol(records, d_model=64, d_ff=128, epochs=30, seed=1)
-    ppls = [perplexity(model, t) for t in encoded]
-    table = compute_thresholds(ppls, [t.agent for t in encoded], group_by_agent=True)
-    reports = [score_trajectory(model, t, table, scope="per_agent") for t in encoded]
+    reports, table = score_corpus(model, encoded, scope="per_agent")
     truth = {r.traj_id: r.label for r in records}
     return dict(corpus=corpus, records=records, vocab=vocab, model=model,
                 encoded=encoded, table=table, reports=reports, truth=truth)
@@ -228,7 +225,7 @@ def test_c03_perplexity_identities():
     mcfg = ModelConfig(vocab_size=35, d_model=32, n_heads=4, n_layers=2, d_ff=64, max_seq_len=12, seed=0)
     model = init_model(mcfg)
     train(model, corpus, TrainConfig(n_epochs=250, batch_size=20, learning_rate=3e-3, seed=1))
-    ppl = dataset_perplexity(model, corpus)
+    ppl = np.mean([perplexity(model, t) for t in corpus])
     elapsed = time.time() - t0
     ok = worst < 1e-6 and ppl < 1.1 and elapsed < 120
     report_line(3, "perplexity identities", ok,
@@ -419,9 +416,7 @@ def test_c11_ablation():
 
     def pipeline(records):
         vocab, model, encoded = _train_pol(records, d_model=48, d_ff=96, epochs=35, seed=5)
-        ppls = [perplexity(model, t) for t in encoded]
-        table = compute_thresholds(ppls, [t.agent for t in encoded], group_by_agent=True)
-        reports = [score_trajectory(model, t, table, scope="per_agent") for t in encoded]
+        reports, _ = score_corpus(model, encoded, scope="per_agent")
         return per_agent_eval(reports, {r.traj_id: r.label for r in records})
 
     corpora = {name: _pol_records(corpus, name) for name in ("staypoint", "gps", "duration")}

@@ -275,6 +275,7 @@ GOOD_INPUTS = {
     "scores.csv": SCORES_HEAD + "t1,,2.0,3.0,normal\n",
     "thresholds.csv": THRESHOLDS_HEAD + "global,,3.0,2.0,1.0,8\n",
     "run.ini": POL_TINY,
+    "corpus.jsonl": '{"id": "t1", "tokens": ["cell:1,2"]}\n',
 }
 
 
@@ -286,16 +287,23 @@ GOOD_INPUTS = {
     ("report", "thresholds.csv", THRESHOLDS_HEAD + "global,,notanumber,2.0,1.0,8\n", 2),
     ("report", "thresholds.csv", THRESHOLDS_HEAD + "global,,3.0\n", 2),
     ("report", "run.ini", POL_TINY.replace("ratios = 0.5,1.0", "ratios = 0.5,abc"), 1),
+    ("eval", "truth.csv", b"id,label\nt1,\xffanomalous\n", 2),
+    ("build-vocab", "corpus.jsonl", b'{"id": "t1", "tokens": ["cell:\xff"]}\n', 2),
+    ("report", "run.ini", b"# \xff\n" + POL_TINY.encode(), 1),
 ], ids=["truth-no-label", "truth-bad-ratio", "scores-bad-float", "scores-short-row",
-        "thresholds-bad-float", "thresholds-short-row", "config-bad-ratio"])
+        "thresholds-bad-float", "thresholds-short-row", "config-bad-ratio",
+        "truth-not-utf8", "corpus-not-utf8", "config-not-utf8"])
 def test_bad_input_exits_with_one_line_error(pol_pipeline, capsys, command, name, text, code):
     p = pol_pipeline
     for file, good in GOOD_INPUTS.items():
-        (p["tmp"] / file).write_text(text if file == name else good)
+        content = text if file == name else good
+        (p["tmp"] / file).write_bytes(content if isinstance(content, bytes) else content.encode())
     path = {file: p["tmp"] / file for file in GOOD_INPUTS}
     if command == "eval":
         argv = ["eval", "--truth", path["truth.csv"], "--scores", path["scores.csv"],
                 "--out", p["tmp"] / "eval.csv"]
+    elif command == "build-vocab":
+        argv = ["build-vocab", "--inputs", path["corpus.jsonl"], "--out", p["tmp"] / "vocab_out.tsv"]
     else:
         argv = ["report", "--kind", "completion", "--config", path["run.ini"], "--out-dir", p["tmp"] / "rep",
                 "--checkpoint", p["ckpt"], "--vocab", p["vocab"], "--corpus", p["corpus"],
@@ -304,7 +312,9 @@ def test_bad_input_exits_with_one_line_error(pol_pipeline, capsys, command, name
     assert run(*argv) == code
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
-    if code == 2:
+    if isinstance(text, bytes):
+        assert f"{name}: not UTF-8 text" in err
+    elif code == 2:
         assert f"{name}:2:" in err
 
 

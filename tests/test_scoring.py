@@ -8,9 +8,8 @@ from trajlm.model import ModelConfig, init_model
 from trajlm.scoring import (
     classify,
     compute_thresholds,
-    dataset_perplexity,
     perplexity,
-    score_trajectory,
+    score_corpus,
     surprisal,
     token_log_probs,
 )
@@ -105,18 +104,8 @@ def test_perplexity_geometric_mean_identity():
     # transitions with probabilities 1/2 then 1/8: PPL = exp((ln2 + ln8)/2) = 4
     m = from_probs([0.25, 0.125, 0.5, 0.125])
     assert math.isclose(perplexity(m, traj([1, 2, 3])), 4.0, rel_tol=1e-10)
-
-
-def test_dataset_perplexity_mean_and_invariance():
-    m = from_probs([0.25, 0.125, 0.5, 0.125])
-    t1, t2 = traj([1, 2]), traj([1, 3])  # PPL 2 and PPL 8
-    assert math.isclose(perplexity(m, t1), 2.0, rel_tol=1e-10)
-    assert math.isclose(perplexity(m, t2), 8.0, rel_tol=1e-10)
-    assert math.isclose(dataset_perplexity(m, [t1, t2]), 5.0, rel_tol=1e-10)
-    assert dataset_perplexity(m, [t1, t2]) == dataset_perplexity(m, [t2, t1])
-    assert dataset_perplexity(m, [t1]) == perplexity(m, t1)
-    with pytest.raises(DomainError):
-        dataset_perplexity(m, [])
+    assert math.isclose(perplexity(m, traj([1, 2])), 2.0, rel_tol=1e-10)
+    assert math.isclose(perplexity(m, traj([1, 3])), 8.0, rel_tol=1e-10)
 
 
 def test_memorized_corpus_log_probs_near_zero():
@@ -194,15 +183,53 @@ def test_classify_missing_agent_directs_to_global():
     assert "global" in str(exc.value)
 
 
-def test_score_trajectory_report_fields():
+def test_score_corpus_report_fields():
     m = uniform_model(8)
     table = compute_thresholds([7.0, 9.0])
     t = traj([1, 3, 4], traj_id="r1", agent=None)
-    report = score_trajectory(m, t, table, with_surprisal=True)
+    [report], returned = score_corpus(m, [t], table=table)
+    assert returned is table
     assert report.traj_id == "r1"
     assert math.isclose(report.perplexity, 8.0, abs_tol=1e-6)
     assert report.threshold == table.global_threshold
     assert report.surprisal is not None
+    assert report.surprisal.target_positions == [1, 2]
     assert math.isclose(
         report.perplexity, math.exp(float(np.mean(report.surprisal.values))), rel_tol=1e-12
     )
+
+
+def test_score_corpus_perplexity_is_bit_identical_to_perplexity():
+    # math.exp and np.exp round differently in the last bit on a few percent of
+    # inputs; every perplexity must come from the one np.exp formula
+    cfg = ModelConfig(vocab_size=20, d_model=8, n_heads=2, n_layers=1, d_ff=16, max_seq_len=16, seed=4)
+    m = init_model(cfg)
+    rng = np.random.default_rng(17)
+    corpus = [
+        traj(rng.integers(1, 20, size=int(rng.integers(2, 17))), traj_id=f"t{i}")
+        for i in range(500)
+    ]
+    reports, _ = score_corpus(m, corpus)
+    for t, report in zip(corpus, reports):
+        assert report.perplexity == perplexity(m, t)
+        assert report.perplexity == np.exp(np.mean(report.surprisal.values))
+
+
+def test_score_corpus_fits_thresholds_on_its_own_perplexities():
+    m = from_probs([0.25, 0.125, 0.5, 0.125])
+    corpus = [
+        traj(ids, traj_id=f"t{i}", agent=agent)
+        for i, (ids, agent) in enumerate([
+            ([1, 2], "a"), ([1, 3], "a"), ([1, 2, 3], "b"), ([1, 2, 2], "b"), ([1, 3, 3], "b"),
+        ])
+    ]
+    ppls = [perplexity(m, t) for t in corpus]
+    agents = [t.agent for t in corpus]
+    reports, table = score_corpus(m, corpus, scope="per_agent")
+    assert table == compute_thresholds(ppls, agents, group_by_agent=True)
+    assert sorted(table.per_agent) == ["a", "b"]
+    assert [r.threshold for r in reports] == [table.per_agent[a] for a in agents]
+    reports, table = score_corpus(m, corpus, scope="global")
+    assert table.per_agent == {} and set(table.provenance) == {"global"}
+    assert table == compute_thresholds(ppls)
+    assert all(r.threshold == table.global_threshold for r in reports)
