@@ -69,6 +69,15 @@ def _read(buf: io.BytesIO, n: int, what: str) -> bytes:
     return data
 
 
+def _read_text(buf: io.BytesIO, what: str) -> str:
+    """Read one u32-length-prefixed UTF-8 string."""
+    (n,) = struct.unpack("<I", _read(buf, 4, f"{what} length"))
+    try:
+        return _read(buf, n, what).decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise CheckpointError(f"checkpoint {what} is not UTF-8 text ({e.reason})") from e
+
+
 def load_checkpoint(data: bytes, expected_vocab_hash: str | None = None) -> Model:
     """Rebuild a Model from checkpoint bytes.
 
@@ -81,10 +90,12 @@ def load_checkpoint(data: bytes, expected_vocab_hash: str | None = None) -> Mode
     (version,) = struct.unpack("<I", _read(buf, 4, "version"))
     if version != FORMAT_VERSION:
         raise CheckpointVersionError(f"unsupported checkpoint version {version}, expected {FORMAT_VERSION}")
-    (cfg_len,) = struct.unpack("<I", _read(buf, 4, "config length"))
-    config = ModelConfig.from_text(_read(buf, cfg_len, "config block").decode("utf-8"))
-    (vh_len,) = struct.unpack("<I", _read(buf, 4, "vocab hash length"))
-    vocab_hash = _read(buf, vh_len, "vocab hash").decode("utf-8")
+    config_text = _read_text(buf, "config block")
+    try:
+        config = ModelConfig.from_text(config_text)
+    except ValueError as e:
+        raise CheckpointError(f"bad checkpoint config block: {e}") from e
+    vocab_hash = _read_text(buf, "vocab hash")
     if expected_vocab_hash is not None and vocab_hash != expected_vocab_hash:
         raise CheckpointVocabError(
             f"checkpoint was trained with vocab {vocab_hash[:12]}..., "
@@ -96,8 +107,7 @@ def load_checkpoint(data: bytes, expected_vocab_hash: str | None = None) -> Mode
         raise CheckpointShapeError(f"checkpoint has {n_params} parameters, config implies {len(expected)}")
     params: dict[str, np.ndarray] = {}
     for _ in range(n_params):
-        (name_len,) = struct.unpack("<I", _read(buf, 4, "parameter name length"))
-        name = _read(buf, name_len, "parameter name").decode("utf-8")
+        name = _read_text(buf, "parameter name")
         if name not in expected:
             raise CheckpointShapeError(f"unexpected parameter {name!r}")
         (ndim,) = struct.unpack("<I", _read(buf, 4, f"{name} ndim"))

@@ -260,14 +260,13 @@ def cmd_build_vocab(args) -> int:
 
 
 def _load_encoded(path, vocab: Vocab):
-    records = dataio.read_corpus(path)
-    return records, [dataio.encode_record(r, vocab) for r in records]
+    return [dataio.encode_record(r, vocab) for r in dataio.read_corpus(path)]
 
 
 def cmd_train(args) -> int:
     cfg = RunConfig.from_path(args.config)
     vocab = Vocab.load(args.vocab)
-    _, encoded = _load_encoded(args.corpus, vocab)
+    encoded = _load_encoded(args.corpus, vocab)
     loss_path = Path(args.loss_log) if args.loss_log else None
     start_epoch = 0
     if args.resume:
@@ -309,7 +308,7 @@ def cmd_score(args) -> int:
     scope = args.scope or (cfg.get("score", "scope", str, "global") if cfg else "global")
     vocab = Vocab.load(args.vocab)
     model = read_checkpoint(args.checkpoint, expected_vocab_hash=vocab.hash())
-    _, encoded = _load_encoded(args.corpus, vocab)
+    encoded = _load_encoded(args.corpus, vocab)
     if not (args.fit_thresholds or args.thresholds):
         raise ConfigError("either --thresholds or --fit-thresholds is required")
     table = None if args.fit_thresholds else dataio.read_thresholds(args.thresholds)
@@ -366,20 +365,16 @@ def cmd_eval(args) -> int:
             )
         vocab = Vocab.load(args.vocab)
         model = read_checkpoint(args.checkpoint, expected_vocab_hash=vocab.hash())
-        _, encoded = _load_encoded(args.corpus, vocab)
+        encoded = _load_encoded(args.corpus, vocab)
         table = dataio.read_thresholds(args.thresholds)
         scope = args.scope or (cfg.get("score", "scope", str, "global") if cfg else "global")
         reports, _ = score_corpus(model, encoded, scope, table)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(dataio.provenance_comment(config_hash))
-        if args.per_agent:
-            fh.write("agent,f1,pr_auc,tp,fp,fn,tn\n")
-            for agent, rep in per_agent_eval(reports, truth).items():
-                fh.write(f"{agent},{rep.f1!r},{rep.pr_auc!r},{rep.tp},{rep.fp},{rep.fn},{rep.tn}\n")
-        else:
-            rep = global_eval(reports, truth)
-            fh.write("scope,f1,pr_auc,tp,fp,fn,tn\n")
-            fh.write(f"global,{rep.f1!r},{rep.pr_auc!r},{rep.tp},{rep.fp},{rep.fn},{rep.tn}\n")
+    if args.per_agent:
+        key, results = "agent", per_agent_eval(reports, truth).items()
+    else:
+        key, results = "scope", [("global", global_eval(reports, truth))]
+    rows = ([name, rep.f1, rep.pr_auc, rep.tp, rep.fp, rep.fn, rep.tn] for name, rep in results)
+    dataio.write_csv(args.out, [key, "f1", "pr_auc", "tp", "fp", "fn", "tn"], rows, config_hash)
     print(f"[eval] wrote {args.out}")
     return EXIT_OK
 
@@ -417,19 +412,12 @@ def cmd_report(args) -> int:
         corpora = {name: _pol_records(corpus, name) for name in configurations}
         result = ablation_eval(corpora, _train_eval_pipeline(cfg))
         summary = out_dir / "ablation.csv"
-        with open(summary, "w", encoding="utf-8") as fh:
-            fh.write(dataio.provenance_comment(cfg.hash))
-            fh.write("configuration,average_f1,average_pr_auc\n")
-            for name, entry in result.items():
-                fh.write(f"{name},{entry.average_f1!r},{entry.average_pr_auc!r}\n")
+        rows = ([name, entry.average_f1, entry.average_pr_auc] for name, entry in result.items())
+        dataio.write_csv(summary, ["configuration", "average_f1", "average_pr_auc"], rows, cfg.hash)
         for name, entry in result.items():
-            detail = out_dir / f"ablation_{name}.csv"
-            with open(detail, "w", encoding="utf-8") as fh:
-                fh.write(dataio.provenance_comment(cfg.hash))
-                fh.write("agent,f1,pr_auc\n")
-                for agent, rep in entry.per_agent.items():
-                    fh.write(f"{agent},{rep.f1!r},{rep.pr_auc!r}\n")
-                fh.write(f"average,{entry.average_f1!r},{entry.average_pr_auc!r}\n")
+            rows = [[agent, rep.f1, rep.pr_auc] for agent, rep in entry.per_agent.items()]
+            rows.append(["average", entry.average_f1, entry.average_pr_auc])
+            dataio.write_csv(out_dir / f"ablation_{name}.csv", ["agent", "f1", "pr_auc"], rows, cfg.hash)
         best = max(result, key=lambda name: result[name].average_f1)
         print(f"[report] ablation -> {summary} (best average F1: {best})")
     elif args.kind == "completion":
@@ -439,17 +427,13 @@ def cmd_report(args) -> int:
             )
         vocab = Vocab.load(args.vocab)
         model = read_checkpoint(args.checkpoint, expected_vocab_hash=vocab.hash())
-        _, encoded = _load_encoded(args.corpus, vocab)
+        encoded = _load_encoded(args.corpus, vocab)
         table = dataio.read_thresholds(args.thresholds)
         truth = dataio.truth_labels(dataio.read_truth(args.truth))
         result = completion_ratio_eval(model, encoded, truth, cfg.ratios(), table, scope="global")
         out = out_dir / "completion.csv"
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(dataio.provenance_comment(cfg.hash))
-            fh.write("ratio,f1,pr_auc\n")
-            for ratio in sorted(result):
-                f1_v, auc = result[ratio]
-                fh.write(f"{ratio},{f1_v!r},{auc!r}\n")
+        rows = ([ratio, *result[ratio]] for ratio in sorted(result))
+        dataio.write_csv(out, ["ratio", "f1", "pr_auc"], rows, cfg.hash)
         print(f"[report] completion -> {out}")
     else:
         raise ConfigError(f"unknown report kind {args.kind!r}")

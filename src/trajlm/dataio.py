@@ -4,7 +4,9 @@ Corpora are line-delimited JSON records
     {"id": str, "agent": str?, "weekday": str?, "tokens": [str], "label": str}
 where each token string is "kind:value". An optional first record {"_meta":
 {...}} carries the config hash and tool version; readers skip it. CSV
-artifacts start with a '#' comment line carrying the same provenance.
+artifacts start with a '#' comment line carrying the same provenance;
+`write_csv` writes all of them but the loss log, which training appends to
+one epoch at a time.
 """
 
 from __future__ import annotations
@@ -14,11 +16,15 @@ import hashlib
 import json
 from dataclasses import dataclass
 
-from .errors import DataError, decoding
+from .errors import DataError, DomainError, decoding
 from .scoring import ScoreReport, ThresholdTable
 from .vocab import EncodedTrajectory, Token, Vocab, encode
 
 TOOL_VERSION = "0.1.0"
+
+TRUTH_HEADER = ["id", "label", "kind", "ratio", "dist", "pos"]
+SCORES_HEADER = ["id", "agent", "perplexity", "threshold", "verdict"]
+THRESHOLDS_HEADER = ["scope", "agent", "threshold", "mean", "std", "count"]
 
 
 @dataclass
@@ -93,6 +99,10 @@ def read_corpus(path) -> list[CorpusRecord]:
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
                 raise DataError(f"{path}:{lineno}: invalid JSON: {e}") from e
+            if not isinstance(obj, dict):
+                raise DataError(
+                    f"{path}:{lineno}: corpus record must be a JSON object, got {type(obj).__name__}"
+                )
             if "_meta" in obj:
                 continue
             try:
@@ -105,7 +115,7 @@ def read_corpus(path) -> list[CorpusRecord]:
                         label=obj.get("label", "normal"),
                     )
                 )
-            except (KeyError, TypeError) as e:
+            except (KeyError, TypeError, DomainError) as e:
                 raise DataError(f"{path}:{lineno}: bad corpus record: {e}") from e
     return records
 
@@ -116,18 +126,22 @@ def provenance_comment(config_hash: str) -> str:
     return f"# config_hash={meta['config_hash']} tool_version={meta['tool_version']}\n"
 
 
-def write_truth(path, records: list[TruthRecord], config_hash: str = "") -> None:
+def write_csv(path, header: list[str], rows, config_hash: str = "") -> None:
+    """Write a CSV artifact: the provenance comment, the header, then rows.
+
+    Every line ends in a bare newline and fields are quoted by the csv module;
+    None is an empty field and a float is written as its repr.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(provenance_comment(config_hash))
-        writer = csv.writer(fh)
-        writer.writerow(["id", "label", "kind", "ratio", "dist", "pos"])
-        for r in records:
-            writer.writerow([
-                r.traj_id, r.label, r.kind,
-                "" if r.ratio is None else r.ratio,
-                "" if r.dist is None else r.dist,
-                "" if r.pos is None else r.pos,
-            ])
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_truth(path, records: list[TruthRecord], config_hash: str = "") -> None:
+    rows = ([r.traj_id, r.label, r.kind, r.ratio, r.dist, r.pos] for r in records)
+    write_csv(path, TRUTH_HEADER, rows, config_hash)
 
 
 def _csv_rows(path, header: list[str], what: str, prefix: bool = False):
@@ -155,7 +169,7 @@ def _csv_rows(path, header: list[str], what: str, prefix: bool = False):
 
 def read_truth(path) -> dict[str, TruthRecord]:
     out: dict[str, TruthRecord] = {}
-    for where, row in _csv_rows(path, ["id", "label"], "truth", prefix=True):
+    for where, row in _csv_rows(path, TRUTH_HEADER[:2], "truth", prefix=True):
         try:
             rec = TruthRecord(
                 traj_id=row[0],
@@ -176,20 +190,13 @@ def truth_labels(truth: dict[str, TruthRecord]) -> dict[str, str]:
 
 
 def write_scores(path, reports: list[ScoreReport], config_hash: str = "") -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(provenance_comment(config_hash))
-        writer = csv.writer(fh)
-        writer.writerow(["id", "agent", "perplexity", "threshold", "verdict"])
-        for r in reports:
-            writer.writerow([
-                r.traj_id, r.agent or "", repr(r.perplexity), repr(r.threshold), r.verdict,
-            ])
+    rows = ([r.traj_id, r.agent, r.perplexity, r.threshold, r.verdict] for r in reports)
+    write_csv(path, SCORES_HEADER, rows, config_hash)
 
 
 def read_scores(path) -> list[ScoreReport]:
-    header = ["id", "agent", "perplexity", "threshold", "verdict"]
     out = []
-    for where, row in _csv_rows(path, header, "score"):
+    for where, row in _csv_rows(path, SCORES_HEADER, "score"):
         try:
             perplexity, threshold = float(row[2]), float(row[3])
         except ValueError as e:
@@ -204,34 +211,29 @@ def read_scores(path) -> list[ScoreReport]:
 def write_surprisals(path, reports: list[ScoreReport], vocab: Vocab,
                      encoded: dict[str, EncodedTrajectory], config_hash: str = "") -> None:
     """Per-position dump: id,pos,token,surprisal (one row per scored token)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(provenance_comment(config_hash))
-        writer = csv.writer(fh)
-        writer.writerow(["id", "pos", "token", "surprisal"])
-        for r in reports:
-            ids = encoded[r.traj_id].ids
-            for value, pos in zip(r.surprisal.values, r.surprisal.target_positions):
-                writer.writerow([r.traj_id, pos, str(vocab.token(ids[pos])), repr(float(value))])
+    rows = (
+        [r.traj_id, pos, vocab.token(encoded[r.traj_id].ids[pos]), float(value)]
+        for r in reports
+        for value, pos in zip(r.surprisal.values, r.surprisal.target_positions)
+    )
+    write_csv(path, ["id", "pos", "token", "surprisal"], rows, config_hash)
 
 
 def write_thresholds(path, table: ThresholdTable, config_hash: str = "") -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(provenance_comment(config_hash))
-        writer = csv.writer(fh)
-        writer.writerow(["scope", "agent", "threshold", "mean", "std", "count"])
-        if table.global_threshold is not None:
-            mean, std, n = table.provenance["global"]
-            writer.writerow(["global", "", repr(table.global_threshold), repr(mean), repr(std), n])
-        for agent in sorted(table.per_agent):
-            mean, std, n = table.provenance[agent]
-            writer.writerow(["per_agent", agent, repr(table.per_agent[agent]), repr(mean), repr(std), n])
+    rows = []
+    if table.global_threshold is not None:
+        rows.append(["global", "", table.global_threshold, *table.provenance["global"]])
+    for agent in sorted(table.per_agent):
+        rows.append(["per_agent", agent, table.per_agent[agent], *table.provenance[agent]])
+    write_csv(path, THRESHOLDS_HEADER, rows, config_hash)
 
 
 def read_thresholds(path) -> ThresholdTable:
-    header = ["scope", "agent", "threshold", "mean", "std", "count"]
     table = ThresholdTable(global_threshold=None)
-    for where, row in _csv_rows(path, header, "thresholds"):
+    for where, row in _csv_rows(path, THRESHOLDS_HEADER, "thresholds"):
         scope, agent, threshold, mean, std, count = row
+        if scope not in ("global", "per_agent") or (scope == "per_agent" and not agent):
+            raise DataError(f"{where}: thresholds scope must be global, or per_agent with an agent, got {row}")
         try:
             value, prov = float(threshold), (float(mean), float(std), int(count))
         except ValueError as e:

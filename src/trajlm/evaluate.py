@@ -9,7 +9,6 @@ verdicts rather than the best threshold in hindsight.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -198,9 +197,6 @@ def completion_ratio_eval(
     for ratio in ratios:
         labels, verdicts, scores = [], [], []
         for traj in corpus:
-            if len(traj.ids) - traj.prefix_len < 1:
-                warnings.warn(f"trajectory {traj.traj_id!r} has no scorable prefix; skipped")
-                continue
             ppl = prefix_perplexity(model, traj, ratio)
             report = classify(traj.traj_id, ppl, table, scope=scope, agent=traj.agent)
             labels.append(truth[traj.traj_id])

@@ -162,6 +162,10 @@ def read_raw_trajectories(path) -> Iterator[RawTrajectory]:
                 rec = json.loads(line)
             except json.JSONDecodeError as e:
                 raise DataError(f"{path}:{lineno}: invalid JSON: {e}") from e
+            if not isinstance(rec, dict):
+                raise DataError(
+                    f"{path}:{lineno}: trajectory record must be a JSON object, got {type(rec).__name__}"
+                )
             if "_meta" in rec:
                 continue
             try:

@@ -50,6 +50,8 @@ class Token:
     @classmethod
     def parse(cls, text: str) -> "Token":
         """Parse the 'kind:value' string form used in corpus files."""
+        if not isinstance(text, str):
+            raise DomainError(f"token must be a 'kind:value' string, got {text!r}")
         kind, sep, value = text.partition(":")
         if not sep:
             raise DomainError(f"token string must look like 'kind:value', got {text!r}")
@@ -92,12 +94,6 @@ class Vocab:
         if not 0 <= token_id < len(self._id_to_token):
             raise VocabError(f"token id {token_id} out of range [0, {len(self)})")
         return self._id_to_token[token_id]
-
-    def counts_by_kind(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for t in self._id_to_token:
-            counts[t.kind] = counts.get(t.kind, 0) + 1
-        return counts
 
     def serialize(self) -> str:
         return "".join(f"{t.kind}\t{t.value}\n" for t in self._id_to_token)

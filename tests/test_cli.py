@@ -1,3 +1,4 @@
+import csv
 import io
 import sys
 from pathlib import Path
@@ -7,7 +8,7 @@ import pytest
 from trajlm import dataio
 from trajlm.checkpoint import read_checkpoint
 from trajlm.cli import main
-from trajlm.scoring import token_log_probs
+from trajlm.scoring import ScoreReport, token_log_probs
 from trajlm.vocab import Vocab
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -104,6 +105,22 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+TRUTH, SCORES, THRESHOLDS = dataio.TRUTH_HEADER, dataio.SCORES_HEADER, dataio.THRESHOLDS_HEADER
+
+
+def assert_one_csv_format(root, headers):
+    """Every CSV under root has no '\\r' and starts with the provenance line; each file
+    named in headers exists and, unless mapped to None, has that reader's header."""
+    written = {path.name: path.read_bytes() for path in root.rglob("*.csv")}
+    assert set(headers) <= set(written)
+    for name, data in written.items():
+        assert b"\r" not in data, name
+        lines = data.decode().split("\n")
+        assert lines[0].startswith("# config_hash="), name
+        if headers.get(name) is not None:
+            assert next(csv.reader([lines[1]])) == headers[name], name
+
+
 def test_gen_data_pol_counts_and_determinism(pol_config, tmp_path):
     d1, d2 = tmp_path / "d1", tmp_path / "d2"
     assert run("gen-data", "--config", pol_config, "--out-dir", d1) == 0
@@ -195,6 +212,9 @@ def test_score_fit_thresholds_and_eval_composability(pol_pipeline):
     rows = strip(eval_a)
     assert rows[0] == "agent,f1,pr_auc,tp,fp,fn,tn"
     assert len(rows) == 2  # only the one agent with true anomalies
+    assert_one_csv_format(p["tmp"], {"truth.csv": TRUTH, "scores.csv": SCORES, "thresholds.csv": THRESHOLDS,
+                                     "surprisals.csv": None, "eval_a.csv": None, "eval_b.csv": None,
+                                     "loss.csv": None})
 
 
 def test_stream_matches_batch_scorer(pol_pipeline, monkeypatch, capsys):
@@ -236,6 +256,7 @@ def test_report_ablation_row_count(pol_config, tmp_path):
         detail = out / f"ablation_{name}.csv"
         assert detail.exists()
         assert [l for l in detail.read_text().splitlines() if not l.startswith("#")][-1].startswith("average,")
+    assert_one_csv_format(out, {"ablation.csv": None, "ablation_gps.csv": None})
 
 
 def test_report_completion(porto_config, tmp_path):
@@ -256,6 +277,8 @@ def test_report_completion(porto_config, tmp_path):
                "--thresholds", thr, "--truth", out / "truth_random_shift.csv") == 0
     rows = [l for l in (rep / "completion.csv").read_text().splitlines() if not l.startswith("#")]
     assert rows[0] == "ratio,f1,pr_auc" and len(rows) == 3  # header + 2 ratios
+    assert_one_csv_format(tmp_path, {"truth_random_shift.csv": TRUTH, "truth_detour.csv": TRUTH,
+                                     "thr.csv": THRESHOLDS, "s.csv": SCORES, "completion.csv": None})
 
 
 def test_exit_codes(pol_config, tmp_path):
@@ -290,9 +313,16 @@ GOOD_INPUTS = {
     ("eval", "truth.csv", b"id,label\nt1,\xffanomalous\n", 2),
     ("build-vocab", "corpus.jsonl", b'{"id": "t1", "tokens": ["cell:\xff"]}\n', 2),
     ("report", "run.ini", b"# \xff\n" + POL_TINY.encode(), 1),
+    ("build-vocab", "corpus.jsonl", GOOD_INPUTS["corpus.jsonl"] + "5\n", 2),
+    ("build-vocab", "corpus.jsonl", GOOD_INPUTS["corpus.jsonl"] + '{"id": "t2", "tokens": [5]}\n', 2),
+    ("build-vocab", "corpus.jsonl", GOOD_INPUTS["corpus.jsonl"] + '{"id": "t2", "tokens": ["nokind:1"]}\n', 2),
+    ("report", "thresholds.csv", THRESHOLDS_HEAD + "globl,,3.0,2.0,1.0,8\n", 2),
+    ("report", "thresholds.csv", THRESHOLDS_HEAD + "per_agent,,3.0,2.0,1.0,8\n", 2),
 ], ids=["truth-no-label", "truth-bad-ratio", "scores-bad-float", "scores-short-row",
         "thresholds-bad-float", "thresholds-short-row", "config-bad-ratio",
-        "truth-not-utf8", "corpus-not-utf8", "config-not-utf8"])
+        "truth-not-utf8", "corpus-not-utf8", "config-not-utf8",
+        "corpus-not-object", "corpus-token-not-string", "corpus-unknown-token-kind",
+        "thresholds-unknown-scope", "thresholds-per-agent-no-agent"])
 def test_bad_input_exits_with_one_line_error(pol_pipeline, capsys, command, name, text, code):
     p = pol_pipeline
     for file, good in GOOD_INPUTS.items():
@@ -325,6 +355,41 @@ def test_vocab_hash_mismatch_is_a_model_error(pol_pipeline, tmp_path):
     code = run("score", "--checkpoint", p["ckpt"], "--vocab", other, "--corpus", p["corpus"],
                "--out", tmp_path / "s.csv", "--fit-thresholds")
     assert code == 2
+
+
+def test_corrupt_checkpoint_exits_with_one_line_error(pol_pipeline, capsys):
+    p = pol_pipeline
+    data = p["ckpt"].read_bytes()
+    vocab_hash = Vocab.load(p["vocab"]).hash().encode()
+    mutations = {
+        "config-not-a-number": data.replace(b"d_model=16", b"d_model=x6", 1),
+        "config-not-utf8": data.replace(b"d_model=16", b"d_model=\xff6", 1),
+        "vocab-hash-not-utf8": data.replace(vocab_hash, b"\xff" + vocab_hash[1:], 1),
+        "param-name-not-utf8": data.replace(b"tok_emb", b"\xffok_emb", 1),
+    }
+    for what, mutated in mutations.items():
+        assert mutated != data, what
+        bad = p["tmp"] / f"{what}.ckpt"
+        bad.write_bytes(mutated)
+        capsys.readouterr()
+        code = run("score", "--checkpoint", bad, "--vocab", p["vocab"], "--corpus", p["corpus"],
+                   "--out", p["tmp"] / "s.csv", "--fit-thresholds")
+        err = capsys.readouterr().err
+        assert code == 2, what
+        assert err.startswith("error:") and err.count("\n") == 1, (what, err)
+
+
+def test_eval_per_agent_quotes_agent_with_comma(tmp_path):
+    scores, truth, out = tmp_path / "scores.csv", tmp_path / "truth.csv", tmp_path / "eval.csv"
+    dataio.write_scores(scores, [
+        ScoreReport(traj_id="t1", agent="a,b", perplexity=5.0, threshold=3.0, verdict="anomalous"),
+        ScoreReport(traj_id="t2", agent="a,b", perplexity=2.0, threshold=3.0, verdict="normal"),
+    ])
+    dataio.write_truth(truth, [dataio.TruthRecord("t1", "anomalous"), dataio.TruthRecord("t2", "normal")])
+    assert run("eval", "--scores", scores, "--truth", truth, "--out", out, "--per-agent") == 0
+    rows = list(csv.reader(l for l in out.read_text().splitlines() if not l.startswith("#")))
+    assert rows[0] == ["agent", "f1", "pr_auc", "tp", "fp", "fn", "tn"]
+    assert rows[1] == ["a,b", "1.0", "1.0", "1", "0", "0", "1"]
 
 
 def test_shipped_pol_preset_counts(tmp_path):

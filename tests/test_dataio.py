@@ -1,0 +1,54 @@
+import pytest
+
+from trajlm import dataio
+from trajlm.scoring import ScoreReport, ThresholdTable
+
+TRUTH = [
+    dataio.TruthRecord("r1", "anomalous", "detour", 0.3, 3),
+    dataio.TruthRecord("r2", "normal"),
+    dataio.TruthRecord("a,1", "anomalous", "skip_routine", pos=4),
+]
+SCORES = [
+    ScoreReport(traj_id="r1", agent=None, perplexity=12.5, threshold=9.75, verdict="anomalous"),
+    ScoreReport(traj_id="r2", agent="a,1", perplexity=1 / 3, threshold=9.75, verdict="normal"),
+]
+TABLE = ThresholdTable(
+    global_threshold=9.75,
+    per_agent={"a,1": 4.5, "b": 0.1 + 0.2},
+    provenance={"global": (8.0, 1.75, 30), "a,1": (4.0, 0.5, 10), "b": (0.25, 0.05, 3)},
+)
+
+
+def test_write_csv_layout(tmp_path):
+    path = tmp_path / "t.csv"
+    dataio.write_csv(path, ["a", "b", "c"], [["x,y", None, 0.1], [1, 'say "hi"', 2.5]], "abc")
+    assert path.read_bytes() == (
+        b"# config_hash=abc tool_version=" + dataio.TOOL_VERSION.encode() + b"\n"
+        b"a,b,c\n"
+        b'"x,y",,0.1\n'
+        b'1,"say ""hi""",2.5\n'
+    )
+
+
+def _crlf(path):
+    """Rewrite path as earlier versions wrote it: a '\\n' comment line, then '\\r\\n' rows."""
+    comment, rest = path.read_bytes().split(b"\n", 1)
+    crlf = path.with_name("crlf_" + path.name)
+    crlf.write_bytes(comment + b"\n" + rest.replace(b"\n", b"\r\n"))
+    return crlf
+
+
+@pytest.mark.parametrize("write, read, value", [
+    (dataio.write_truth, dataio.read_truth, TRUTH),
+    (dataio.write_scores, dataio.read_scores, SCORES),
+    (dataio.write_thresholds, dataio.read_thresholds, TABLE),
+], ids=["truth", "scores", "thresholds"])
+def test_readers_accept_crlf_rows(tmp_path, write, read, value):
+    path = tmp_path / "artifact.csv"
+    write(path, value, "h")
+    assert b"\r" not in path.read_bytes()
+    got = read(path)
+    assert (list(got.values()) if isinstance(got, dict) else got) == value
+    crlf = _crlf(path)
+    assert crlf.read_bytes().count(b"\r\n") == path.read_bytes().count(b"\n") - 1
+    assert read(crlf) == read(path)

@@ -181,3 +181,10 @@ def test_read_raw_trajectories(tmp_path):
     bad.write_text('{"id": "a"}\n')
     with pytest.raises(DataError):
         list(read_raw_trajectories(bad))
+
+
+def test_read_raw_trajectories_rejects_non_object_line(tmp_path):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"id": "a", "points": [[0, 0, 0]]}\n5\n')
+    with pytest.raises(DataError, match="bad.jsonl:2:"):
+        list(read_raw_trajectories(bad))
