@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import csv
 import hashlib
 import sys
 from pathlib import Path
@@ -77,8 +78,6 @@ class RunConfig:
             return default
         raw = self.parser.get(section, key)
         try:
-            if cast is bool:
-                return raw.strip().lower() in ("1", "true", "yes", "on")
             return cast(raw)
         except ValueError as e:
             raise ConfigError(f"config [{section}] {key}={raw!r}: {e}") from e
@@ -195,6 +194,10 @@ def _gen_porto(cfg: RunConfig, out_dir: Path) -> None:
     ratio = cfg.get("anomaly", "ratio", float, 0.3)
     dist = cfg.get("anomaly", "dist", int, 3)
     kinds = [k.strip() for k in cfg.get("anomaly", "kinds", str, "random_shift,detour").split(",")]
+    injectors = {"random_shift": inject_random_shift, "detour": inject_detour}
+    for kind in kinds:
+        if kind not in injectors:
+            raise ConfigError(f"[anomaly] kinds: unknown kind {kind!r}; expected one of {sorted(injectors)}")
     n_anom = round(fraction * len(routes))
     sel_rng = np.random.default_rng(derive_seed(root, "anomaly-select"))
     selected = set(int(i) for i in sel_rng.choice(len(routes), size=n_anom, replace=False))
@@ -209,7 +212,6 @@ def _gen_porto(cfg: RunConfig, out_dir: Path) -> None:
     ]
     dataio.write_corpus(out_dir / "train.jsonl", train_records, cfg.hash)
     print(f"[gen-data] train: {len(train_records)} routes ({n_anom} held out for anomalies)")
-    injectors = {"random_shift": inject_random_shift, "detour": inject_detour}
     for kind in kinds:
         spec = AnomalySpec(kind, ratio, dist)
         records, truth = [], []
@@ -263,6 +265,12 @@ def _load_encoded(path, vocab: Vocab):
     return [dataio.encode_record(r, vocab) for r in dataio.read_corpus(path)]
 
 
+def _load_model(checkpoint, vocab_path):
+    """The vocabulary and the checkpoint, which must have been trained against it."""
+    vocab = Vocab.load(vocab_path)
+    return vocab, read_checkpoint(checkpoint, expected_vocab_hash=vocab.hash())
+
+
 def cmd_train(args) -> int:
     cfg = RunConfig.from_path(args.config)
     vocab = Vocab.load(args.vocab)
@@ -306,8 +314,7 @@ def cmd_score(args) -> int:
     cfg = RunConfig.from_path(args.config) if args.config else None
     config_hash = cfg.hash if cfg else "-"
     scope = args.scope or (cfg.get("score", "scope", str, "global") if cfg else "global")
-    vocab = Vocab.load(args.vocab)
-    model = read_checkpoint(args.checkpoint, expected_vocab_hash=vocab.hash())
+    vocab, model = _load_model(args.checkpoint, args.vocab)
     encoded = _load_encoded(args.corpus, vocab)
     if not (args.fit_thresholds or args.thresholds):
         raise ConfigError("either --thresholds or --fit-thresholds is required")
@@ -328,27 +335,24 @@ def cmd_score(args) -> int:
 
 
 def cmd_stream(args) -> int:
-    vocab = Vocab.load(args.vocab)
-    model = read_checkpoint(args.checkpoint, expected_vocab_hash=vocab.hash())
+    vocab, model = _load_model(args.checkpoint, args.vocab)
     table = dataio.read_thresholds(args.thresholds)
-    conditioning = [vocab.id(Token.parse(t.strip())) for t in args.conditioning.split(",") if t.strip()]
+    tokens = [Token.parse(t.strip()) for t in args.conditioning.split(",") if t.strip()]
     agent = None
-    for t in args.conditioning.split(","):
-        tok = Token.parse(t.strip())
+    for tok in tokens:
         if tok.kind == "agent_id":
             agent = tok.value
-    session = open_session(model, conditioning)
-    scope = args.scope
-    out = sys.stdout
+    session = open_session(model, [vocab.id(tok) for tok in tokens])
+    writer = csv.writer(sys.stdout, lineterminator="\n")
     for line in sys.stdin:
         text = line.strip()
         if not text:
             continue
         token = Token.parse(text)
         s, ppl = session.push(vocab.id(token))
-        verdict = partial_verdict(session, table, scope=scope, agent=agent).verdict
-        out.write(f"{len(session) - 1},{token},{s!r},{ppl!r},{verdict}\n")
-        out.flush()
+        verdict = partial_verdict(session, table, scope=args.scope, agent=agent).verdict
+        writer.writerow([len(session) - 1, token, s, ppl, verdict])
+        sys.stdout.flush()
     return EXIT_OK
 
 
@@ -356,19 +360,7 @@ def cmd_eval(args) -> int:
     cfg = RunConfig.from_path(args.config) if args.config else None
     config_hash = cfg.hash if cfg else "-"
     truth = dataio.truth_labels(dataio.read_truth(args.truth))
-    if args.scores:
-        reports = dataio.read_scores(args.scores)
-    else:
-        if not (args.checkpoint and args.vocab and args.corpus and args.thresholds):
-            raise ConfigError(
-                "eval needs either --scores or all of --checkpoint/--vocab/--corpus/--thresholds"
-            )
-        vocab = Vocab.load(args.vocab)
-        model = read_checkpoint(args.checkpoint, expected_vocab_hash=vocab.hash())
-        encoded = _load_encoded(args.corpus, vocab)
-        table = dataio.read_thresholds(args.thresholds)
-        scope = args.scope or (cfg.get("score", "scope", str, "global") if cfg else "global")
-        reports, _ = score_corpus(model, encoded, scope, table)
+    reports = dataio.read_scores(args.scores)
     if args.per_agent:
         key, results = "agent", per_agent_eval(reports, truth).items()
     else:
@@ -425,12 +417,11 @@ def cmd_report(args) -> int:
             raise ConfigError(
                 "completion report needs --checkpoint/--vocab/--corpus/--thresholds/--truth"
             )
-        vocab = Vocab.load(args.vocab)
-        model = read_checkpoint(args.checkpoint, expected_vocab_hash=vocab.hash())
+        vocab, model = _load_model(args.checkpoint, args.vocab)
         encoded = _load_encoded(args.corpus, vocab)
         table = dataio.read_thresholds(args.thresholds)
         truth = dataio.truth_labels(dataio.read_truth(args.truth))
-        result = completion_ratio_eval(model, encoded, truth, cfg.ratios(), table, scope="global")
+        result = completion_ratio_eval(model, encoded, truth, cfg.ratios(), table)
         out = out_dir / "completion.csv"
         rows = ([ratio, *result[ratio]] for ratio in sorted(result))
         dataio.write_csv(out, ["ratio", "f1", "pr_auc"], rows, cfg.hash)
@@ -495,17 +486,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scope", choices=["global", "per_agent"], default="global")
     p.set_defaults(fn=cmd_stream)
 
-    p = sub.add_parser("eval", help="detection metrics from scores (or end to end)")
+    p = sub.add_parser("eval", help="F1 and PR-AUC of a scores file against the ground truth")
     p.add_argument("--truth", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--scores")
-    p.add_argument("--config")
-    p.add_argument("--checkpoint")
-    p.add_argument("--vocab")
-    p.add_argument("--corpus")
-    p.add_argument("--thresholds")
-    p.add_argument("--scope", choices=["global", "per_agent"])
-    p.add_argument("--per-agent", action="store_true")
+    p.add_argument("--scores", required=True, help="scores CSV written by score")
+    p.add_argument("--config", help="config whose hash the output records")
+    p.add_argument("--per-agent", action="store_true", help="one row per agent with a true anomaly")
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("report", help="multi-run experiment tables")

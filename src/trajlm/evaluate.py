@@ -9,7 +9,7 @@ verdicts rather than the best threshold in hindsight.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -127,22 +127,11 @@ def per_agent_eval(
         if r.traj_id not in truth:
             raise DomainError(f"trajectory {r.traj_id!r} missing from ground truth")
         by_agent.setdefault(r.agent, []).append(r)
-    out: dict[str, EvalReport] = {}
-    for agent in sorted(by_agent):
-        rs = by_agent[agent]
-        labels = [truth[r.traj_id] for r in rs]
-        if not any(lbl == "anomalous" for lbl in labels):
-            continue
-        verdicts = [r.verdict for r in rs]
-        scores = [r.perplexity for r in rs]
-        tp, fp, fn, tn = confusion_counts(labels, verdicts)
-        out[agent] = EvalReport(
-            scope=f"agent:{agent}",
-            f1=f1(labels, verdicts),
-            pr_auc=pr_auc(labels, scores),
-            tp=tp, fp=fp, fn=fn, tn=tn,
-        )
-    return out
+    return {
+        agent: replace(global_eval(rs, truth), scope=f"agent:{agent}")
+        for agent, rs in sorted(by_agent.items())
+        if any(truth[r.traj_id] == "anomalous" for r in rs)
+    }
 
 
 def global_eval(reports: list[ScoreReport], truth: dict[str, str]) -> EvalReport:
@@ -187,22 +176,17 @@ def completion_ratio_eval(
     truth: dict[str, str],
     ratios: Sequence[float],
     table: ThresholdTable,
-    scope: str = "global",
 ) -> dict[float, tuple[float, float]]:
-    """(F1, PR-AUC) per completion ratio, scoring only each trajectory's prefix."""
-    for traj in corpus:
-        if traj.traj_id not in truth:
-            raise DomainError(f"trajectory {traj.traj_id!r} missing from ground truth")
+    """(F1, PR-AUC) per completion ratio, scoring only each trajectory's prefix
+    against the global threshold."""
     out: dict[float, tuple[float, float]] = {}
     for ratio in ratios:
-        labels, verdicts, scores = [], [], []
-        for traj in corpus:
-            ppl = prefix_perplexity(model, traj, ratio)
-            report = classify(traj.traj_id, ppl, table, scope=scope, agent=traj.agent)
-            labels.append(truth[traj.traj_id])
-            verdicts.append(report.verdict)
-            scores.append(ppl)
-        out[float(ratio)] = (f1(labels, verdicts), pr_auc(labels, scores))
+        reports = [
+            classify(traj.traj_id, prefix_perplexity(model, traj, ratio), table, agent=traj.agent)
+            for traj in corpus
+        ]
+        rep = global_eval(reports, truth)
+        out[float(ratio)] = (rep.f1, rep.pr_auc)
     return out
 
 

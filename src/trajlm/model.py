@@ -42,6 +42,9 @@ class ModelConfig:
     def __post_init__(self) -> None:
         if self.vocab_size < 4:
             raise ConfigError(f"vocab_size must cover the specials, got {self.vocab_size}")
+        for name in ("d_model", "n_heads", "d_ff"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(
                 f"d_model ({self.d_model}) must be divisible by n_heads ({self.n_heads})"

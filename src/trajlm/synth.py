@@ -323,6 +323,10 @@ def _sample_od_pairs(
     g: GridSpec, n_pairs: int, rng: np.random.Generator
 ) -> list[tuple[CellId, CellId]]:
     min_sep = max(4, (g.n_cols + g.n_rows) // 4)
+    if n_pairs > 0 and (g.n_cols - 1) + (g.n_rows - 1) < min_sep:
+        raise DomainError(
+            f"a {g.n_cols}x{g.n_rows} grid has no OD pair {min_sep} cells apart; use a larger grid"
+        )
     pairs = []
     while len(pairs) < n_pairs:
         src = CellId(int(rng.integers(0, g.n_cols)), int(rng.integers(0, g.n_rows)))

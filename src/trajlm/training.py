@@ -30,7 +30,6 @@ class TrainConfig:
     eps: float = 1e-8
     clip_norm: float = 1.0
     seed: int = 0
-    shuffle: bool = True
 
     def __post_init__(self) -> None:
         if self.learning_rate <= 0:
@@ -104,7 +103,7 @@ def train(
     )
     epoch_losses: list[float] = []
     for epoch in range(tc.n_epochs):
-        order = order_rng.permutation(len(corpus)) if tc.shuffle else np.arange(len(corpus))
+        order = order_rng.permutation(len(corpus))
         losses = []
         for start in range(0, len(corpus), tc.batch_size):
             batch = [corpus[i] for i in order[start : start + tc.batch_size]]

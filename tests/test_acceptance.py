@@ -391,7 +391,7 @@ def test_c10_completion_ratio_trend(route_run):
     encoded = route_run["enc_eval"]["random_shift"]
     truth = route_run["truth"]["random_shift"]
     table = route_run["table"]
-    result = completion_ratio_eval(model, encoded, truth, [0.2, 1.0], table, scope="global")
+    result = completion_ratio_eval(model, encoded, truth, [0.2, 1.0], table)
     # batch evaluation computed independently; ratio 1.0 must match bit for bit
     labels = [truth[t.traj_id] for t in encoded]
     ppls = [perplexity(model, t) for t in encoded]

@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 import sys
 from pathlib import Path
 
@@ -202,19 +203,57 @@ def test_score_fit_thresholds_and_eval_composability(pol_pipeline):
 
     eval_a = p["tmp"] / "eval_a.csv"
     eval_b = p["tmp"] / "eval_b.csv"
+    scores_b = p["tmp"] / "scores_b.csv"
     truth = p["data"] / "truth.csv"
     assert run("eval", "--scores", scores, "--truth", truth, "--out", eval_a, "--per-agent") == 0
-    assert run("eval", "--checkpoint", p["ckpt"], "--vocab", p["vocab"], "--corpus", p["corpus"],
-               "--thresholds", thresholds, "--scope", "per_agent",
-               "--truth", truth, "--out", eval_b, "--per-agent") == 0
+    assert run("score", "--checkpoint", p["ckpt"], "--vocab", p["vocab"], "--corpus", p["corpus"],
+               "--thresholds", thresholds, "--scope", "per_agent", "--out", scores_b) == 0
+    assert run("eval", "--scores", scores_b, "--truth", truth, "--out", eval_b, "--per-agent") == 0
     strip = lambda path: [l for l in path.read_text().splitlines() if not l.startswith("#")]
     assert strip(eval_a) == strip(eval_b)
     rows = strip(eval_a)
     assert rows[0] == "agent,f1,pr_auc,tp,fp,fn,tn"
     assert len(rows) == 2  # only the one agent with true anomalies
     assert_one_csv_format(p["tmp"], {"truth.csv": TRUTH, "scores.csv": SCORES, "thresholds.csv": THRESHOLDS,
-                                     "surprisals.csv": None, "eval_a.csv": None, "eval_b.csv": None,
-                                     "loss.csv": None})
+                                     "scores_b.csv": SCORES, "surprisals.csv": None, "eval_a.csv": None,
+                                     "eval_b.csv": None, "loss.csv": None})
+
+
+def test_eval_reads_only_a_scores_file(pol_pipeline, capsys):
+    p = pol_pipeline
+    scores, thresholds = p["tmp"] / "scores.csv", p["tmp"] / "thresholds.csv"
+    assert run("score", "--config", p["config"], "--checkpoint", p["ckpt"], "--vocab", p["vocab"],
+               "--corpus", p["corpus"], "--out", scores, "--fit-thresholds", "--thresholds-out", thresholds) == 0
+    base = ["eval", "--truth", p["data"] / "truth.csv", "--out", p["tmp"] / "eval.csv"]
+    end_to_end = ["--checkpoint", p["ckpt"], "--vocab", p["vocab"], "--corpus", p["corpus"],
+                  "--thresholds", thresholds, "--scope", "per_agent"]
+    assert run(*base, *end_to_end) == 1
+    for i in range(0, len(end_to_end), 2):
+        assert run(*base, "--scores", scores, *end_to_end[i:i + 2]) == 1, end_to_end[i]
+    capsys.readouterr()
+    assert run("eval", "--help") == 0
+    flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    assert flags == {"--help", "--truth", "--out", "--scores", "--config", "--per-agent"}
+
+
+def assert_stream_matches_batch(p, thresholds, monkeypatch, capsys):
+    """Stream the first corpus record after its head token through `trajlm stream`: one
+    5-field CSV row per pushed token, naming that token, with the batch scorer's surprisal."""
+    vocab = Vocab.load(p["vocab"])
+    enc = dataio.encode_record(dataio.read_corpus(p["corpus"])[0], vocab)
+    batch = token_log_probs(read_checkpoint(p["ckpt"]), enc)
+    head, *tokens = [str(vocab.token(i)) for i in enc.ids]
+    monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(tokens) + "\n"))
+    capsys.readouterr()
+    assert run("stream", "--checkpoint", p["ckpt"], "--vocab", p["vocab"],
+               "--thresholds", thresholds, "--conditioning", head) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == len(batch) == len(tokens)
+    assert all(len(row) == 5 for row in rows)
+    assert [row[1] for row in rows] == tokens
+    for row, lp in zip(rows, batch):
+        assert abs(float(row[2]) + lp) <= 1e-9 * abs(lp)
+    assert rows[-1][4] in ("normal", "anomalous")
 
 
 def test_stream_matches_batch_scorer(pol_pipeline, monkeypatch, capsys):
@@ -223,25 +262,12 @@ def test_stream_matches_batch_scorer(pol_pipeline, monkeypatch, capsys):
     run("score", "--config", p["config"], "--checkpoint", p["ckpt"], "--vocab", p["vocab"],
         "--corpus", p["corpus"], "--out", p["tmp"] / "s.csv",
         "--fit-thresholds", "--thresholds-out", thresholds)
-    records = dataio.read_corpus(p["corpus"])
-    rec = records[0]
-    vocab = Vocab.load(p["vocab"])
-    model = read_checkpoint(p["ckpt"])
-    enc = dataio.encode_record(rec, vocab)
-    batch = token_log_probs(model, enc)
+    assert_stream_matches_batch(p, thresholds, monkeypatch, capsys)
 
-    tokens = [str(t) for t in dataio.full_tokens(rec)][1:] + ["special:EOT"]
-    monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(tokens) + "\n"))
-    conditioning = str(dataio.full_tokens(rec)[0])
-    assert run("stream", "--checkpoint", p["ckpt"], "--vocab", p["vocab"],
-               "--thresholds", thresholds, "--conditioning", conditioning) == 0
-    out_lines = [l for l in capsys.readouterr().out.splitlines() if l.count(",") >= 4]
-    assert len(out_lines) == len(batch)
-    for line, lp in zip(out_lines, batch):
-        surprisal = float(line.split(",")[2])
-        assert abs(surprisal + lp) <= 1e-9 * abs(lp)
-    last = out_lines[-1].split(",")
-    assert last[4] in ("normal", "anomalous")
+
+def test_stream_writes_porto_cell_as_one_field(porto_pipeline, monkeypatch, capsys):
+    p = porto_pipeline
+    assert_stream_matches_batch(p, p["thresholds"], monkeypatch, capsys)
 
 
 def test_report_ablation_row_count(pol_config, tmp_path):
@@ -259,7 +285,9 @@ def test_report_ablation_row_count(pol_config, tmp_path):
     assert_one_csv_format(out, {"ablation.csv": None, "ablation_gps.csv": None})
 
 
-def test_report_completion(porto_config, tmp_path):
+@pytest.fixture
+def porto_pipeline(porto_config, tmp_path):
+    """gen-data + build-vocab + train, then global thresholds fitted on the training routes."""
     out = tmp_path / "porto"
     run("gen-data", "--config", porto_config, "--out-dir", out)
     vocab = tmp_path / "v.tsv"
@@ -271,13 +299,19 @@ def test_report_completion(porto_config, tmp_path):
     run("score", "--config", porto_config, "--checkpoint", ckpt, "--vocab", vocab,
         "--corpus", out / "train.jsonl", "--out", tmp_path / "s.csv",
         "--fit-thresholds", "--thresholds-out", thr)
-    rep = tmp_path / "rep"
-    assert run("report", "--kind", "completion", "--config", porto_config, "--out-dir", rep,
-               "--checkpoint", ckpt, "--vocab", vocab, "--corpus", out / "eval_random_shift.jsonl",
-               "--thresholds", thr, "--truth", out / "truth_random_shift.csv") == 0
+    return dict(config=porto_config, data=out, corpus=out / "train.jsonl", vocab=vocab, ckpt=ckpt,
+                thresholds=thr, tmp=tmp_path)
+
+
+def test_report_completion(porto_pipeline):
+    p = porto_pipeline
+    out, rep = p["data"], p["tmp"] / "rep"
+    assert run("report", "--kind", "completion", "--config", p["config"], "--out-dir", rep,
+               "--checkpoint", p["ckpt"], "--vocab", p["vocab"], "--corpus", out / "eval_random_shift.jsonl",
+               "--thresholds", p["thresholds"], "--truth", out / "truth_random_shift.csv") == 0
     rows = [l for l in (rep / "completion.csv").read_text().splitlines() if not l.startswith("#")]
     assert rows[0] == "ratio,f1,pr_auc" and len(rows) == 3  # header + 2 ratios
-    assert_one_csv_format(tmp_path, {"truth_random_shift.csv": TRUTH, "truth_detour.csv": TRUTH,
+    assert_one_csv_format(p["tmp"], {"truth_random_shift.csv": TRUTH, "truth_detour.csv": TRUTH,
                                      "thr.csv": THRESHOLDS, "s.csv": SCORES, "completion.csv": None})
 
 
@@ -318,11 +352,20 @@ GOOD_INPUTS = {
     ("build-vocab", "corpus.jsonl", GOOD_INPUTS["corpus.jsonl"] + '{"id": "t2", "tokens": ["nokind:1"]}\n', 2),
     ("report", "thresholds.csv", THRESHOLDS_HEAD + "globl,,3.0,2.0,1.0,8\n", 2),
     ("report", "thresholds.csv", THRESHOLDS_HEAD + "per_agent,,3.0,2.0,1.0,8\n", 2),
+    ("train", "run.ini", POL_TINY.replace("n_heads = 2", "n_heads = 0"), 1),
+    ("train", "run.ini", POL_TINY.replace("n_heads = 2", "n_heads = -2"), 1),
+    ("train", "run.ini", POL_TINY.replace("d_model = 16", "d_model = 0"), 1),
+    ("train", "run.ini", POL_TINY.replace("d_model = 16", "d_model = -16"), 1),
+    ("train", "run.ini", POL_TINY.replace("d_ff = 32", "d_ff = 0"), 1),
+    ("gen-data", "run.ini", PORTO_TINY.replace("kinds = random_shift,detour", "kinds = skip_routine"), 1),
+    ("gen-data", "run.ini", PORTO_TINY.replace("kinds = random_shift,detour", "kinds = random_shift,"), 1),
 ], ids=["truth-no-label", "truth-bad-ratio", "scores-bad-float", "scores-short-row",
         "thresholds-bad-float", "thresholds-short-row", "config-bad-ratio",
         "truth-not-utf8", "corpus-not-utf8", "config-not-utf8",
         "corpus-not-object", "corpus-token-not-string", "corpus-unknown-token-kind",
-        "thresholds-unknown-scope", "thresholds-per-agent-no-agent"])
+        "thresholds-unknown-scope", "thresholds-per-agent-no-agent",
+        "config-zero-heads", "config-negative-heads", "config-zero-d-model", "config-negative-d-model",
+        "config-zero-d-ff", "config-porto-kind-not-injectable", "config-porto-kind-empty"])
 def test_bad_input_exits_with_one_line_error(pol_pipeline, capsys, command, name, text, code):
     p = pol_pipeline
     for file, good in GOOD_INPUTS.items():
@@ -334,6 +377,11 @@ def test_bad_input_exits_with_one_line_error(pol_pipeline, capsys, command, name
                 "--out", p["tmp"] / "eval.csv"]
     elif command == "build-vocab":
         argv = ["build-vocab", "--inputs", path["corpus.jsonl"], "--out", p["tmp"] / "vocab_out.tsv"]
+    elif command == "train":
+        argv = ["train", "--config", path["run.ini"], "--corpus", p["corpus"], "--vocab", p["vocab"],
+                "--out", p["tmp"] / "train_out.ckpt"]
+    elif command == "gen-data":
+        argv = ["gen-data", "--config", path["run.ini"], "--out-dir", p["tmp"] / "gen"]
     else:
         argv = ["report", "--kind", "completion", "--config", path["run.ini"], "--out-dir", p["tmp"] / "rep",
                 "--checkpoint", p["ckpt"], "--vocab", p["vocab"], "--corpus", p["corpus"],
@@ -346,6 +394,7 @@ def test_bad_input_exits_with_one_line_error(pol_pipeline, capsys, command, name
         assert f"{name}: not UTF-8 text" in err
     elif code == 2:
         assert f"{name}:2:" in err
+    assert not (p["tmp"] / "gen" / "train.jsonl").exists()
 
 
 def test_vocab_hash_mismatch_is_a_model_error(pol_pipeline, tmp_path):
@@ -366,6 +415,7 @@ def test_corrupt_checkpoint_exits_with_one_line_error(pol_pipeline, capsys):
         "config-not-utf8": data.replace(b"d_model=16", b"d_model=\xff6", 1),
         "vocab-hash-not-utf8": data.replace(vocab_hash, b"\xff" + vocab_hash[1:], 1),
         "param-name-not-utf8": data.replace(b"tok_emb", b"\xffok_emb", 1),
+        "config-zero-heads": data.replace(b"n_heads=2", b"n_heads=0", 1),
     }
     for what, mutated in mutations.items():
         assert mutated != data, what

@@ -114,6 +114,12 @@ def test_route_corpus_determinism_and_bad_pairs():
         gen_route_corpus(GRID, 1, 2, 0.0, 1, od_pairs=[(CellId(0, 0), CellId(99, 0))])
 
 
+def test_route_corpus_rejects_grid_too_small_for_od_pairs():
+    # the farthest pair of a 2x3 grid is 3 cells apart; OD pairs need 4
+    with pytest.raises(DomainError):
+        gen_route_corpus(GridSpec(0, 0, 100, 2, 3), 1, 1, 0.0, 1)
+
+
 def test_anomaly_spec_validation():
     with pytest.raises(DomainError):
         AnomalySpec("random_shift", 0.0, 3)
