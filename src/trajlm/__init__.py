@@ -18,7 +18,7 @@ from .errors import (
     TrajLMError,
     VocabError,
 )
-from .grid import CellId, GridSpec, RawTrajectory, cell_center, discretize, filter_od_groups, group_by_od, shift_cell, to_cell
+from .grid import CellId, GridSpec, shift_cell, to_cell
 from .model import Model, ModelConfig, backward, forward, init_model, nll_loss
 from .dataio import TOOL_VERSION as __version__
 from .checkpoint import load_checkpoint, read_checkpoint, save_checkpoint, write_checkpoint
@@ -42,5 +42,5 @@ from .synth import (
     inject_random_shift,
 )
 from .training import TrainConfig, train
-from .vocab import EncodedTrajectory, Token, Vocab, bucket_duration, build_vocab, decode, encode
+from .vocab import EncodedTrajectory, Token, Vocab, bucket_duration, build_vocab, encode
 from .evaluate import EvalReport, PRPoint, ablation_eval, completion_ratio_eval, f1, per_agent_eval, pr_auc, pr_curve

@@ -21,13 +21,14 @@ import numpy as np
 
 from . import dataio
 from .checkpoint import read_checkpoint, write_checkpoint
-from .errors import ConfigError, DataError, TrajLMError, decoding
+from .errors import ConfigError, DataError, DomainError, TrajLMError, decoding
 from .evaluate import ablation_eval, completion_ratio_eval, global_eval, per_agent_eval
 from .grid import GridSpec
 from .model import ModelConfig, init_model
 from .online import open_session, partial_verdict
 from .scoring import score_corpus
 from .synth import (
+    LOCATION_CONFIGURATIONS,
     AnomalySpec,
     WorldConfig,
     gen_pol_corpus,
@@ -121,14 +122,25 @@ class RunConfig:
         )
 
     def world_config(self) -> WorldConfig:
-        return WorldConfig(
-            n_agents=self.get("world", "n_agents", int),
-            n_days=self.get("world", "n_days", int),
-            n_anomalous_agents=self.get("world", "n_anomalous_agents", int),
-            anomalous_days=self.get("world", "anomalous_days", int),
-            alt_prob=self.get("world", "alt_prob", float, 0.35),
-            seed=derive_seed(self.seed, "world"),
-        )
+        try:
+            return WorldConfig(
+                n_agents=self.get("world", "n_agents", int),
+                n_days=self.get("world", "n_days", int),
+                n_anomalous_agents=self.get("world", "n_anomalous_agents", int),
+                anomalous_days=self.get("world", "anomalous_days", int),
+                alt_prob=self.get("world", "alt_prob", float, 0.35),
+                seed=derive_seed(self.seed, "world"),
+            )
+        except DomainError as e:
+            raise ConfigError(f"config [world]: {e}") from e
+
+    def configurations(self, default: str) -> list[str]:
+        names = [c.strip() for c in self.get("world", "configurations", str, default).split(",") if c.strip()]
+        if not names or not set(names) <= set(LOCATION_CONFIGURATIONS):
+            raise ConfigError(
+                f"[world] configurations must be one or more of {list(LOCATION_CONFIGURATIONS)}, got {names}"
+            )
+        return names
 
     def ratios(self) -> list[float]:
         return self.get("eval", "ratios", lambda raw: [float(x) for x in raw.split(",") if x.strip()],
@@ -143,7 +155,7 @@ def _pol_records(corpus, configuration: str) -> list[dataio.CorpusRecord]:
     return [
         dataio.CorpusRecord(
             traj_id=traj.traj_id,
-            tokens=pol_location_tokens(traj, configuration, corpus.config.gps_grid),
+            tokens=pol_location_tokens(traj, configuration),
             agent=traj.agent,
             weekday=traj.weekday,
             label=traj.label,
@@ -153,10 +165,8 @@ def _pol_records(corpus, configuration: str) -> list[dataio.CorpusRecord]:
 
 
 def _gen_pol(cfg: RunConfig, out_dir: Path) -> None:
+    configurations = cfg.configurations("staypoint")
     corpus = gen_pol_corpus(cfg.world_config())
-    configurations = [
-        c.strip() for c in cfg.get("world", "configurations", str, "staypoint").split(",") if c.strip()
-    ]
     n_anom = sum(1 for t in corpus.trajectories if t.label == "anomalous")
     truth = [
         dataio.TruthRecord(
@@ -179,25 +189,29 @@ def _gen_pol(cfg: RunConfig, out_dir: Path) -> None:
 
 
 def _gen_porto(cfg: RunConfig, out_dir: Path) -> None:
-    grid = cfg.grid()
     root = cfg.seed
-    routes = gen_route_corpus(
-        grid,
-        cfg.get("routes", "n_od_pairs", int),
-        cfg.get("routes", "routes_per_pair", int),
-        cfg.get("routes", "noise", float, 0.08),
-        seed=derive_seed(root, "routes"),
-    )
     per_pair = cfg.get("routes", "routes_per_pair", int)
-    ids = [f"od{r // per_pair:02d}_r{r % per_pair:03d}" for r in range(len(routes))]
     fraction = cfg.get("anomaly", "fraction", float, 0.05)
+    if not 0.0 <= fraction <= 1.0:
+        raise ConfigError(f"[anomaly] fraction must be in [0, 1], got {fraction}")
     ratio = cfg.get("anomaly", "ratio", float, 0.3)
     dist = cfg.get("anomaly", "dist", int, 3)
     kinds = [k.strip() for k in cfg.get("anomaly", "kinds", str, "random_shift,detour").split(",")]
+    # Every value is checked here, before the first file is written.
+    try:
+        grid = cfg.grid()
+        routes = gen_route_corpus(
+            grid,
+            cfg.get("routes", "n_od_pairs", int),
+            per_pair,
+            cfg.get("routes", "noise", float, 0.08),
+            seed=derive_seed(root, "routes"),
+        )
+        specs = [AnomalySpec(kind, ratio, dist) for kind in kinds]
+    except DomainError as e:
+        raise ConfigError(f"config: {e}") from e
     injectors = {"random_shift": inject_random_shift, "detour": inject_detour}
-    for kind in kinds:
-        if kind not in injectors:
-            raise ConfigError(f"[anomaly] kinds: unknown kind {kind!r}; expected one of {sorted(injectors)}")
+    ids = [f"od{r // per_pair:02d}_r{r % per_pair:03d}" for r in range(len(routes))]
     n_anom = round(fraction * len(routes))
     sel_rng = np.random.default_rng(derive_seed(root, "anomaly-select"))
     selected = set(int(i) for i in sel_rng.choice(len(routes), size=n_anom, replace=False))
@@ -212,8 +226,8 @@ def _gen_porto(cfg: RunConfig, out_dir: Path) -> None:
     ]
     dataio.write_corpus(out_dir / "train.jsonl", train_records, cfg.hash)
     print(f"[gen-data] train: {len(train_records)} routes ({n_anom} held out for anomalies)")
-    for kind in kinds:
-        spec = AnomalySpec(kind, ratio, dist)
+    for spec in specs:
+        kind = spec.kind
         records, truth = [], []
         for i, route in enumerate(routes):
             if i in selected:
@@ -395,12 +409,8 @@ def cmd_report(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.kind == "ablation":
+        configurations = cfg.configurations("staypoint,gps,duration")
         corpus = gen_pol_corpus(cfg.world_config())
-        configurations = [
-            c.strip()
-            for c in cfg.get("world", "configurations", str, "staypoint,gps,duration").split(",")
-            if c.strip()
-        ]
         corpora = {name: _pol_records(corpus, name) for name in configurations}
         result = ablation_eval(corpora, _train_eval_pipeline(cfg))
         summary = out_dir / "ablation.csv"

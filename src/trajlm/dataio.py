@@ -25,6 +25,7 @@ TOOL_VERSION = "0.1.0"
 TRUTH_HEADER = ["id", "label", "kind", "ratio", "dist", "pos"]
 SCORES_HEADER = ["id", "agent", "perplexity", "threshold", "verdict"]
 THRESHOLDS_HEADER = ["scope", "agent", "threshold", "mean", "std", "count"]
+LABELS = ("normal", "anomalous")  # the truth labels, and the verdicts of a scores file
 
 
 @dataclass
@@ -61,11 +62,11 @@ def encode_record(rec: CorpusRecord, vocab: Vocab) -> EncodedTrajectory:
     location records get SOT framing. EOT is always appended."""
     if rec.agent is not None:
         return encode(
-            full_tokens(rec), vocab, with_sot=False, with_eot=True,
+            full_tokens(rec), vocab, with_sot=False,
             traj_id=rec.traj_id, agent=rec.agent, label=rec.label,
         )
     return encode(
-        rec.tokens, vocab, with_sot=True, with_eot=True,
+        rec.tokens, vocab, with_sot=True,
         traj_id=rec.traj_id, agent=None, label=rec.label,
     )
 
@@ -167,9 +168,16 @@ def _csv_rows(path, header: list[str], what: str, prefix: bool = False):
             yield where, row
 
 
+def _label(where: str, value: str, what: str) -> str:
+    if value not in LABELS:
+        raise DataError(f"{where}: {what} must be one of {', '.join(LABELS)}, got {value!r}")
+    return value
+
+
 def read_truth(path) -> dict[str, TruthRecord]:
     out: dict[str, TruthRecord] = {}
     for where, row in _csv_rows(path, TRUTH_HEADER[:2], "truth", prefix=True):
+        _label(where, row[1], "truth label")
         try:
             rec = TruthRecord(
                 traj_id=row[0],
@@ -203,7 +211,7 @@ def read_scores(path) -> list[ScoreReport]:
             raise DataError(f"{where}: bad score row {row}: {e}") from e
         out.append(ScoreReport(
             traj_id=row[0], agent=row[1] or None, perplexity=perplexity,
-            threshold=threshold, verdict=row[4],
+            threshold=threshold, verdict=_label(where, row[4], "verdict"),
         ))
     return out
 

@@ -1,4 +1,4 @@
-"""Planar grid discretization and trajectory corpus preprocessing.
+"""Planar grid: points to cells, and cell shifts for anomaly injection.
 
 Coordinates are projected meters; mapping from latitude/longitude is the
 caller's concern. Cells are indexed (col, row) from the grid origin, and a
@@ -8,12 +8,11 @@ point on a cell edge belongs to the cell given by plain floor arithmetic
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple
 
-from .errors import DataError, DomainError, decoding
+from .errors import DomainError
 
 
 class CellId(NamedTuple):
@@ -53,25 +52,6 @@ class GridSpec:
     def contains_point(self, x: float, y: float) -> bool:
         return self.origin_x <= x < self.max_x and self.origin_y <= y < self.max_y
 
-    def contains_cell(self, c: CellId) -> bool:
-        return 0 <= c.col < self.n_cols and 0 <= c.row < self.n_rows
-
-
-@dataclass
-class RawTrajectory:
-    """Chronological (x, y, t) points with strictly increasing timestamps."""
-
-    traj_id: str
-    points: list[tuple[float, float, float]]
-    agent_id: str | None = None
-
-    def __post_init__(self) -> None:
-        for i in range(1, len(self.points)):
-            if self.points[i][2] <= self.points[i - 1][2]:
-                raise DomainError(
-                    f"trajectory {self.traj_id!r}: t[{i}]={self.points[i][2]} "
-                    f"does not increase past t[{i - 1}]={self.points[i - 1][2]}"
-                )
 
 
 def to_cell(p: tuple[float, float], g: GridSpec) -> CellId:
@@ -86,51 +66,6 @@ def to_cell(p: tuple[float, float], g: GridSpec) -> CellId:
         int(math.floor((x - g.origin_x) / g.cell_size)),
         int(math.floor((y - g.origin_y) / g.cell_size)),
     )
-
-
-def cell_center(c: CellId, g: GridSpec) -> tuple[float, float]:
-    """Center point of a cell; inverse of to_cell up to discretization."""
-    if not g.contains_cell(c):
-        raise DomainError(f"cell {tuple(c)} outside grid {g.n_cols}x{g.n_rows}")
-    return (
-        g.origin_x + (c.col + 0.5) * g.cell_size,
-        g.origin_y + (c.row + 0.5) * g.cell_size,
-    )
-
-
-def discretize(t: RawTrajectory, g: GridSpec, dedup: bool = False) -> list[CellId]:
-    """Discretize a trajectory's points in order; optionally collapse consecutive duplicates."""
-    cells: list[CellId] = []
-    for i, (x, y, _ts) in enumerate(t.points):
-        try:
-            c = to_cell((x, y), g)
-        except DomainError as e:
-            raise DomainError(f"trajectory {t.traj_id!r}, point {i}: {e}") from e
-        if dedup and cells and cells[-1] == c:
-            continue
-        cells.append(c)
-    return cells
-
-
-def group_by_od(
-    ts: Sequence[Sequence[CellId]],
-) -> dict[tuple[CellId, CellId], list[Sequence[CellId]]]:
-    """Partition cell sequences by their (first cell, last cell) endpoint pair."""
-    groups: dict[tuple[CellId, CellId], list[Sequence[CellId]]] = {}
-    for i, seq in enumerate(ts):
-        if len(seq) == 0:
-            raise DomainError(f"trajectory {i} is empty; cannot key by endpoints")
-        groups.setdefault((seq[0], seq[-1]), []).append(seq)
-    return groups
-
-
-def filter_od_groups(
-    groups: dict[tuple[CellId, CellId], list], min_count: int
-) -> dict[tuple[CellId, CellId], list]:
-    """Keep only endpoint groups with at least min_count members."""
-    if min_count < 1:
-        raise DomainError(f"min_count must be >= 1, got {min_count}")
-    return {k: v for k, v in groups.items() if len(v) >= min_count}
 
 
 def shift_cell(c: CellId, dist: int, direction: tuple[int, int], g: GridSpec) -> ShiftResult:
@@ -150,29 +85,3 @@ def shift_cell(c: CellId, dist: int, direction: tuple[int, int], g: GridSpec) ->
     clamped_row = min(max(row, 0), g.n_rows - 1)
     return ShiftResult(CellId(clamped_col, clamped_row), (clamped_col, clamped_row) != (col, row))
 
-
-def read_raw_trajectories(path) -> Iterator[RawTrajectory]:
-    """Read line-delimited {"id", "agent_id"?, "points": [[x, y, t], ...]} records."""
-    with decoding(path), open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DataError(f"{path}:{lineno}: invalid JSON: {e}") from e
-            if not isinstance(rec, dict):
-                raise DataError(
-                    f"{path}:{lineno}: trajectory record must be a JSON object, got {type(rec).__name__}"
-                )
-            if "_meta" in rec:
-                continue
-            try:
-                yield RawTrajectory(
-                    traj_id=str(rec["id"]),
-                    points=[(float(x), float(y), float(t)) for x, y, t in rec["points"]],
-                    agent_id=rec.get("agent_id"),
-                )
-            except (KeyError, TypeError, ValueError) as e:
-                raise DataError(f"{path}:{lineno}: bad trajectory record: {e}") from e

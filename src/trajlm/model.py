@@ -122,9 +122,6 @@ class Model:
     params: dict[str, np.ndarray]
     vocab_hash: str = ""
 
-    def param_count(self) -> int:
-        return sum(p.size for p in self.params.values())
-
     def copy(self) -> "Model":
         return Model(self.config, {k: v.copy() for k, v in self.params.items()}, self.vocab_hash)
 
@@ -305,22 +302,21 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def nll_loss(logits: np.ndarray, targets: np.ndarray, pad_mask: np.ndarray) -> float:
-    """Mean negative log-likelihood of targets under logits, over unmasked positions.
+def nll_loss(logp: np.ndarray, targets: np.ndarray, pad_mask: np.ndarray) -> float:
+    """Mean negative log-likelihood of targets under log-probs, over unmasked positions.
 
-    logits: (..., seq, vocab); targets and pad_mask: (..., seq) with True where
-    the position is scored.
+    logp: (..., seq, vocab), log_softmax of the logits; targets and pad_mask:
+    (..., seq) with True where the position is scored.
     """
     targets = np.asarray(targets)
     pad_mask = np.asarray(pad_mask, dtype=bool)
-    if logits.shape[:-1] != targets.shape or targets.shape != pad_mask.shape:
+    if logp.shape[:-1] != targets.shape or targets.shape != pad_mask.shape:
         raise DomainError(
-            f"shape mismatch: logits {logits.shape}, targets {targets.shape}, mask {pad_mask.shape}"
+            f"shape mismatch: log-probs {logp.shape}, targets {targets.shape}, mask {pad_mask.shape}"
         )
     n_scored = int(pad_mask.sum())
     if n_scored == 0:
         raise DomainError("all positions are masked; loss is undefined")
-    logp = log_softmax(logits)
     picked = np.take_along_axis(logp, targets[..., None], axis=-1)[..., 0]
     return float(-(picked * pad_mask).sum() / n_scored)
 
@@ -356,8 +352,7 @@ def backward(
     logits, cache = forward_batch(model, ids[:, :-1], collect=True, dropout_rng=dropout_rng)
 
     logp = log_softmax(logits)
-    picked = np.take_along_axis(logp, targets[..., None], axis=-1)[..., 0]
-    loss = float(-(picked * pad_mask).sum() / n_scored)
+    loss = nll_loss(logp, targets, pad_mask)
 
     # d loss / d logits = (softmax - onehot) * mask / n_scored
     dlogits = np.exp(logp)

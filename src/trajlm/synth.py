@@ -31,7 +31,7 @@ LUNCH_VENUES = ("cafe", "diner", "bistro", "food_court")
 EVENING_VENUES = ("gym", "bar", "cinema", "market")
 WEEKEND_VENUES = ("park", "mall", "museum", "stadium", "arcade", "library")
 
-DEFAULT_CATALOG = (HOME, WORK) + LUNCH_VENUES + EVENING_VENUES + WEEKEND_VENUES
+STAYPOINT_CATALOG = (HOME, WORK) + LUNCH_VENUES + EVENING_VENUES + WEEKEND_VENUES
 
 # Typical dwell per venue, in hours; chosen so duration buckets carry signal.
 VENUE_DWELL_HOURS = {
@@ -42,7 +42,9 @@ VENUE_DWELL_HOURS = {
     **{v: 2.4 for v in WEEKEND_VENUES},
 }
 
-DEFAULT_POL_GRID = GridSpec(origin_x=0.0, origin_y=0.0, cell_size=100.0, n_cols=32, n_rows=32)
+POL_GRID = GridSpec(origin_x=0.0, origin_y=0.0, cell_size=100.0, n_cols=32, n_rows=32)
+DWELL_NOISE_H = 0.25  # std-dev of dwell-time jitter, hours
+GPS_NOISE_M = 25.0    # std-dev of per-visit GPS jitter, meters
 
 LOCATION_CONFIGURATIONS = ("staypoint", "gps", "duration", "staypoint_duration")
 
@@ -53,16 +55,16 @@ def round_half_up(x: float) -> int:
 
 @dataclass(frozen=True)
 class AnomalySpec:
-    kind: str  # random_shift | detour | skip_routine
+    kind: str  # random_shift | detour
     ratio: float
     dist: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("random_shift", "detour", "skip_routine"):
-            raise DomainError(f"unknown anomaly kind {self.kind!r}")
+        if self.kind not in ("random_shift", "detour"):
+            raise DomainError(f"unknown anomaly kind {self.kind!r}; expected random_shift or detour")
         if not 0.0 < self.ratio <= 1.0:
             raise DomainError(f"ratio must be in (0, 1], got {self.ratio}")
-        if self.kind in ("random_shift", "detour") and self.dist < 1:
+        if self.dist < 1:
             raise DomainError(f"{self.kind} needs dist >= 1, got {self.dist}")
 
 
@@ -76,12 +78,8 @@ class WorldConfig:
     n_days: int
     n_anomalous_agents: int
     anomalous_days: int
-    staypoint_catalog: tuple[str, ...] = DEFAULT_CATALOG
     seed: int = 0
-    alt_prob: float = 0.35       # chance a variable slot uses its alternate venue
-    dwell_noise_h: float = 0.25  # std-dev of dwell-time jitter, hours
-    gps_grid: GridSpec = DEFAULT_POL_GRID
-    gps_noise_m: float = 25.0    # std-dev of per-visit GPS jitter, meters
+    alt_prob: float = 0.35  # chance a variable slot uses its alternate venue
 
     def __post_init__(self) -> None:
         if self.n_anomalous_agents > self.n_agents:
@@ -90,10 +88,11 @@ class WorldConfig:
             raise DomainError("anomalous_days cannot exceed n_days")
         if self.n_agents < 1 or self.n_days < 1:
             raise DomainError("world needs at least one agent and one day")
-        if HOME not in self.staypoint_catalog or WORK not in self.staypoint_catalog:
-            raise DomainError(f"staypoint catalog must contain {HOME!r} and {WORK!r}")
-        if len(set(self.staypoint_catalog) - {HOME, WORK}) < 4:
-            raise DomainError("staypoint catalog needs at least 4 venues besides home and work")
+        for name in ("n_anomalous_agents", "anomalous_days"):
+            if getattr(self, name) < 0:
+                raise DomainError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not 0.0 <= self.alt_prob <= 1.0:
+            raise DomainError(f"alt_prob must be in [0, 1], got {self.alt_prob}")
 
 
 @dataclass(frozen=True)
@@ -159,15 +158,11 @@ def _agent_name(i: int, n_agents: int) -> str:
 
 
 def _build_schedule(agent: str, cfg: WorldConfig, rng: np.random.Generator) -> AgentSchedule:
-    catalog = cfg.staypoint_catalog
-    lunch = [v for v in catalog if v in LUNCH_VENUES] or [v for v in catalog if v not in (HOME, WORK)]
-    evening = [v for v in catalog if v in EVENING_VENUES] or lunch
-    weekend = [v for v in catalog if v in WEEKEND_VENUES] or lunch
     routines: dict[str, list[Slot]] = {}
     for weekday in WEEKDAYS:
         if weekday in ("Saturday", "Sunday"):
-            w_main, w_alt = rng.choice(weekend, size=2, replace=False)
-            w_second = str(rng.choice([v for v in weekend if v not in (w_main, w_alt)]))
+            w_main, w_alt = rng.choice(WEEKEND_VENUES, size=2, replace=False)
+            w_second = str(rng.choice([v for v in WEEKEND_VENUES if v not in (w_main, w_alt)]))
             routines[weekday] = [
                 Slot(HOME, 9.4),
                 Slot(str(w_main), 2.4, alternate=str(w_alt), alt_prob=cfg.alt_prob),
@@ -175,8 +170,8 @@ def _build_schedule(agent: str, cfg: WorldConfig, rng: np.random.Generator) -> A
                 Slot(HOME, 3.5),
             ]
         else:
-            l_main, l_alt = rng.choice(lunch, size=2, replace=False)
-            e_main = str(rng.choice(evening))
+            l_main, l_alt = rng.choice(LUNCH_VENUES, size=2, replace=False)
+            e_main = str(rng.choice(EVENING_VENUES))
             routines[weekday] = [
                 Slot(HOME, 8.4),
                 Slot(WORK, 3.6),
@@ -188,14 +183,11 @@ def _build_schedule(agent: str, cfg: WorldConfig, rng: np.random.Generator) -> A
     return AgentSchedule(agent=agent, routines=routines)
 
 
-def _place_venues(cfg: WorldConfig, rng: np.random.Generator) -> dict[str, tuple[float, float]]:
-    g = cfg.gps_grid
-    n_cells = g.n_cols * g.n_rows
-    if len(cfg.staypoint_catalog) > n_cells:
-        raise DomainError("more staypoints than grid cells")
-    flat = rng.choice(n_cells, size=len(cfg.staypoint_catalog), replace=False)
+def _place_venues(rng: np.random.Generator) -> dict[str, tuple[float, float]]:
+    g = POL_GRID
+    flat = rng.choice(g.n_cols * g.n_rows, size=len(STAYPOINT_CATALOG), replace=False)
     venues = {}
-    for name, f in zip(cfg.staypoint_catalog, flat):
+    for name, f in zip(STAYPOINT_CATALOG, flat):
         col, row = int(f % g.n_cols), int(f // g.n_cols)
         venues[name] = (
             g.origin_x + (col + rng.random()) * g.cell_size,
@@ -212,7 +204,7 @@ def gen_pol_corpus(cfg: WorldConfig) -> PolCorpus:
     anomaly; its slot index is recorded as ground truth.
     """
     world_rng = np.random.default_rng(cfg.seed)
-    venues = _place_venues(cfg, world_rng)
+    venues = _place_venues(world_rng)
     anomalous = tuple(
         sorted(
             _agent_name(int(i), cfg.n_agents)
@@ -245,26 +237,22 @@ def gen_pol_corpus(cfg: WorldConfig) -> PolCorpus:
                     if slot.primary != HOME and slot.alternate is None
                 ]
                 anomaly_pos = int(rng.choice(fixed))
-                off_routine = sorted(
-                    set(cfg.staypoint_catalog) - schedule.venues_for(weekday) - {HOME}
-                )
-                if not off_routine:
-                    raise DomainError("catalog too small to pick an off-routine staypoint")
+                off_routine = sorted(set(STAYPOINT_CATALOG) - schedule.venues_for(weekday) - {HOME})
                 replaced = staypoints[anomaly_pos]
                 staypoints[anomaly_pos] = str(rng.choice(off_routine))
                 label = "anomalous"
             visits = []
             for i, name in enumerate(staypoints):
                 base_dwell = (
-                    VENUE_DWELL_HOURS.get(name, 2.0)
+                    VENUE_DWELL_HOURS[name]
                     if i == anomaly_pos
                     else slots[i].dwell_hours
                 )
-                dwell_h = max(0.2, base_dwell + rng.normal(0.0, cfg.dwell_noise_h))
+                dwell_h = max(0.2, base_dwell + rng.normal(0.0, DWELL_NOISE_H))
                 vx, vy = venues[name]
-                g = cfg.gps_grid
-                x = min(max(vx + rng.normal(0.0, cfg.gps_noise_m), g.origin_x), np.nextafter(g.max_x, -np.inf))
-                y = min(max(vy + rng.normal(0.0, cfg.gps_noise_m), g.origin_y), np.nextafter(g.max_y, -np.inf))
+                g = POL_GRID
+                x = min(max(vx + rng.normal(0.0, GPS_NOISE_M), g.origin_x), np.nextafter(g.max_x, -np.inf))
+                y = min(max(vy + rng.normal(0.0, GPS_NOISE_M), g.origin_y), np.nextafter(g.max_y, -np.inf))
                 visits.append(Visit(staypoint=name, x=float(x), y=float(y), dwell_s=dwell_h * 3600.0))
             trajectories.append(
                 PolTrajectory(
@@ -287,15 +275,10 @@ def gen_pol_corpus(cfg: WorldConfig) -> PolCorpus:
     )
 
 
-def pol_location_tokens(
-    traj: PolTrajectory,
-    configuration: str,
-    grid: GridSpec | None = None,
-    max_bucket: int = 12,
-) -> list[Token]:
+def pol_location_tokens(traj: PolTrajectory, configuration: str) -> list[Token]:
     """Tokenize one day's visits under a location configuration.
 
-    staypoint: venue-name tokens; gps: grid-cell tokens of the recorded
+    staypoint: venue-name tokens; gps: POL_GRID cell tokens of the recorded
     coordinates; duration: 1-hour dwell buckets; staypoint_duration: venue and
     bucket interleaved.
     """
@@ -308,10 +291,10 @@ def pol_location_tokens(
         if configuration in ("staypoint", "staypoint_duration"):
             tokens.append(Token("staypoint", visit.staypoint))
         if configuration == "gps":
-            c = to_cell((visit.x, visit.y), grid or DEFAULT_POL_GRID)
+            c = to_cell((visit.x, visit.y), POL_GRID)
             tokens.append(Token("cell", f"{c.col},{c.row}"))
         if configuration in ("duration", "staypoint_duration"):
-            tokens.append(bucket_duration(visit.dwell_s, max_bucket=max_bucket))
+            tokens.append(bucket_duration(visit.dwell_s))
     return tokens
 
 
@@ -323,7 +306,7 @@ def _sample_od_pairs(
     g: GridSpec, n_pairs: int, rng: np.random.Generator
 ) -> list[tuple[CellId, CellId]]:
     min_sep = max(4, (g.n_cols + g.n_rows) // 4)
-    if n_pairs > 0 and (g.n_cols - 1) + (g.n_rows - 1) < min_sep:
+    if (g.n_cols - 1) + (g.n_rows - 1) < min_sep:
         raise DomainError(
             f"a {g.n_cols}x{g.n_rows} grid has no OD pair {min_sep} cells apart; use a larger grid"
         )
@@ -374,7 +357,6 @@ def gen_route_corpus(
     routes_per_pair: int,
     noise: float,
     seed: int,
-    od_pairs: list[tuple[CellId, CellId]] | None = None,
 ) -> list[list[CellId]]:
     """Noisy lattice routes, routes_per_pair per origin/destination pair.
 
@@ -386,14 +368,11 @@ def gen_route_corpus(
     """
     if not 0.0 <= noise <= 1.0:
         raise DomainError(f"noise must be in [0, 1], got {noise}")
-    if od_pairs is None:
-        od_pairs = _sample_od_pairs(g, n_od_pairs, np.random.default_rng(seed))
-    else:
-        if len(od_pairs) != n_od_pairs:
-            raise DomainError(f"expected {n_od_pairs} OD pairs, got {len(od_pairs)}")
-        for src, dst in od_pairs:
-            if not (g.contains_cell(src) and g.contains_cell(dst)):
-                raise DomainError(f"OD pair ({tuple(src)}, {tuple(dst)}) outside grid bounds")
+    if n_od_pairs < 1 or routes_per_pair < 1:
+        raise DomainError(
+            f"need at least one OD pair and one route per pair, got {n_od_pairs} and {routes_per_pair}"
+        )
+    od_pairs = _sample_od_pairs(g, n_od_pairs, np.random.default_rng(seed))
     routes: list[list[CellId]] = []
     for p, (src, dst) in enumerate(od_pairs):
         for r in range(routes_per_pair):

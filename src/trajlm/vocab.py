@@ -1,4 +1,4 @@
-"""Token vocabulary: building, encoding to id sequences, decoding, persistence.
+"""Token vocabulary: building, encoding to id sequences, persistence, duration buckets.
 
 Tokens are (kind, value) pairs; the three specials PAD/SOT/EOT always occupy
 ids 0/1/2, and the remaining ids are assigned deterministically by sorting on
@@ -27,6 +27,8 @@ SPECIAL_VALUES = (PAD_VALUE, SOT_VALUE, EOT_VALUE)
 PAD_ID = 0
 SOT_ID = 1
 EOT_ID = 2
+
+MAX_DURATION_BUCKET = 12  # dwell times of 12 hours or more share one bucket
 
 
 @dataclass(frozen=True, order=True)
@@ -138,8 +140,11 @@ class EncodedTrajectory:
     """Integer id sequence plus bookkeeping for scoring and evaluation.
 
     prefix_len counts the conditioning tokens at the head of the sequence
-    (agent id / weekday tokens, or SOT); these are context only and are never
-    themselves scored as predictions of earlier context.
+    (agent id / weekday tokens, or SOT), so location tokens start at
+    ids[prefix_len]. Only ids[0] is never scored: every later id is a
+    prediction target, conditioning tokens included, so the batch trace,
+    sessions and completion prefixes all score pol's weekday as
+    P(weekday | agent).
     """
 
     ids: list[int]
@@ -163,12 +168,11 @@ def encode(
     tokens: Sequence[Token],
     vocab: Vocab,
     with_sot: bool = False,
-    with_eot: bool = True,
     traj_id: str | None = None,
     agent: str | None = None,
     label: str | None = None,
 ) -> EncodedTrajectory:
-    """Encode tokens to ids, optionally framed by SOT/EOT.
+    """Encode tokens to ids, optionally after SOT, always followed by EOT.
 
     Raises VocabError naming the first unknown token; there is no UNK fallback.
     """
@@ -181,8 +185,7 @@ def encode(
             prefix_len += 1
         else:
             in_prefix = False
-    if with_eot:
-        ids.append(EOT_ID)
+    ids.append(EOT_ID)
     # The sequence head conditions everything else and is itself never scored,
     # so even a bare location sequence has a conditioning prefix of one.
     return EncodedTrajectory(
@@ -190,15 +193,8 @@ def encode(
     )
 
 
-def decode(ids: Sequence[int], vocab: Vocab) -> list[Token]:
-    """Inverse of encode: map ids back to tokens (specials included)."""
-    return [vocab.token(i) for i in ids]
-
-
-def bucket_duration(seconds: float, max_bucket: int = 12) -> Token:
-    """Discretize a dwell time into 1-hour buckets, capped at max_bucket."""
+def bucket_duration(seconds: float) -> Token:
+    """Discretize a dwell time into 1-hour buckets, capped at MAX_DURATION_BUCKET."""
     if seconds < 0:
         raise DomainError(f"duration must be >= 0 seconds, got {seconds}")
-    if max_bucket < 0:
-        raise DomainError(f"max_bucket must be >= 0, got {max_bucket}")
-    return Token("duration_bucket", str(min(int(math.floor(seconds / 3600.0)), max_bucket)))
+    return Token("duration_bucket", str(min(int(math.floor(seconds / 3600.0)), MAX_DURATION_BUCKET)))

@@ -16,7 +16,7 @@ from trajlm.checkpoint import load_checkpoint, save_checkpoint
 from trajlm.cli import _pol_records, derive_seed, main
 from trajlm.evaluate import ablation_eval, completion_ratio_eval, f1, per_agent_eval, pr_auc
 from trajlm.grid import GridSpec
-from trajlm.model import ModelConfig, backward, forward_batch, init_model, nll_loss
+from trajlm.model import ModelConfig, backward, forward_batch, init_model, log_softmax, nll_loss
 from trajlm.online import open_session
 from trajlm.scoring import (
     classify,
@@ -143,7 +143,7 @@ def test_c01_gradient_correctness():
     def loss_at():
         logits, _ = forward_batch(model, ids[:, :-1])
         targets = ids[:, 1:]
-        return nll_loss(logits, targets, targets != 0)
+        return nll_loss(log_softmax(logits), targets, targets != 0)
 
     h = 1e-5
     worst = 0.0

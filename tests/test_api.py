@@ -1,0 +1,44 @@
+import ast
+from collections import defaultdict
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "trajlm"
+
+
+def _uses(tree: ast.Module, module: str):
+    """Yield (top-level statement index, defining module, name) for each name the module reads.
+
+    A bare name counts for its own module and for a module it is imported from
+    (`from .grid import to_cell`); `dataio.write_csv` counts for `dataio`.
+    Import statements themselves are not uses.
+    """
+    origin = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            for alias in node.names:
+                origin[alias.asname or alias.name] = (node.module, alias.name)
+    for i, node in enumerate(tree.body):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                yield (i, *origin.get(sub.id, (module, sub.id)))
+            elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name):
+                yield i, sub.value.id, sub.attr
+
+
+def test_every_public_function_has_a_caller():
+    """Every module-level public def/class is used somewhere in src/ outside its own
+    definition; re-exports in __init__.py do not count."""
+    defined = []
+    used = defaultdict(set)
+    for path in sorted(SRC.glob("*.py")):
+        module = path.stem
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for i, node in enumerate(tree.body):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                defined.append((module, node.name, i))
+        if module != "__init__":
+            for i, owner, name in _uses(tree, module):
+                used[owner, name].add((module, i))
+    assert defined
+    uncalled = [f"{module}.{name}" for module, name, i in defined if not used[module, name] - {(module, i)}]
+    assert uncalled == []

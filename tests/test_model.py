@@ -10,6 +10,7 @@ from trajlm.model import (
     forward,
     forward_batch,
     init_model,
+    log_softmax,
     nll_loss,
     param_shapes,
 )
@@ -33,7 +34,7 @@ def test_init_divisibility_error():
         ModelConfig(vocab_size=20, d_model=8, n_heads=3)
 
 
-def test_param_count_closed_form():
+def test_param_shapes_closed_form():
     cfg = TINY
     # hand-computed shape arithmetic for the 2-layer config
     per_layer = 2 * cfg.d_model + 4 * cfg.d_model**2 + 2 * cfg.d_model \
@@ -45,7 +46,7 @@ def test_param_count_closed_form():
         + 2 * cfg.d_model
         + cfg.d_model * cfg.vocab_size
     )
-    assert tiny_model().param_count() == expected == 1536
+    assert sum(p.size for p in tiny_model().params.values()) == expected == 1536
     assert sum(int(np.prod(s)) for s in param_shapes(cfg).values()) == expected
 
 
@@ -246,14 +247,14 @@ def test_nll_uniform_logits_closed_form():
     logits = np.zeros((1, 4, 10))
     targets = np.array([[1, 2, 3, 4]])
     mask = np.ones_like(targets, dtype=bool)
-    assert math.isclose(nll_loss(logits, targets, mask), math.log(10), rel_tol=1e-12)
+    assert math.isclose(nll_loss(log_softmax(logits), targets, mask), math.log(10), rel_tol=1e-12)
 
 
 def test_nll_confident_correct_logits_near_zero():
     logits = np.full((1, 2, 5), -1e4)
     logits[0, 0, 2] = 1e4
     logits[0, 1, 3] = 1e4
-    loss = nll_loss(logits, np.array([[2, 3]]), np.ones((1, 2), bool))
+    loss = nll_loss(log_softmax(logits), np.array([[2, 3]]), np.ones((1, 2), bool))
     assert loss < 1e-8
 
 
@@ -264,12 +265,12 @@ def test_nll_two_position_hand_case():
     lse0 = math.log(math.exp(1) + math.exp(2) + 1)
     lse1 = math.log(math.exp(0.5) + 1 + math.exp(-0.5))
     expected = ((lse0 - 2.0) + (lse1 - (-0.5))) / 2
-    assert math.isclose(nll_loss(logits, targets, np.ones((1, 2), bool)), expected, rel_tol=1e-12)
+    assert math.isclose(nll_loss(log_softmax(logits), targets, np.ones((1, 2), bool)), expected, rel_tol=1e-12)
 
 
 def test_nll_all_masked_is_an_error():
     with pytest.raises(DomainError):
-        nll_loss(np.zeros((1, 2, 5)), np.array([[1, 2]]), np.zeros((1, 2), bool))
+        nll_loss(log_softmax(np.zeros((1, 2, 5))), np.array([[1, 2]]), np.zeros((1, 2), bool))
 
 
 # --- backward --------------------------------------------------------------
@@ -280,7 +281,7 @@ def fd_check(model, ids, h=1e-5, floor=1e-6):
     def loss_at():
         logits, _ = forward_batch(model, ids[:, :-1])
         targets = ids[:, 1:]
-        return nll_loss(logits, targets, targets != 0)
+        return nll_loss(log_softmax(logits), targets, targets != 0)
 
     worst = 0.0
     for name, p in model.params.items():
@@ -330,7 +331,7 @@ def test_backward_loss_matches_forward_loss():
     ids = np.array([[3, 4, 5, 6, 2]])
     loss, _ = backward(m, ids)
     logits, _ = forward_batch(m, ids[:, :-1])
-    assert math.isclose(loss, nll_loss(logits, ids[:, 1:], ids[:, 1:] != 0), rel_tol=1e-12)
+    assert math.isclose(loss, nll_loss(log_softmax(logits), ids[:, 1:], ids[:, 1:] != 0), rel_tol=1e-12)
 
 
 def test_backward_with_dropout_runs_and_is_seed_deterministic():

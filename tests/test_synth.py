@@ -1,8 +1,10 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from trajlm.errors import DomainError
-from trajlm.grid import CellId, GridSpec, group_by_od, filter_od_groups
+from trajlm.grid import CellId, GridSpec
 from trajlm.synth import (
     AnomalySpec,
     WorldConfig,
@@ -65,16 +67,20 @@ def test_pol_config_validation():
     with pytest.raises(DomainError):
         world(anomalous_days=99)
     with pytest.raises(DomainError):
-        world(staypoint_catalog=("apartment", "gym", "park", "mall", "bar", "cafe"))  # no work
+        world(n_anomalous_agents=-1)
     with pytest.raises(DomainError):
-        world(staypoint_catalog=("apartment", "work", "gym", "park"))  # too few venues
+        world(anomalous_days=-2)
+    with pytest.raises(DomainError):
+        world(alt_prob=3.0)
+    with pytest.raises(DomainError):
+        world(alt_prob=-0.1)
 
 
 def test_pol_location_tokens_configurations():
     corpus = gen_pol_corpus(world())
     t = corpus.trajectories[0]
     stay = pol_location_tokens(t, "staypoint")
-    gps = pol_location_tokens(t, "gps", corpus.config.gps_grid)
+    gps = pol_location_tokens(t, "gps")
     dur = pol_location_tokens(t, "duration")
     both = pol_location_tokens(t, "staypoint_duration")
     assert len(stay) == len(gps) == len(dur) == len(t.visits)
@@ -102,22 +108,32 @@ def test_route_corpus_noise_zero_identical_shortest():
 
 def test_route_corpus_survives_od_filter():
     routes = gen_route_corpus(GRID, 2, 25, noise=0.1, seed=4)
-    groups = filter_od_groups(group_by_od(routes), 25)
-    assert sum(len(v) for v in groups.values()) == 50
+    groups = Counter((r[0], r[-1]) for r in routes)
+    assert sum(n for n in groups.values() if n >= 25) == 50
 
 
 def test_route_corpus_determinism_and_bad_pairs():
     a = gen_route_corpus(GRID, 2, 4, noise=0.3, seed=9)
     b = gen_route_corpus(GRID, 2, 4, noise=0.3, seed=9)
     assert a == b
-    with pytest.raises(DomainError):
-        gen_route_corpus(GRID, 1, 2, 0.0, 1, od_pairs=[(CellId(0, 0), CellId(99, 0))])
+    # no bad pair is sampled: both ends on the grid and at least max(4, (30 + 30) // 4) apart
+    for route in a:
+        (c0, r0), (c1, r1) = route[0], route[-1]
+        assert all(0 <= v < 30 for v in (c0, r0, c1, r1))
+        assert abs(c0 - c1) + abs(r0 - r1) >= 15
 
 
 def test_route_corpus_rejects_grid_too_small_for_od_pairs():
     # the farthest pair of a 2x3 grid is 3 cells apart; OD pairs need 4
     with pytest.raises(DomainError):
         gen_route_corpus(GridSpec(0, 0, 100, 2, 3), 1, 1, 0.0, 1)
+
+
+def test_route_corpus_rejects_empty_corpus():
+    with pytest.raises(DomainError):
+        gen_route_corpus(GRID, 0, 5, 0.0, 1)
+    with pytest.raises(DomainError):
+        gen_route_corpus(GRID, 2, 0, 0.0, 1)
 
 
 def test_anomaly_spec_validation():

@@ -11,7 +11,6 @@ from trajlm.vocab import (
     Vocab,
     bucket_duration,
     build_vocab,
-    decode,
     encode,
 )
 
@@ -66,7 +65,7 @@ def test_token_validation():
 def test_encode_pol_layout_prefix():
     tokens = [Token("agent_id", "agent_7"), Token("weekday", "Monday"), sp("work")]
     vocab = build_vocab([tokens])
-    enc = encode(tokens, vocab, with_sot=False, with_eot=True)
+    enc = encode(tokens, vocab, with_sot=False)
     assert enc.prefix_len == 2
     assert enc.ids[-1] == EOT_ID
     assert len(enc.ids) == 4
@@ -75,7 +74,7 @@ def test_encode_pol_layout_prefix():
 def test_encode_sot_layout_prefix():
     tokens = [Token("cell", "1,2"), Token("cell", "2,2")]
     vocab = build_vocab([tokens])
-    enc = encode(tokens, vocab, with_sot=True, with_eot=True)
+    enc = encode(tokens, vocab, with_sot=True)
     assert enc.prefix_len == 1
     assert enc.ids[0] == SOT_ID
     assert enc.ids[-1] == EOT_ID
@@ -90,24 +89,20 @@ def test_encode_unknown_token_is_an_error():
 
 def test_decode_pad_and_range():
     vocab = build_vocab([[sp("work")]])
-    assert decode([0], vocab) == [Token("special", "PAD")]
+    assert vocab.token(0) == Token("special", "PAD")
     with pytest.raises(VocabError):
-        decode([len(vocab)], vocab)
+        vocab.token(len(vocab))
 
 
 @given(st.lists(st.sampled_from(["work", "home", "gym", "park"]), min_size=1, max_size=8),
-       st.booleans(), st.booleans())
-def test_encode_decode_round_trip(names, with_sot, with_eot):
+       st.booleans())
+def test_encode_decode_round_trip(names, with_sot):
     tokens = [sp(n) for n in names]
     vocab = build_vocab([tokens])
-    if len(tokens) == 1 and not (with_sot or with_eot):
-        # a lone token has no scored transition: not a valid trajectory
-        with pytest.raises(DomainError):
-            encode(tokens, vocab, with_sot=False, with_eot=False)
-        return
-    enc = encode(tokens, vocab, with_sot=with_sot, with_eot=with_eot)
-    decoded = decode(enc.ids, vocab)
-    core = decoded[1 if with_sot else 0 : -1 if with_eot else None]
+    enc = encode(tokens, vocab, with_sot=with_sot)
+    decoded = [vocab.token(i) for i in enc.ids]
+    assert decoded[-1] == Token("special", "EOT")
+    core = decoded[1 if with_sot else 0 : -1]
     assert core == tokens
 
 
@@ -132,7 +127,9 @@ def test_bucket_duration_examples():
     assert bucket_duration(0).value == "0"
     assert bucket_duration(3599).value == "0"
     assert bucket_duration(3600).value == "1"
-    assert bucket_duration(10 * 3600, max_bucket=8).value == "8"
+    assert bucket_duration(12 * 3600 - 1).value == "11"
+    assert bucket_duration(12 * 3600).value == "12"
+    assert bucket_duration(100 * 3600).value == "12"
     with pytest.raises(DomainError):
         bucket_duration(-1)
 
