@@ -9,7 +9,7 @@ Layout (all integers little-endian):
     vocab hash       u32 length + UTF-8 hex digest ("" when not bound to a vocab)
     n_params         u32
     per parameter    u32 name length + name, u32 ndim, u64 per dim,
-                     raw row-major float data in the config's precision
+                     raw row-major float64 data
 """
 
 from __future__ import annotations
@@ -25,10 +25,10 @@ from .errors import (
     CheckpointVersionError,
     CheckpointVocabError,
 )
-from .model import Model, ModelConfig, param_shapes
+from .model import DTYPE, Model, ModelConfig, param_shapes
 
 MAGIC = b"TLMCKPT\x00"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def save_checkpoint(model: Model, metadata: dict[str, str] | None = None) -> bytes:
@@ -53,7 +53,7 @@ def save_checkpoint(model: Model, metadata: dict[str, str] | None = None) -> byt
         buf.write(struct.pack("<I", arr.ndim))
         for dim in arr.shape:
             buf.write(struct.pack("<Q", dim))
-        buf.write(np.ascontiguousarray(arr, dtype=model.config.dtype).tobytes())
+        buf.write(np.ascontiguousarray(arr, dtype=DTYPE).tobytes())
     return buf.getvalue()
 
 
@@ -114,8 +114,8 @@ def load_checkpoint(data: bytes, expected_vocab_hash: str | None = None) -> Mode
         shape = tuple(struct.unpack("<Q", _read(buf, 8, f"{name} dim"))[0] for _ in range(ndim))
         if shape != expected[name]:
             raise CheckpointShapeError(f"parameter {name!r} has shape {shape}, expected {expected[name]}")
-        n_bytes = int(np.prod(shape, dtype=np.int64)) * config.dtype.itemsize
-        arr = np.frombuffer(_read(buf, n_bytes, f"{name} data"), dtype=config.dtype).reshape(shape)
+        n_bytes = int(np.prod(shape, dtype=np.int64)) * DTYPE.itemsize
+        arr = np.frombuffer(_read(buf, n_bytes, f"{name} data"), dtype=DTYPE).reshape(shape)
         params[name] = arr.copy()
     if buf.read(1):
         raise CheckpointError("trailing bytes after final parameter record")

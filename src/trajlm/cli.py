@@ -56,16 +56,41 @@ def derive_seed(root: int, name: str) -> int:
 # ---------------------------------------------------------------------------
 
 class RunConfig:
-    """Config file wrapper: typed getters plus the text hash embedded in artifacts."""
+    """Config file wrapper: typed getters plus the text hash embedded in artifacts.
+
+    KEYS lists every section and key a getter reads; a config holding any
+    other section or key is rejected, so a misspelt key is never silently
+    ignored.
+    """
+
+    KEYS = {
+        "run": {"preset", "seed"},
+        "world": {"n_agents", "n_days", "n_anomalous_agents", "anomalous_days", "alt_prob", "configurations"},
+        "grid": {"origin_x", "origin_y", "cell_size", "n_cols", "n_rows"},
+        "routes": {"n_od_pairs", "routes_per_pair", "noise"},
+        "anomaly": {"fraction", "ratio", "dist", "kinds"},
+        "model": {"d_model", "n_heads", "n_layers", "d_ff", "max_seq_len"},
+        "train": {"epochs", "batch_size", "learning_rate"},
+        "score": {"scope"},
+        "eval": {"ratios"},
+    }
 
     def __init__(self, text: str):
         self.text = text
         self.hash = dataio.config_hash_of(text)
-        self.parser = configparser.ConfigParser()
+        # No section name can be empty, so [DEFAULT] is an ordinary section
+        # here and is rejected like any other unknown one.
+        self.parser = configparser.ConfigParser(default_section="")
         try:
             self.parser.read_string(text)
         except configparser.Error as e:
             raise ConfigError(f"cannot parse config: {e}") from e
+        for section in self.parser.sections():
+            if section not in self.KEYS:
+                raise ConfigError(f"config has unknown section [{section}]")
+            unknown = sorted(set(self.parser.options(section)) - self.KEYS[section])
+            if unknown:
+                raise ConfigError(f"config has unknown key [{section}] {unknown[0]}")
 
     @classmethod
     def from_path(cls, path) -> "RunConfig":
@@ -95,9 +120,7 @@ class RunConfig:
             n_layers=self.get("model", "n_layers", int, 2),
             d_ff=self.get("model", "d_ff", int, 256),
             max_seq_len=self.get("model", "max_seq_len", int, 64),
-            dropout_rate=self.get("model", "dropout", float, 0.0),
             seed=derive_seed(self.seed, "model-init"),
-            precision=self.get("model", "precision", str, "float64"),
         )
 
     def train_config(self) -> TrainConfig:
@@ -105,10 +128,6 @@ class RunConfig:
             n_epochs=self.get("train", "epochs", int, 50),
             batch_size=self.get("train", "batch_size", int, 64),
             learning_rate=self.get("train", "learning_rate", float, 3e-4),
-            beta1=self.get("train", "beta1", float, 0.9),
-            beta2=self.get("train", "beta2", float, 0.999),
-            eps=self.get("train", "eps", float, 1e-8),
-            clip_norm=self.get("train", "clip_norm", float, 1.0),
             seed=derive_seed(self.seed, "train"),
         )
 
@@ -143,8 +162,11 @@ class RunConfig:
         return names
 
     def ratios(self) -> list[float]:
-        return self.get("eval", "ratios", lambda raw: [float(x) for x in raw.split(",") if x.strip()],
-                        [0.2, 0.4, 0.6, 0.8, 1.0])
+        ratios = self.get("eval", "ratios", lambda raw: [float(x) for x in raw.split(",") if x.strip()],
+                          [0.2, 0.4, 0.6, 0.8, 1.0])
+        if not ratios or not all(0.0 < r <= 1.0 for r in ratios):
+            raise ConfigError(f"[eval] ratios must be one or more values in (0, 1], got {ratios}")
+        return ratios
 
 
 # ---------------------------------------------------------------------------
@@ -328,10 +350,12 @@ def cmd_score(args) -> int:
     cfg = RunConfig.from_path(args.config) if args.config else None
     config_hash = cfg.hash if cfg else "-"
     scope = args.scope or (cfg.get("score", "scope", str, "global") if cfg else "global")
-    vocab, model = _load_model(args.checkpoint, args.vocab)
-    encoded = _load_encoded(args.corpus, vocab)
     if not (args.fit_thresholds or args.thresholds):
         raise ConfigError("either --thresholds or --fit-thresholds is required")
+    if args.thresholds_out and not args.fit_thresholds:
+        raise ConfigError("--thresholds-out needs --fit-thresholds")
+    vocab, model = _load_model(args.checkpoint, args.vocab)
+    encoded = _load_encoded(args.corpus, vocab)
     table = None if args.fit_thresholds else dataio.read_thresholds(args.thresholds)
     reports, table = score_corpus(model, encoded, scope, table)
     out = args.fit_thresholds and (args.thresholds_out or args.thresholds)
@@ -427,11 +451,12 @@ def cmd_report(args) -> int:
             raise ConfigError(
                 "completion report needs --checkpoint/--vocab/--corpus/--thresholds/--truth"
             )
+        ratios = cfg.ratios()
         vocab, model = _load_model(args.checkpoint, args.vocab)
         encoded = _load_encoded(args.corpus, vocab)
         table = dataio.read_thresholds(args.thresholds)
         truth = dataio.truth_labels(dataio.read_truth(args.truth))
-        result = completion_ratio_eval(model, encoded, truth, cfg.ratios(), table)
+        result = completion_ratio_eval(model, encoded, truth, ratios, table)
         out = out_dir / "completion.csv"
         rows = ([ratio, *result[ratio]] for ratio in sorted(result))
         dataio.write_csv(out, ["ratio", "f1", "pr_auc"], rows, cfg.hash)

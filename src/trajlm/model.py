@@ -5,7 +5,8 @@ embeddings, N pre-norm blocks (masked multi-head attention, then a two-layer
 ReLU feed-forward, each wrapped with a residual connection), a final layer
 norm, and a linear projection to vocabulary logits. Forward, loss, and the
 full analytic backward pass are implemented here directly so gradients can be
-verified against finite differences; float64 is the default precision.
+verified against finite differences. Parameters and activations are float64
+(DTYPE) and no layer is stochastic, so training and scoring are deterministic.
 
 forward_batch is the only implementation of the block. Training, batch
 scoring and online sessions all run it: a session passes its per-layer
@@ -23,8 +24,7 @@ from .errors import ConfigError, DomainError
 
 LN_EPS = 1e-5
 INIT_STD = 0.02
-
-_PRECISIONS = {"float64": np.float64, "float32": np.float32}
+DTYPE = np.dtype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -35,30 +35,20 @@ class ModelConfig:
     n_layers: int = 2
     d_ff: int = 256
     max_seq_len: int = 64
-    dropout_rate: float = 0.0
     seed: int = 0
-    precision: str = "float64"
 
     def __post_init__(self) -> None:
         if self.vocab_size < 4:
             raise ConfigError(f"vocab_size must cover the specials, got {self.vocab_size}")
-        for name in ("d_model", "n_heads", "d_ff"):
+        for name in ("d_model", "n_heads", "n_layers", "d_ff"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(
                 f"d_model ({self.d_model}) must be divisible by n_heads ({self.n_heads})"
             )
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if self.max_seq_len < 2:
             raise ConfigError(f"max_seq_len must be >= 2, got {self.max_seq_len}")
-        if self.precision not in _PRECISIONS:
-            raise ConfigError(f"precision must be one of {sorted(_PRECISIONS)}, got {self.precision}")
-
-    @property
-    def dtype(self) -> np.dtype:
-        return np.dtype(_PRECISIONS[self.precision])
 
     @property
     def d_head(self) -> int:
@@ -73,20 +63,15 @@ class ModelConfig:
     @classmethod
     def from_text(cls, text: str) -> "ModelConfig":
         kwargs = {}
-        types = {f.name: f.type for f in fields(cls)}
+        names = {f.name for f in fields(cls)}
         for line in text.splitlines():
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             key, sep, value = line.partition("=")
-            if not sep or key not in types:
+            if not sep or key not in names:
                 raise ConfigError(f"bad model config line {line!r}")
-            if key == "precision":
-                kwargs[key] = value.strip("'\"")
-            elif key == "dropout_rate":
-                kwargs[key] = float(value)
-            else:
-                kwargs[key] = int(value)
+            kwargs[key] = int(value)
         return cls(**kwargs)
 
 
@@ -133,11 +118,11 @@ def init_model(cfg: ModelConfig, vocab_hash: str = "") -> Model:
     for name, shape in param_shapes(cfg).items():
         leaf = name.rsplit(".", 1)[-1]
         if leaf in ("b", "b1", "b2"):
-            params[name] = np.zeros(shape, dtype=cfg.dtype)
+            params[name] = np.zeros(shape, dtype=DTYPE)
         elif leaf == "g":
-            params[name] = np.ones(shape, dtype=cfg.dtype)
+            params[name] = np.ones(shape, dtype=DTYPE)
         else:
-            params[name] = rng.normal(0.0, INIT_STD, size=shape).astype(cfg.dtype)
+            params[name] = rng.normal(0.0, INIT_STD, size=shape).astype(DTYPE)
     return Model(cfg, params, vocab_hash)
 
 
@@ -191,24 +176,17 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(b, t, h * dh)
 
 
-def _dropout_mask(rng: np.random.Generator, shape: tuple, rate: float, dtype) -> np.ndarray:
-    keep = (rng.random(shape) >= rate).astype(dtype)
-    return keep / dtype.type(1.0 - rate)
-
-
 def forward_batch(
     model: Model,
     ids: np.ndarray,
     collect: bool = False,
-    dropout_rng: np.random.Generator | None = None,
     kv: list[tuple[np.ndarray, np.ndarray]] | None = None,
     pos: int = 0,
 ) -> tuple[np.ndarray, dict | None]:
     """Run the network over an (n_seq, t_new) id batch at positions [pos, pos + t_new).
 
     Returns logits of shape (n_seq, t_new, vocab_size) and, when collect is
-    set, the intermediate activations needed by backward(). Dropout is applied
-    only when a dropout_rng is supplied (training mode).
+    set, the intermediate activations needed by backward().
 
     kv is an optional key/value cache: one (keys, values) pair of
     (n_seq, max_seq_len, d_model) buffers per layer whose rows [0, pos) hold
@@ -228,18 +206,12 @@ def forward_batch(
     if ids.min() < 0 or ids.max() >= cfg.vocab_size:
         raise DomainError(f"token ids must lie in [0, {cfg.vocab_size})")
 
-    rate = cfg.dropout_rate if dropout_rng is not None else 0.0
     cache: dict | None = {"ids": ids, "layers": []} if collect else None
 
     x = p["tok_emb"][ids] + p["pos_emb"][pos:end]
-    if rate > 0.0:
-        m = _dropout_mask(dropout_rng, x.shape, rate, cfg.dtype)
-        x = x * m
-        if collect:
-            cache["drop_emb"] = m
     # Row i (position pos + i) sees keys j <= pos + i; a single new row sees them all.
     visible = np.tri(t_new, end, pos, dtype=bool) if t_new > 1 else None
-    scale = np.sqrt(np.asarray(cfg.d_head, dtype=cfg.dtype))
+    scale = np.sqrt(np.asarray(cfg.d_head, dtype=DTYPE))
 
     for i in range(cfg.n_layers):
         pre = f"layers.{i}"
@@ -259,29 +231,17 @@ def forward_batch(
             scores = np.where(visible, scores, -np.inf)
         attn = softmax(scores, axis=-1)
         ctx = _merge_heads(attn @ vh)
-        attn_out = ctx @ p[f"{pre}.attn.wo"]
-        layer_cache: dict = {}
-        if rate > 0.0:
-            m = _dropout_mask(dropout_rng, attn_out.shape, rate, cfg.dtype)
-            attn_out = attn_out * m
-            layer_cache["drop_attn"] = m
-        x_mid = x + attn_out
+        x_mid = x + ctx @ p[f"{pre}.attn.wo"]
         f, ln2_cache = layernorm(x_mid, p[f"{pre}.ln2.g"], p[f"{pre}.ln2.b"])
         pre_act = f @ p[f"{pre}.ffn.w1"] + p[f"{pre}.ffn.b1"]
         relu = np.maximum(0.0, pre_act)
         ffn_out = relu @ p[f"{pre}.ffn.w2"] + p[f"{pre}.ffn.b2"]
-        if rate > 0.0:
-            m = _dropout_mask(dropout_rng, ffn_out.shape, rate, cfg.dtype)
-            ffn_out = ffn_out * m
-            layer_cache["drop_ffn"] = m
-        x_out = x_mid + ffn_out
         if collect:
-            layer_cache.update(
+            cache["layers"].append(dict(
                 ln1=ln1_cache, a=a, qh=qh, kh=kh, vh=vh, attn=attn, ctx=ctx,
                 ln2=ln2_cache, f=f, pre_act=pre_act, relu=relu,
-            )
-            cache["layers"].append(layer_cache)
-        x = x_out
+            ))
+        x = x_mid + ffn_out
 
     hf, final_cache = layernorm(x, p["final_ln.g"], p["final_ln.b"])
     logits = hf @ p["w_out"]
@@ -325,7 +285,6 @@ def backward(
     model: Model,
     ids: np.ndarray,
     pad_mask: np.ndarray | None = None,
-    dropout_rng: np.random.Generator | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Loss and exact analytic gradients for next-token prediction on an id batch.
 
@@ -349,7 +308,7 @@ def backward(
 
     cfg = model.config
     p = model.params
-    logits, cache = forward_batch(model, ids[:, :-1], collect=True, dropout_rng=dropout_rng)
+    logits, cache = forward_batch(model, ids[:, :-1], collect=True)
 
     logp = log_softmax(logits)
     loss = nll_loss(logp, targets, pad_mask)
@@ -363,7 +322,7 @@ def backward(
 
     grads = {name: np.zeros_like(arr) for name, arr in p.items()}
     d = cfg.d_model
-    scale = np.sqrt(np.asarray(cfg.d_head, dtype=cfg.dtype))
+    scale = np.sqrt(np.asarray(cfg.d_head, dtype=DTYPE))
 
     hf = cache["hf"]
     grads["w_out"] += hf.reshape(-1, d).T @ dlogits.reshape(-1, cfg.vocab_size)
@@ -376,11 +335,10 @@ def backward(
         pre = f"layers.{i}"
         lc = cache["layers"][i]
         # feed-forward residual branch
-        d_ffn_out = dx * lc["drop_ffn"] if "drop_ffn" in lc else dx
-        flat = d_ffn_out.reshape(-1, d)
+        flat = dx.reshape(-1, d)
         grads[f"{pre}.ffn.w2"] += lc["relu"].reshape(-1, cfg.d_ff).T @ flat
         grads[f"{pre}.ffn.b2"] += flat.sum(axis=0)
-        d_relu = d_ffn_out @ p[f"{pre}.ffn.w2"].T
+        d_relu = dx @ p[f"{pre}.ffn.w2"].T
         d_pre = d_relu * (lc["pre_act"] > 0)
         grads[f"{pre}.ffn.w1"] += lc["f"].reshape(-1, d).T @ d_pre.reshape(-1, cfg.d_ff)
         grads[f"{pre}.ffn.b1"] += d_pre.reshape(-1, cfg.d_ff).sum(axis=0)
@@ -390,9 +348,8 @@ def backward(
         grads[f"{pre}.ln2.b"] += db
         d_x_mid = dx + d_x_mid_ln
         # attention residual branch
-        d_attn_out = d_x_mid * lc["drop_attn"] if "drop_attn" in lc else d_x_mid
-        grads[f"{pre}.attn.wo"] += lc["ctx"].reshape(-1, d).T @ d_attn_out.reshape(-1, d)
-        d_ctx = _split_heads(d_attn_out @ p[f"{pre}.attn.wo"].T, cfg.n_heads)
+        grads[f"{pre}.attn.wo"] += lc["ctx"].reshape(-1, d).T @ d_x_mid.reshape(-1, d)
+        d_ctx = _split_heads(d_x_mid @ p[f"{pre}.attn.wo"].T, cfg.n_heads)
         attn, vh, qh, kh = lc["attn"], lc["vh"], lc["qh"], lc["kh"]
         d_attn = d_ctx @ vh.transpose(0, 1, 3, 2)
         d_vh = attn.transpose(0, 1, 3, 2) @ d_ctx
@@ -410,8 +367,6 @@ def backward(
         grads[f"{pre}.ln1.b"] += db
         dx = d_x_mid + d_x_in_ln
 
-    if "drop_emb" in cache:
-        dx = dx * cache["drop_emb"]
     grads["pos_emb"][:inputs_len] += dx.sum(axis=0)
     np.add.at(grads["tok_emb"], cache["ids"], dx)
     return loss, grads

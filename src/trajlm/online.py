@@ -6,7 +6,7 @@ so only one attention query row is computed per layer against the cached keys
 and values of the prefix; scoring a whole stream costs O(n^2 d) instead of the
 O(n^3 d) of re-running a full forward pass per prefix. The only difference
 from batch scoring is BLAS summation order, so per-token results match the
-batch scorer to 1e-9 relative in float64.
+batch scorer to 1e-9 relative.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, SessionFullError
-from .model import Model, forward_batch, log_softmax
+from .model import DTYPE, Model, forward_batch, log_softmax
 from .scoring import ScoreReport, ThresholdTable, classify
 
 
@@ -32,7 +32,7 @@ class Session:
         cfg = model.config
         shape = (1, cfg.max_seq_len, cfg.d_model)
         self.model = model
-        self._kv = [(np.zeros(shape, dtype=cfg.dtype), np.zeros(shape, dtype=cfg.dtype))
+        self._kv = [(np.zeros(shape, dtype=DTYPE), np.zeros(shape, dtype=DTYPE))
                     for _ in range(cfg.n_layers)]
         self.pushed_ids: list[int] = []
         self.surprisal_sum = 0.0

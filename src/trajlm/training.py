@@ -2,6 +2,8 @@
 
 Everything is deterministic given the config seed: batch order comes from a
 seeded permutation per epoch and parameter updates run in canonical order.
+Adam uses the published defaults of Kingma & Ba (2015) and every step clips
+the global gradient norm to CLIP_NORM.
 """
 
 from __future__ import annotations
@@ -16,6 +18,12 @@ from .model import Model, backward
 from .vocab import PAD_ID, EncodedTrajectory
 
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+CLIP_NORM = 1.0
+
+
 class TrainingDivergedError(TrajLMError, RuntimeError):
     """Loss became non-finite; training aborted."""
 
@@ -25,10 +33,6 @@ class TrainConfig:
     n_epochs: int = 50
     batch_size: int = 64
     learning_rate: float = 3e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    clip_norm: float = 1.0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -44,28 +48,26 @@ class AdamOptimizer:
     """Adaptive moment estimation with bias correction and global-norm clipping."""
 
     def __init__(self, model: Model, tc: TrainConfig):
-        self.tc = tc
+        self.learning_rate = tc.learning_rate
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in model.params.items()}
         self.v = {k: np.zeros_like(v) for k, v in model.params.items()}
 
     def step(self, model: Model, grads: dict[str, np.ndarray]) -> None:
-        tc = self.tc
-        if tc.clip_norm > 0:
-            total = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-            if total > tc.clip_norm:
-                scale = tc.clip_norm / total
-                grads = {k: g * scale for k, g in grads.items()}
+        total = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+        if total > CLIP_NORM:
+            scale = CLIP_NORM / total
+            grads = {k: g * scale for k, g in grads.items()}
         self.t += 1
-        bc1 = 1.0 - tc.beta1**self.t
-        bc2 = 1.0 - tc.beta2**self.t
+        bc1 = 1.0 - BETA1**self.t
+        bc2 = 1.0 - BETA2**self.t
         for name, p in model.params.items():
             g = grads[name]
-            self.m[name] = tc.beta1 * self.m[name] + (1.0 - tc.beta1) * g
-            self.v[name] = tc.beta2 * self.v[name] + (1.0 - tc.beta2) * (g * g)
+            self.m[name] = BETA1 * self.m[name] + (1.0 - BETA1) * g
+            self.v[name] = BETA2 * self.v[name] + (1.0 - BETA2) * (g * g)
             mhat = self.m[name] / bc1
             vhat = self.v[name] / bc2
-            p -= tc.learning_rate * mhat / (np.sqrt(vhat) + tc.eps)
+            p -= self.learning_rate * mhat / (np.sqrt(vhat) + EPS)
 
 
 def pad_batch(batch: list[EncodedTrajectory]) -> np.ndarray:
@@ -98,9 +100,6 @@ def train(
         )
     opt = AdamOptimizer(model, tc)
     order_rng = np.random.default_rng(tc.seed)
-    dropout_rng = (
-        np.random.default_rng(tc.seed ^ 0x5EED_D809) if model.config.dropout_rate > 0 else None
-    )
     epoch_losses: list[float] = []
     for epoch in range(tc.n_epochs):
         order = order_rng.permutation(len(corpus))
@@ -108,7 +107,7 @@ def train(
         for start in range(0, len(corpus), tc.batch_size):
             batch = [corpus[i] for i in order[start : start + tc.batch_size]]
             ids = pad_batch(batch)
-            loss, grads = backward(model, ids, dropout_rng=dropout_rng)
+            loss, grads = backward(model, ids)
             if not math.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, step {len(losses)}: {loss}"

@@ -25,6 +25,26 @@ def _uses(tree: ast.Module, module: str):
                 yield i, sub.value.id, sub.attr
 
 
+def test_config_schema_matches_reads():
+    """RunConfig.KEYS is exactly the set of literal (section, key) pairs that cli.py
+    reads with .get(...): a read key missing from KEYS would reject every config that
+    sets it, and a listed key nothing reads would be a knob that is silently ignored."""
+    from trajlm.cli import RunConfig
+
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    reads = {
+        (node.args[0].value, node.args[1].value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "get"
+        and len(node.args) >= 2
+        and all(isinstance(a, ast.Constant) and isinstance(a.value, str) for a in node.args[:2])
+    }
+    assert reads
+    assert reads == {(section, key) for section, keys in RunConfig.KEYS.items() for key in keys}
+
+
 def test_every_public_function_has_a_caller():
     """Every module-level public def/class is used somewhere in src/ outside its own
     definition; re-exports in __init__.py do not count."""

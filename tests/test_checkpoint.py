@@ -21,16 +21,7 @@ def test_round_trip_bit_exact():
     assert set(loaded.params) == set(m.params)
     for k in m.params:
         assert np.array_equal(loaded.params[k], m.params[k])
-        assert loaded.params[k].dtype == m.params[k].dtype
-
-
-def test_round_trip_float32():
-    cfg = ModelConfig(vocab_size=11, d_model=8, n_heads=2, n_layers=1, d_ff=16,
-                      max_seq_len=6, seed=4, precision="float32")
-    m = init_model(cfg)
-    loaded = load_checkpoint(save_checkpoint(m))
-    assert loaded.params["tok_emb"].dtype == np.float32
-    assert all(np.array_equal(loaded.params[k], m.params[k]) for k in m.params)
+        assert loaded.params[k].dtype == m.params[k].dtype == np.float64
 
 
 def test_save_is_deterministic():
@@ -61,9 +52,10 @@ def test_bad_magic():
 def test_version_mismatch_distinct_error():
     data = bytearray(save_checkpoint(init_model(CFG)))
     offset = len(MAGIC)
-    data[offset:offset + 4] = (FORMAT_VERSION + 1).to_bytes(4, "little")
-    with pytest.raises(CheckpointVersionError):
-        load_checkpoint(bytes(data))
+    for version in (1, FORMAT_VERSION + 1):
+        data[offset:offset + 4] = version.to_bytes(4, "little")
+        with pytest.raises(CheckpointVersionError, match=f"version {version}, expected {FORMAT_VERSION}"):
+            load_checkpoint(bytes(data))
 
 
 def test_shape_mismatch_distinct_error():

@@ -9,7 +9,8 @@ import pytest
 
 from trajlm import dataio
 from trajlm.checkpoint import read_checkpoint
-from trajlm.cli import main
+from trajlm.cli import RunConfig, main
+from trajlm.errors import ConfigError
 from trajlm.scoring import ScoreReport, token_log_probs
 from trajlm.vocab import Vocab
 
@@ -358,6 +359,14 @@ GOOD_INPUTS = {
     ("train", "run.ini", POL_TINY.replace("d_model = 16", "d_model = 0"), 1),
     ("train", "run.ini", POL_TINY.replace("d_model = 16", "d_model = -16"), 1),
     ("train", "run.ini", POL_TINY.replace("d_ff = 32", "d_ff = 0"), 1),
+    ("train", "run.ini", POL_TINY.replace("n_layers = 1", "n_layers = 0"), 1),
+    ("train", "run.ini", POL_TINY.replace("n_layers = 1", "n_layers = -3"), 1),
+    ("report", "run.ini", POL_TINY.replace("ratios = 0.5,1.0", "ratios = 1.5"), 1),
+    ("report", "run.ini", POL_TINY.replace("ratios = 0.5,1.0", "ratios = 0"), 1),
+    ("report", "run.ini", POL_TINY.replace("ratios = 0.5,1.0", "ratios = ,"), 1),
+    ("gen-data", "run.ini", POL_TINY.replace("epochs = 2", "epochs = 2\nepoch = 1"), 1),
+    ("gen-data", "run.ini", POL_TINY + "\n[training]\nepochs = 2\n", 1),
+    ("train", "run.ini", POL_TINY.replace("max_seq_len = 16", "max_seq_len = 16\ndropout = 0.2"), 1),
     ("gen-data", "run.ini", PORTO_TINY.replace("kinds = random_shift,detour", "kinds = skip_routine"), 1),
     ("gen-data", "run.ini", PORTO_TINY.replace("kinds = random_shift,detour", "kinds = random_shift,"), 1),
     ("gen-data", "run.ini", PORTO_TINY.replace("fraction = 0.125", "fraction = 2"), 1),
@@ -378,7 +387,10 @@ GOOD_INPUTS = {
         "corpus-not-object", "corpus-token-not-string", "corpus-unknown-token-kind",
         "thresholds-unknown-scope", "thresholds-per-agent-no-agent",
         "config-zero-heads", "config-negative-heads", "config-zero-d-model", "config-negative-d-model",
-        "config-zero-d-ff", "config-porto-kind-not-injectable", "config-porto-kind-empty",
+        "config-zero-d-ff", "config-zero-layers", "config-negative-layers",
+        "config-ratio-above-one", "config-ratio-zero", "config-no-ratios",
+        "config-unknown-key", "config-unknown-section", "config-removed-key",
+        "config-porto-kind-not-injectable", "config-porto-kind-empty",
         "config-porto-fraction-above-one", "config-porto-fraction-negative",
         "config-porto-ratio-above-one", "config-porto-dist-zero", "config-porto-no-routes",
         "config-pol-negative-anomalous-agents", "config-pol-negative-anomalous-days",
@@ -413,7 +425,32 @@ def test_bad_input_exits_with_one_line_error(pol_pipeline, capsys, command, name
         assert f"{name}: not UTF-8 text" in err
     elif code == 2:
         assert f"{name}:2:" in err
-    assert not list((p["tmp"] / "gen").glob("*"))
+    written = [p["tmp"] / out for out in ("eval.csv", "vocab_out.tsv", "train_out.ckpt")]
+    assert not [f for f in written if f.exists()]
+    assert not list((p["tmp"] / "gen").glob("*")) + list((p["tmp"] / "rep").glob("*"))
+
+
+@pytest.mark.parametrize("text, named", [
+    (POL_TINY.replace("epochs = 2", "epochs = 2\nepoch = 1"), "[train] epoch"),
+    (POL_TINY + "\n[training]\nepochs = 2\n", "[training]"),
+    ("[DEFAULT]\nseed = 4\n" + POL_TINY, "[DEFAULT]"),
+    (POL_TINY.replace("max_seq_len = 16", "max_seq_len = 16\nprecision = float32"), "[model] precision"),
+], ids=["unknown-key", "unknown-section", "default-section", "removed-key"])
+def test_config_names_the_section_or_key_nothing_reads(text, named):
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        RunConfig(text)
+
+
+def test_score_threshold_flags_are_checked_before_loading(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    base = ["score", "--checkpoint", missing / "m.ckpt", "--vocab", missing / "v.tsv",
+            "--corpus", missing / "c.jsonl", "--out", tmp_path / "s.csv"]
+    for flags in ([], ["--thresholds", tmp_path / "thr.csv", "--thresholds-out", tmp_path / "out.csv"]):
+        capsys.readouterr()
+        assert run(*base, *flags) == 1, flags
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
 
 
 def test_vocab_hash_mismatch_is_a_model_error(pol_pipeline, tmp_path):
@@ -435,6 +472,7 @@ def test_corrupt_checkpoint_exits_with_one_line_error(pol_pipeline, capsys):
         "vocab-hash-not-utf8": data.replace(vocab_hash, b"\xff" + vocab_hash[1:], 1),
         "param-name-not-utf8": data.replace(b"tok_emb", b"\xffok_emb", 1),
         "config-zero-heads": data.replace(b"n_heads=2", b"n_heads=0", 1),
+        "config-zero-layers": data.replace(b"n_layers=1", b"n_layers=0", 1),
     }
     for what, mutated in mutations.items():
         assert mutated != data, what
