@@ -15,6 +15,7 @@ import configparser
 import csv
 import hashlib
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -180,7 +181,6 @@ def _pol_records(corpus, configuration: str) -> list[dataio.CorpusRecord]:
             tokens=pol_location_tokens(traj, configuration),
             agent=traj.agent,
             weekday=traj.weekday,
-            label=traj.label,
         )
         for traj in corpus.trajectories
     ]
@@ -254,11 +254,11 @@ def _gen_porto(cfg: RunConfig, out_dir: Path) -> None:
         for i, route in enumerate(routes):
             if i in selected:
                 cells = injectors[kind](route, spec, grid, seed=derive_seed(root, f"inject-{kind}-{i}"))
-                records.append(dataio.CorpusRecord(ids[i], cell_tokens(cells), label="anomalous"))
                 truth.append(dataio.TruthRecord(ids[i], "anomalous", kind, ratio, dist))
             else:
-                records.append(dataio.CorpusRecord(ids[i], cell_tokens(route)))
+                cells = route
                 truth.append(dataio.TruthRecord(ids[i], "normal"))
+            records.append(dataio.CorpusRecord(ids[i], cell_tokens(cells)))
         dataio.write_corpus(out_dir / f"eval_{kind}.jsonl", records, cfg.hash)
         dataio.write_truth(out_dir / f"truth_{kind}.csv", truth, cfg.hash)
         vocab = build_vocab([r.tokens for r in records])
@@ -315,6 +315,11 @@ def cmd_train(args) -> int:
     start_epoch = 0
     if args.resume:
         model = read_checkpoint(args.checkpoint_in or args.out, expected_vocab_hash=vocab.hash())
+        wanted = cfg.model_config(len(vocab))
+        for f in fields(ModelConfig):  # the seed only initialises weights, which are loaded
+            ours, theirs = getattr(wanted, f.name), getattr(model.config, f.name)
+            if f.name != "seed" and ours != theirs:
+                raise ConfigError(f"--resume: config [model] {f.name} = {ours}, but the checkpoint has {theirs}")
         if loss_path is not None and loss_path.exists():
             with decoding(loss_path):
                 lines = loss_path.read_text(encoding="utf-8").splitlines()
@@ -347,21 +352,22 @@ def cmd_train(args) -> int:
 
 
 def cmd_score(args) -> int:
+    if not (args.fit_thresholds or args.thresholds):
+        raise ConfigError("either --thresholds or --fit-thresholds is required")
+    if args.fit_thresholds and args.thresholds:
+        raise ConfigError("--thresholds is an input; write fitted thresholds with --thresholds-out")
+    if args.thresholds_out and not args.fit_thresholds:
+        raise ConfigError("--thresholds-out needs --fit-thresholds")
     cfg = RunConfig.from_path(args.config) if args.config else None
     config_hash = cfg.hash if cfg else "-"
     scope = args.scope or (cfg.get("score", "scope", str, "global") if cfg else "global")
-    if not (args.fit_thresholds or args.thresholds):
-        raise ConfigError("either --thresholds or --fit-thresholds is required")
-    if args.thresholds_out and not args.fit_thresholds:
-        raise ConfigError("--thresholds-out needs --fit-thresholds")
     vocab, model = _load_model(args.checkpoint, args.vocab)
     encoded = _load_encoded(args.corpus, vocab)
     table = None if args.fit_thresholds else dataio.read_thresholds(args.thresholds)
     reports, table = score_corpus(model, encoded, scope, table)
-    out = args.fit_thresholds and (args.thresholds_out or args.thresholds)
-    if out:
-        dataio.write_thresholds(out, table, config_hash)
-        print(f"[score] fitted thresholds -> {out}")
+    if args.thresholds_out:
+        dataio.write_thresholds(args.thresholds_out, table, config_hash)
+        print(f"[score] fitted thresholds -> {args.thresholds_out}")
     dataio.write_scores(args.out, reports, config_hash)
     if args.per_position:
         dataio.write_surprisals(
@@ -413,8 +419,8 @@ def cmd_eval(args) -> int:
 # Experiment reports (ablation, completion-ratio)
 # ---------------------------------------------------------------------------
 
-def _train_eval_pipeline(cfg: RunConfig):
-    """Train/score/eval one tokenized corpus; returns the per-agent table."""
+def _train_eval_pipeline(cfg: RunConfig, truth: dict[str, str]):
+    """Train/score/eval one tokenized corpus against truth; returns the per-agent table."""
 
     def pipeline(records: list[dataio.CorpusRecord]):
         vocab = build_vocab([dataio.full_tokens(r) for r in records])
@@ -422,7 +428,6 @@ def _train_eval_pipeline(cfg: RunConfig):
         encoded = [dataio.encode_record(r, vocab) for r in records]
         train(model, encoded, cfg.train_config())
         reports, _ = score_corpus(model, encoded, "per_agent")
-        truth = {r.traj_id: r.label for r in records}
         return per_agent_eval(reports, truth)
 
     return pipeline
@@ -436,7 +441,8 @@ def cmd_report(args) -> int:
         configurations = cfg.configurations("staypoint,gps,duration")
         corpus = gen_pol_corpus(cfg.world_config())
         corpora = {name: _pol_records(corpus, name) for name in configurations}
-        result = ablation_eval(corpora, _train_eval_pipeline(cfg))
+        truth = {t.traj_id: t.label for t in corpus.trajectories}
+        result = ablation_eval(corpora, _train_eval_pipeline(cfg, truth))
         summary = out_dir / "ablation.csv"
         rows = ([name, entry.average_f1, entry.average_pr_auc] for name, entry in result.items())
         dataio.write_csv(summary, ["configuration", "average_f1", "average_pr_auc"], rows, cfg.hash)
@@ -480,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="trajlm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-data", help="generate a labeled synthetic corpus")
+    p = sub.add_parser("gen-data", help="generate synthetic corpora and their ground-truth files")
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(fn=cmd_gen_data)

@@ -1,9 +1,11 @@
 """File formats shared across the pipeline.
 
 Corpora are line-delimited JSON records
-    {"id": str, "agent": str?, "weekday": str?, "tokens": [str], "label": str}
-where each token string is "kind:value". An optional first record {"_meta":
-{...}} carries the config hash and tool version; readers skip it. CSV
+    {"id": str, "agent": str?, "weekday": str?, "tokens": [str]}
+where each token string is "kind:value". A corpus is model input and holds no
+ground truth, which lives only in the truth CSV. An optional first record
+{"_meta": {...}} carries the config hash and tool version; readers skip it, and
+ignore any other key, such as the answer key that earlier corpora carried. CSV
 artifacts start with a '#' comment line carrying the same provenance;
 `write_csv` writes all of them but the loss log, which training appends to
 one epoch at a time.
@@ -34,7 +36,6 @@ class CorpusRecord:
     tokens: list[Token]
     agent: str | None = None
     weekday: str | None = None
-    label: str = "normal"
 
 
 @dataclass
@@ -61,14 +62,8 @@ def encode_record(rec: CorpusRecord, vocab: Vocab) -> EncodedTrajectory:
     """Agent-conditioned records use [agent, weekday, ...] with no SOT; bare
     location records get SOT framing. EOT is always appended."""
     if rec.agent is not None:
-        return encode(
-            full_tokens(rec), vocab, with_sot=False,
-            traj_id=rec.traj_id, agent=rec.agent, label=rec.label,
-        )
-    return encode(
-        rec.tokens, vocab, with_sot=True,
-        traj_id=rec.traj_id, agent=None, label=rec.label,
-    )
+        return encode(full_tokens(rec), vocab, with_sot=False, traj_id=rec.traj_id, agent=rec.agent)
+    return encode(rec.tokens, vocab, with_sot=True, traj_id=rec.traj_id)
 
 
 def provenance(config_hash: str = "") -> dict[str, str]:
@@ -85,7 +80,6 @@ def write_corpus(path, records: list[CorpusRecord], config_hash: str = "") -> No
             if rec.weekday is not None:
                 obj["weekday"] = rec.weekday
             obj["tokens"] = [str(t) for t in rec.tokens]
-            obj["label"] = rec.label
             fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
@@ -113,7 +107,6 @@ def read_corpus(path) -> list[CorpusRecord]:
                         tokens=[Token.parse(t) for t in obj["tokens"]],
                         agent=obj.get("agent"),
                         weekday=obj.get("weekday"),
-                        label=obj.get("label", "normal"),
                     )
                 )
             except (KeyError, TypeError, DomainError) as e:
@@ -230,7 +223,7 @@ def write_surprisals(path, reports: list[ScoreReport], vocab: Vocab,
 def write_thresholds(path, table: ThresholdTable, config_hash: str = "") -> None:
     rows = []
     if table.global_threshold is not None:
-        rows.append(["global", "", table.global_threshold, *table.provenance["global"]])
+        rows.append(["global", "", table.global_threshold, *table.provenance[None]])
     for agent in sorted(table.per_agent):
         rows.append(["per_agent", agent, table.per_agent[agent], *table.provenance[agent]])
     write_csv(path, THRESHOLDS_HEADER, rows, config_hash)
@@ -247,11 +240,9 @@ def read_thresholds(path) -> ThresholdTable:
         except ValueError as e:
             raise DataError(f"{where}: bad thresholds row {row}: {e}") from e
         if scope == "global":
-            table.global_threshold = value
-            table.provenance["global"] = prov
+            table.global_threshold, table.provenance[None] = value, prov
         else:
-            table.per_agent[agent] = value
-            table.provenance[agent] = prov
+            table.per_agent[agent], table.provenance[agent] = value, prov
     return table
 
 

@@ -9,7 +9,7 @@ verdicts rather than the best threshold in hindsight.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -37,7 +37,6 @@ class EvalReport:
     fp: int
     fn: int
     tn: int
-    config: dict = field(default_factory=dict)
 
 
 def _as_binary(values: Sequence, what: str) -> np.ndarray:

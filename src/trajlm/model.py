@@ -281,27 +281,18 @@ def nll_loss(logp: np.ndarray, targets: np.ndarray, pad_mask: np.ndarray) -> flo
     return float(-(picked * pad_mask).sum() / n_scored)
 
 
-def backward(
-    model: Model,
-    ids: np.ndarray,
-    pad_mask: np.ndarray | None = None,
-) -> tuple[float, dict[str, np.ndarray]]:
+def backward(model: Model, ids: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
     """Loss and exact analytic gradients for next-token prediction on an id batch.
 
-    ids: (n_seq, seq_len); position t predicts ids[:, t + 1]. pad_mask marks
-    which of those targets are scored, shape (n_seq, seq_len - 1); by default
-    every non-PAD target is scored (PAD id is 0).
+    ids: (n_seq, seq_len); position t predicts ids[:, t + 1]. Every non-PAD
+    target is scored (PAD id is 0).
     """
     ids = np.asarray(ids)
     if ids.ndim != 2 or ids.shape[1] < 2:
         raise DomainError(f"need an (n_seq, seq_len>=2) batch, got {ids.shape}")
     inputs_len = ids.shape[1] - 1
     targets = ids[:, 1:]
-    if pad_mask is None:
-        pad_mask = targets != 0
-    pad_mask = np.asarray(pad_mask, dtype=bool)
-    if pad_mask.shape != targets.shape:
-        raise DomainError(f"pad_mask shape {pad_mask.shape} != targets shape {targets.shape}")
+    pad_mask = targets != 0
     n_scored = int(pad_mask.sum())
     if n_scored == 0:
         raise DomainError("all positions are masked; nothing to learn from")

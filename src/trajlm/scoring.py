@@ -52,11 +52,15 @@ class ScoreReport:
 
 @dataclass
 class ThresholdTable:
-    """mean + population-std cutoffs fitted on training perplexities."""
+    """mean + population-std cutoffs fitted on training perplexities.
+
+    provenance holds each fit's (mean, std, count): keyed by agent for the
+    per-agent entries and by None for the global one, which no agent name equals.
+    """
 
     global_threshold: float | None
     per_agent: dict[str, float] = field(default_factory=dict)
-    provenance: dict[str, tuple[float, float, int]] = field(default_factory=dict)
+    provenance: dict[str | None, tuple[float, float, int]] = field(default_factory=dict)
 
     def threshold_for(self, scope: str, agent: str | None = None) -> float:
         if scope == "global":
@@ -108,7 +112,7 @@ def compute_thresholds(
     """
     ppls = np.asarray(ppls, dtype=np.float64)
     if group_by_agent and (agents is None or len(agents) != len(ppls)):
-        raise DomainError("group_by_agent requires one agent label per perplexity")
+        raise DomainError("group_by_agent requires one agent per perplexity")
 
     def fit(values: np.ndarray, name: str) -> tuple[float, tuple[float, float, int]] | None:
         if len(values) < 2:
@@ -121,7 +125,7 @@ def compute_thresholds(
     table = ThresholdTable(global_threshold=None)
     fitted = fit(ppls, "global")
     if fitted is not None:
-        table.global_threshold, table.provenance["global"] = fitted
+        table.global_threshold, table.provenance[None] = fitted
     if group_by_agent:
         for agent in sorted({a for a in agents if a is not None}):
             vals = ppls[[i for i, a in enumerate(agents) if a == agent]]

@@ -151,7 +151,6 @@ class EncodedTrajectory:
     prefix_len: int
     traj_id: str | None = None
     agent: str | None = None
-    label: str | None = None
 
     def __post_init__(self) -> None:
         if not self.ids:
@@ -170,7 +169,6 @@ def encode(
     with_sot: bool = False,
     traj_id: str | None = None,
     agent: str | None = None,
-    label: str | None = None,
 ) -> EncodedTrajectory:
     """Encode tokens to ids, optionally after SOT, always followed by EOT.
 
@@ -188,9 +186,7 @@ def encode(
     ids.append(EOT_ID)
     # The sequence head conditions everything else and is itself never scored,
     # so even a bare location sequence has a conditioning prefix of one.
-    return EncodedTrajectory(
-        ids=ids, prefix_len=max(prefix_len, 1), traj_id=traj_id, agent=agent, label=label
-    )
+    return EncodedTrajectory(ids=ids, prefix_len=max(prefix_len, 1), traj_id=traj_id, agent=agent)
 
 
 def bucket_duration(seconds: float) -> Token:

@@ -66,7 +66,7 @@ def pol_run():
     records = _pol_records(corpus, "staypoint")
     vocab, model, encoded = _train_pol(records, d_model=64, d_ff=128, epochs=30, seed=1)
     reports, table = score_corpus(model, encoded, scope="per_agent")
-    truth = {r.traj_id: r.label for r in records}
+    truth = {t.traj_id: t.label for t in corpus.trajectories}
     return dict(corpus=corpus, records=records, vocab=vocab, model=model,
                 encoded=encoded, table=table, reports=reports, truth=truth)
 
@@ -91,10 +91,12 @@ def route_run():
         for i, route in enumerate(routes):
             if i in selected:
                 cells = injector(route, spec, grid, seed=derive_seed(root, f"inject-{kind}-{i}"))
-                recs.append(dataio.CorpusRecord(ids[i], cell_tokens(cells), label="anomalous"))
             else:
-                recs.append(dataio.CorpusRecord(ids[i], cell_tokens(route)))
+                cells = route
+            recs.append(dataio.CorpusRecord(ids[i], cell_tokens(cells)))
         eval_records[kind] = recs
+    labels = {ids[i]: "anomalous" if i in selected else "normal" for i in range(len(routes))}
+    truth = {kind: labels for kind in eval_records}  # both kinds plant anomalies in the same routes
     train_records = [dataio.CorpusRecord(ids[i], cell_tokens(routes[i]))
                      for i in range(len(routes)) if i not in selected]
     all_seqs = [r.tokens for r in train_records]
@@ -112,7 +114,6 @@ def route_run():
         kind: [dataio.encode_record(r, vocab) for r in recs]
         for kind, recs in eval_records.items()
     }
-    truth = {kind: {r.traj_id: r.label for r in recs} for kind, recs in eval_records.items()}
     return dict(model=model, vocab=vocab, table=table, enc_eval=enc_eval, truth=truth)
 
 
@@ -417,7 +418,7 @@ def test_c11_ablation():
     def pipeline(records):
         vocab, model, encoded = _train_pol(records, d_model=48, d_ff=96, epochs=35, seed=5)
         reports, _ = score_corpus(model, encoded, scope="per_agent")
-        return per_agent_eval(reports, {r.traj_id: r.label for r in records})
+        return per_agent_eval(reports, {t.traj_id: t.label for t in corpus.trajectories})
 
     corpora = {name: _pol_records(corpus, name) for name in ("staypoint", "gps", "duration")}
     result = ablation_eval(corpora, pipeline)

@@ -2,6 +2,7 @@ import csv
 import io
 from collections import Counter
 import re
+import shlex
 import sys
 from pathlib import Path
 
@@ -9,12 +10,13 @@ import pytest
 
 from trajlm import dataio
 from trajlm.checkpoint import read_checkpoint
-from trajlm.cli import RunConfig, main
+from trajlm.cli import RunConfig, build_parser, main
 from trajlm.errors import ConfigError
 from trajlm.scoring import ScoreReport, token_log_probs
 from trajlm.vocab import Vocab
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+README = CONFIGS.parent / "README.md"
 
 POL_TINY = """\
 [run]
@@ -130,10 +132,11 @@ def test_gen_data_pol_counts_and_determinism(pol_config, tmp_path):
     assert run("gen-data", "--config", pol_config, "--out-dir", d2) == 0
     records = dataio.read_corpus(d1 / "corpus_staypoint.jsonl")
     assert len(records) == 32
-    assert sum(1 for r in records if r.label == "anomalous") == 2
     assert (d1 / "corpus_staypoint.jsonl").read_bytes() == (d2 / "corpus_staypoint.jsonl").read_bytes()
+    assert b'"label"' not in (d1 / "corpus_staypoint.jsonl").read_bytes()
     assert (d1 / "truth.csv").read_bytes() == (d2 / "truth.csv").read_bytes()
     truth = dataio.read_truth(d1 / "truth.csv")
+    assert list(truth) == [r.traj_id for r in records]
     planted = [t for t in truth.values() if t.label == "anomalous"]
     assert len(planted) == 2 and all(t.kind == "skip_routine" and t.pos is not None for t in planted)
 
@@ -143,13 +146,15 @@ def test_gen_data_porto_layout(porto_config, tmp_path):
     assert run("gen-data", "--config", porto_config, "--out-dir", out) == 0
     train = dataio.read_corpus(out / "train.jsonl")
     assert len(train) == 14  # 16 routes - 2 held out
-    assert all(r.label == "normal" for r in train)
     for kind in ("random_shift", "detour"):
         ev = dataio.read_corpus(out / f"eval_{kind}.jsonl")
         assert len(ev) == 16
-        assert sum(1 for r in ev if r.label == "anomalous") == 2
+        assert b'"label"' not in (out / f"eval_{kind}.jsonl").read_bytes()
         truth = dataio.read_truth(out / f"truth_{kind}.csv")
-        assert sum(1 for t in truth.values() if t.label == "anomalous") == 2
+        assert list(truth) == [r.traj_id for r in ev]
+        anomalous = {t.traj_id for t in truth.values() if t.label == "anomalous"}
+        assert len(anomalous) == 2
+        assert not anomalous & {r.traj_id for r in train}  # held out of training
 
 
 @pytest.fixture
@@ -185,6 +190,24 @@ def test_train_resume_continues_loss_log(pol_pipeline):
     rows = [l for l in p["loss"].read_text().splitlines() if l and not l.startswith(("#", "epoch"))]
     assert len(rows) == 4
     assert [int(r.split(",")[0]) for r in rows] == [0, 1, 2, 3]
+
+
+def test_train_resume_rejects_another_architecture(pol_pipeline, capsys):
+    p = pol_pipeline
+    wider = p["tmp"] / "wider.ini"
+    wider.write_text(POL_TINY.replace("d_model = 16", "d_model = 32"))
+    before, log = p["ckpt"].read_bytes(), p["loss"].read_bytes()
+    capsys.readouterr()
+    assert run("train", "--config", wider, "--corpus", p["corpus"], "--vocab", p["vocab"],
+               "--out", p["ckpt"], "--loss-log", p["loss"], "--resume") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "d_model" in err
+    assert p["ckpt"].read_bytes() == before and p["loss"].read_bytes() == log
+    # the seed is not architecture: a resumed model keeps its loaded weights
+    reseeded = p["tmp"] / "reseeded.ini"
+    reseeded.write_text(POL_TINY.replace("seed = 3", "seed = 4"))
+    assert run("train", "--config", reseeded, "--corpus", p["corpus"], "--vocab", p["vocab"],
+               "--out", p["ckpt"], "--resume") == 0
 
 
 def test_score_fit_thresholds_and_eval_composability(pol_pipeline):
@@ -445,7 +468,8 @@ def test_score_threshold_flags_are_checked_before_loading(tmp_path, capsys):
     missing = tmp_path / "missing"
     base = ["score", "--checkpoint", missing / "m.ckpt", "--vocab", missing / "v.tsv",
             "--corpus", missing / "c.jsonl", "--out", tmp_path / "s.csv"]
-    for flags in ([], ["--thresholds", tmp_path / "thr.csv", "--thresholds-out", tmp_path / "out.csv"]):
+    for flags in ([], ["--thresholds", tmp_path / "thr.csv", "--thresholds-out", tmp_path / "out.csv"],
+                  ["--fit-thresholds", "--thresholds", tmp_path / "thr.csv"]):
         capsys.readouterr()
         assert run(*base, *flags) == 1, flags
         err = capsys.readouterr().err
@@ -504,7 +528,9 @@ def test_shipped_pol_preset_counts(tmp_path):
     assert run("gen-data", "--config", CONFIGS / "pol.ini", "--out-dir", out) == 0
     records = dataio.read_corpus(out / "corpus_staypoint.jsonl")
     assert len(records) == 50 * 100
-    assert sum(1 for r in records if r.label == "anomalous") == 5 * 14
+    truth = dataio.read_truth(out / "truth.csv")
+    assert list(truth) == [r.traj_id for r in records]
+    assert sum(1 for t in truth.values() if t.label == "anomalous") == 5 * 14
 
 
 def test_shipped_porto_preset_od_groups(tmp_path):
@@ -524,3 +550,28 @@ def test_artifacts_embed_config_hash(pol_pipeline):
     loss_head = p["loss"].read_text().splitlines()[0]
     assert loss_head.startswith("# config_hash=")
     assert b"config_hash" in p["ckpt"].read_bytes()
+
+
+def readme_commands() -> list[list[str]]:
+    """The argv of every `trajlm ...` command in README's sh blocks: backslash
+    continuations are joined and any text before `trajlm` (a pipe) is dropped."""
+    blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(encoding="utf-8"), flags=re.M | re.S)
+    lines = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()]
+    return [shlex.split(line[line.index("trajlm "):])[1:] for line in lines if "trajlm " in line]
+
+
+def test_readme_commands_parse(capsys):
+    """Each README command parses, and spells every flag in full: argparse would
+    also accept a prefix of a flag, which hides a rename."""
+    commands = readme_commands()
+    assert len(commands) == 10
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: trajlm {shlex.join(argv)}")
+        capsys.readouterr()
+        assert run(argv[0], "--help") == 0
+        flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        assert {a for a in argv if a.startswith("--")} <= flags, argv

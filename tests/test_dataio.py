@@ -1,7 +1,8 @@
 import pytest
 
 from trajlm import dataio
-from trajlm.scoring import ScoreReport, ThresholdTable
+from trajlm.scoring import ScoreReport, ThresholdTable, compute_thresholds
+from trajlm.vocab import Token
 
 TRUTH = [
     dataio.TruthRecord("r1", "anomalous", "detour", 0.3, 3),
@@ -15,7 +16,7 @@ SCORES = [
 TABLE = ThresholdTable(
     global_threshold=9.75,
     per_agent={"a,1": 4.5, "b": 0.1 + 0.2},
-    provenance={"global": (8.0, 1.75, 30), "a,1": (4.0, 0.5, 10), "b": (0.25, 0.05, 3)},
+    provenance={None: (8.0, 1.75, 30), "a,1": (4.0, 0.5, 10), "b": (0.25, 0.05, 3)},
 )
 
 
@@ -52,3 +53,31 @@ def test_readers_accept_crlf_rows(tmp_path, write, read, value):
     crlf = _crlf(path)
     assert crlf.read_bytes().count(b"\r\n") == path.read_bytes().count(b"\n") - 1
     assert read(crlf) == read(path)
+
+
+def test_read_corpus_ignores_a_label_key(tmp_path):
+    """Corpora carry no ground truth; a line from an earlier version still holding
+    "label" loads like any other, and writing it back drops the key."""
+    path = tmp_path / "old.jsonl"
+    path.write_text(
+        '{"agent": "a", "id": "t1", "label": "anomalous", "tokens": ["staypoint:home"], "weekday": "Monday"}\n'
+        '{"id": "t2", "label": "normal", "tokens": ["cell:1,2"]}\n'
+    )
+    records = dataio.read_corpus(path)
+    assert records == [
+        dataio.CorpusRecord("t1", [Token("staypoint", "home")], agent="a", weekday="Monday"),
+        dataio.CorpusRecord("t2", [Token("cell", "1,2")]),
+    ]
+    again = tmp_path / "new.jsonl"
+    dataio.write_corpus(again, records)
+    assert dataio.read_corpus(again) == records and '"label"' not in again.read_text()
+
+
+def test_agent_named_global_keeps_its_own_threshold_provenance(tmp_path):
+    table = compute_thresholds([10.0, 12.0, 1.0, 2.0, 3.0], ["a", "a", "global", "global", "global"],
+                               group_by_agent=True)
+    assert table.provenance[None] == (5.6, pytest.approx(4.498888752), 5)
+    assert table.provenance["global"] == (2.0, pytest.approx(0.816496581), 3)
+    path = tmp_path / "thresholds.csv"
+    dataio.write_thresholds(path, table, "h")
+    assert dataio.read_thresholds(path) == table

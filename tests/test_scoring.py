@@ -127,7 +127,7 @@ def test_compute_thresholds_closed_forms():
     assert table.global_threshold == 1.0
     table = compute_thresholds([2.0, 4.0])
     assert table.global_threshold == 4.0  # mean 3 + population std 1
-    assert table.provenance["global"] == (3.0, 1.0, 2)
+    assert table.provenance[None] == (3.0, 1.0, 2)
 
 
 def test_compute_thresholds_population_std():
@@ -230,6 +230,6 @@ def test_score_corpus_fits_thresholds_on_its_own_perplexities():
     assert sorted(table.per_agent) == ["a", "b"]
     assert [r.threshold for r in reports] == [table.per_agent[a] for a in agents]
     reports, table = score_corpus(m, corpus, scope="global")
-    assert table.per_agent == {} and set(table.provenance) == {"global"}
+    assert table.per_agent == {} and set(table.provenance) == {None}
     assert table == compute_thresholds(ppls)
     assert all(r.threshold == table.global_threshold for r in reports)
