@@ -19,7 +19,7 @@ from .errors import (
     VocabError,
 )
 from .grid import CellId, GridSpec, shift_cell, to_cell
-from .model import Model, ModelConfig, backward, forward, init_model, nll_loss
+from .model import Model, ModelConfig, backward, init_model, nll_loss
 from .dataio import TOOL_VERSION as __version__
 from .checkpoint import load_checkpoint, read_checkpoint, save_checkpoint, write_checkpoint
 from .online import Session, open_session, partial_verdict

@@ -363,6 +363,8 @@ def cmd_score(args) -> int:
     scope = args.scope or (cfg.get("score", "scope", str, "global") if cfg else "global")
     vocab, model = _load_model(args.checkpoint, args.vocab)
     encoded = _load_encoded(args.corpus, vocab)
+    if not encoded:
+        raise DataError(f"{args.corpus}: no trajectories to score")
     table = None if args.fit_thresholds else dataio.read_thresholds(args.thresholds)
     reports, table = score_corpus(model, encoded, scope, table)
     if args.thresholds_out:
@@ -477,6 +479,12 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
+    """Every flag must be spelt in full: no prefix of a flag is accepted for it.
+    build_parser's subparsers are of this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):  # usage errors exit 1, not argparse's default 2
         self.print_usage(sys.stderr)
         raise SystemExit(EXIT_USAGE)

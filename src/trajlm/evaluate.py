@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DomainError
 from .model import Model
 from .online import open_session
-from .scoring import ScoreReport, ThresholdTable, classify, perplexity
+from .scoring import ScoreReport, ThresholdTable, classify, perplexity, score_corpus
 from .vocab import EncodedTrajectory
 
 
@@ -177,13 +177,21 @@ def completion_ratio_eval(
     table: ThresholdTable,
 ) -> dict[float, tuple[float, float]]:
     """(F1, PR-AUC) per completion ratio, scoring only each trajectory's prefix
-    against the global threshold."""
+    against the global threshold.
+
+    Ratio 1.0 is one score_corpus call, the same chunks `trajlm score` makes on
+    this corpus, so it equals batch scoring bit for bit; partial ratios go
+    through prefix_perplexity.
+    """
     out: dict[float, tuple[float, float]] = {}
     for ratio in ratios:
-        reports = [
-            classify(traj.traj_id, prefix_perplexity(model, traj, ratio), table, agent=traj.agent)
-            for traj in corpus
-        ]
+        if ratio == 1.0:
+            reports, _ = score_corpus(model, corpus, table=table)
+        else:
+            reports = [
+                classify(traj.traj_id, prefix_perplexity(model, traj, ratio), table, agent=traj.agent)
+                for traj in corpus
+            ]
         rep = global_eval(reports, truth)
         out[float(ratio)] = (rep.f1, rep.pr_auc)
     return out

@@ -251,12 +251,6 @@ def forward_batch(
     return logits, cache
 
 
-def forward(model: Model, ids) -> np.ndarray:
-    """Logits for one id sequence, shape (seq_len, vocab_size); inference mode."""
-    logits, _ = forward_batch(model, np.asarray(ids, dtype=np.int64)[None, :])
-    return logits[0]
-
-
 def log_softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))

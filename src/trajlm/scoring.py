@@ -6,9 +6,14 @@ token (agent id or SOT) only conditions and is never itself a prediction
 target. Perplexity is exp of the mean surprisal over those scored positions,
 so a perfectly predicted trajectory scores exactly 1.
 
-`score_corpus` is the one batch entry point: one surprisal trace per trajectory
-gives its perplexity, threshold fit, verdict and localization. `perplexity` and
-`score_corpus` share one formula, `SurprisalTrace.perplexity`, so they agree bit for bit.
+`token_log_probs` is the one scoring kernel: one forward call over a batch of
+equal-length id rows. `score_corpus` is the batch entry point. It groups the
+corpus by length and makes one forward call per exact-length chunk of at most
+CHUNK_TOKENS positions; `surprisal` and `perplexity` call the same kernel with
+one row. No row is padded, so a trajectory's trace is the same bits in any chunk,
+and `perplexity` and `score_corpus` agree bit for bit through the one formula,
+`SurprisalTrace.perplexity`. One trace per trajectory gives its perplexity,
+threshold fit, verdict and localization.
 """
 
 from __future__ import annotations
@@ -19,8 +24,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .model import Model, forward, log_softmax
+from .model import Model, forward_batch, log_softmax
 from .vocab import EncodedTrajectory
+
+# Forward positions per score_corpus chunk. It bounds a chunk's activations: a
+# larger cap makes fewer calls but grows peak memory and runs no faster.
+CHUNK_TOKENS = 256
 
 
 @dataclass
@@ -78,20 +87,23 @@ class ThresholdTable:
         raise DomainError(f"scope must be 'global' or 'per_agent', got {scope!r}")
 
 
-def token_log_probs(model: Model, traj: EncodedTrajectory) -> np.ndarray:
-    """log P(ids[i+1] | ids[..i]) for every scored transition, in nats (all <= 0)."""
-    ids = np.asarray(traj.ids, dtype=np.int64)
-    if len(ids) < 2:
-        raise DomainError("trajectory has no scored transitions")
-    logits = forward(model, ids[:-1])
-    logp = log_softmax(logits)
-    return logp[np.arange(len(ids) - 1), ids[1:]]
+def token_log_probs(model: Model, ids) -> np.ndarray:
+    """log P(ids[r, i+1] | ids[r, ..i]) in nats (all <= 0) for an (n, t) batch of
+    equal-length id rows, t >= 2; returns (n, t - 1), one forward call for all rows."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.ndim != 2 or ids.shape[1] < 2:
+        raise DomainError(f"expected (n, t >= 2) id rows with a scored transition, got shape {ids.shape}")
+    logits, _ = forward_batch(model, ids[:, :-1])
+    return np.take_along_axis(log_softmax(logits), ids[:, 1:, None], axis=-1)[..., 0]
+
+
+def _trace(log_probs: np.ndarray) -> SurprisalTrace:
+    return SurprisalTrace(values=-log_probs, target_positions=list(range(1, len(log_probs) + 1)))
 
 
 def surprisal(model: Model, traj: EncodedTrajectory) -> SurprisalTrace:
     """Negated log-probabilities with the sequence position of each scored token."""
-    lp = token_log_probs(model, traj)
-    return SurprisalTrace(values=-lp, target_positions=list(range(1, len(traj.ids))))
+    return _trace(token_log_probs(model, [traj.ids])[0])
 
 
 def perplexity(model: Model, traj: EncodedTrajectory) -> float:
@@ -160,11 +172,31 @@ def score_corpus(model: Model, corpus: list[EncodedTrajectory], scope: str = "gl
                  table: ThresholdTable | None = None) -> tuple[list[ScoreReport], ThresholdTable]:
     """Score every trajectory from one surprisal trace each; returns (reports, table).
 
-    With table None, thresholds are fitted on these same perplexities, with
-    per-agent entries under scope 'per_agent' for the agents the corpus has.
-    Every report carries its trace.
+    Trajectories are grouped by length and each group is scored in chunks of
+    CHUNK_TOKENS // (length - 1) rows (at least one), one token_log_probs call
+    per chunk; reports come back in corpus order. Every trajectory is checked
+    against the model's max_seq_len before the first forward call. With table
+    None, thresholds are fitted on these same perplexities, with per-agent
+    entries under scope 'per_agent' for the agents the corpus has. Every
+    report carries its trace.
     """
-    traces = [surprisal(model, t) for t in corpus]
+    max_len = model.config.max_seq_len + 1  # the last id is only ever a target
+    by_length: dict[int, list[int]] = {}
+    for i, t in enumerate(corpus):
+        if len(t.ids) > max_len:
+            raise DomainError(
+                f"trajectory {t.traj_id!r} has {len(t.ids)} tokens; "
+                f"this model scores at most {max_len} (max_seq_len {model.config.max_seq_len})"
+            )
+        by_length.setdefault(len(t.ids), []).append(i)
+    traces: list[SurprisalTrace | None] = [None] * len(corpus)
+    for length, members in by_length.items():
+        rows = max(1, CHUNK_TOKENS // (length - 1))
+        for start in range(0, len(members), rows):
+            chunk = members[start:start + rows]
+            log_probs = token_log_probs(model, [corpus[i].ids for i in chunk])
+            for i, lp in zip(chunk, log_probs):
+                traces[i] = _trace(lp)
     ppls = [trace.perplexity for trace in traces]
     if table is None:
         table = compute_thresholds(ppls, [t.agent for t in corpus], group_by_agent=scope == "per_agent")

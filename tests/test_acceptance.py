@@ -250,7 +250,7 @@ def test_c04_online_batch_equivalence():
         n = int(rng.integers(3, 44))
         ids = [int(x) for x in rng.integers(1, 50, size=n)]
         enc = EncodedTrajectory(ids=ids, prefix_len=1)
-        batch_lp = token_log_probs(model, enc)
+        batch_lp = token_log_probs(model, [ids])[0]
         session = open_session(model, ids[:1])
         inc = np.array([session.push(tok)[0] for tok in ids[1:]])
         worst_tok = max(worst_tok, float(np.max(np.abs(inc + batch_lp) / np.abs(batch_lp))))

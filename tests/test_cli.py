@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 from collections import Counter
 import re
 import shlex
@@ -266,7 +267,7 @@ def assert_stream_matches_batch(p, thresholds, monkeypatch, capsys):
     5-field CSV row per pushed token, naming that token, with the batch scorer's surprisal."""
     vocab = Vocab.load(p["vocab"])
     enc = dataio.encode_record(dataio.read_corpus(p["corpus"])[0], vocab)
-    batch = token_log_probs(read_checkpoint(p["ckpt"]), enc)
+    batch = token_log_probs(read_checkpoint(p["ckpt"]), [enc.ids])[0]
     head, *tokens = [str(vocab.token(i)) for i in enc.ids]
     monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(tokens) + "\n"))
     capsys.readouterr()
@@ -475,6 +476,51 @@ def test_score_threshold_flags_are_checked_before_loading(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
     assert not list(tmp_path.iterdir())
+
+
+def assert_score_fails(p, corpus, code, message, capsys):
+    """`score --fit-thresholds` on corpus exits with code and one `error:` line
+    holding message, and writes none of its three outputs."""
+    outs = [p["tmp"] / name for name in ("fail_scores.csv", "fail_thr.csv", "fail_pos.csv")]
+    capsys.readouterr()
+    assert run("score", "--config", p["config"], "--checkpoint", p["ckpt"], "--vocab", p["vocab"],
+               "--corpus", corpus, "--out", outs[0], "--fit-thresholds", "--thresholds-out", outs[1],
+               "--per-position", outs[2]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and message in err, err
+    assert not [f for f in outs if f.exists()]
+
+
+def test_score_names_the_trajectory_longer_than_the_model(pol_pipeline, capsys):
+    p = pol_pipeline
+    lines = p["corpus"].read_text().splitlines()
+    record = json.loads(lines[-1])
+    record["tokens"] *= 3
+    lines[-1] = json.dumps(record)
+    corpus = p["tmp"] / "long.jsonl"
+    corpus.write_text("\n".join(lines) + "\n")
+    n_ids = 1 + 1 + len(record["tokens"]) + 1  # agent, weekday, locations, EOT
+    assert n_ids > 17  # max_seq_len 16 scores at most 17 ids
+    assert_score_fails(p, corpus, 2, f"trajectory {record['id']!r} has {n_ids} tokens", capsys)
+
+
+def test_score_rejects_an_empty_corpus(pol_pipeline, capsys):
+    p = pol_pipeline
+    corpus = p["tmp"] / "empty.jsonl"
+    corpus.write_text(p["corpus"].read_text().splitlines()[0] + "\n")  # the provenance line only
+    assert dataio.read_corpus(corpus) == []
+    assert_score_fails(p, corpus, 2, f"error: {corpus}: no trajectories to score", capsys)
+
+
+def test_flag_prefixes_are_not_accepted(pol_pipeline, capsys):
+    p = pol_pipeline
+    argv = ["train", "--config", p["config"], "--corpus", p["corpus"], "--vocab", p["vocab"],
+            "--out", p["tmp"] / "abbrev.ckpt"]
+    capsys.readouterr()
+    assert run(*argv, "--loss", p["tmp"] / "abbrev_loss.csv") == 1  # a prefix of --loss-log
+    assert capsys.readouterr().err.startswith("usage: trajlm")
+    assert not (p["tmp"] / "abbrev.ckpt").exists()
+    assert run(*argv, "--loss-log", p["tmp"] / "abbrev_loss.csv") == 0
 
 
 def test_vocab_hash_mismatch_is_a_model_error(pol_pipeline, tmp_path):

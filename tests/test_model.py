@@ -7,7 +7,6 @@ from trajlm.errors import ConfigError, DomainError
 from trajlm.model import (
     ModelConfig,
     backward,
-    forward,
     forward_batch,
     init_model,
     log_softmax,
@@ -22,6 +21,11 @@ TINY = ModelConfig(vocab_size=20, d_model=8, n_heads=2, n_layers=2, d_ff=16, max
 
 def tiny_model():
     return init_model(TINY)
+
+
+def _logits(model, ids):
+    """Logits of one id sequence, (seq_len, vocab_size): row 0 of a one-row forward_batch."""
+    return forward_batch(model, np.asarray(ids)[None])[0][0]
 
 
 def test_init_deterministic():
@@ -141,12 +145,12 @@ def test_multi_head_zero_output_projection():
     m = tiny_model()
     for i in range(TINY.n_layers):
         m.params[f"layers.{i}.attn.wo"][:] = 0.0
-    ref = forward(m, [3, 4, 5, 6])
+    ref = _logits(m, [3, 4, 5, 6])
     rng = np.random.default_rng(6)
     for i in range(TINY.n_layers):
         for w in ("wq", "wk", "wv"):
             m.params[f"layers.{i}.attn.{w}"] = rng.normal(size=(TINY.d_model, TINY.d_model))
-    assert np.array_equal(forward(m, [3, 4, 5, 6]), ref)
+    assert np.array_equal(_logits(m, [3, 4, 5, 6]), ref)
 
 
 # --- feed-forward (activations collected by forward_batch) --------------------
@@ -156,11 +160,11 @@ def test_ffn_zeros():
     for i in range(TINY.n_layers):
         for name in ("w1", "b1", "w2", "b2"):
             m.params[f"layers.{i}.ffn.{name}"][:] = 0.0
-    ref = forward(m, [3, 4, 5])
+    ref = _logits(m, [3, 4, 5])
     for lc in _layers(m, [[3, 4, 5]]):
         assert np.all(lc["relu"] == 0.0)
     m.params["layers.0.ffn.w2"][:] = 1.0  # multiplies all-zero activations
-    assert np.array_equal(forward(m, [3, 4, 5]), ref)
+    assert np.array_equal(_logits(m, [3, 4, 5]), ref)
 
 
 def test_ffn_relu_kills_negative_preactivations():
@@ -196,17 +200,17 @@ def test_forward_causality_bit_exact():
     m = tiny_model()
     rng = np.random.default_rng(7)
     base = rng.integers(1, 20, size=6)
-    ref = forward(m, base)
+    ref = _logits(m, base)
     for j in range(1, 6):
         mutated = base.copy()
         mutated[j] = (mutated[j] % 19) + 1
-        out = forward(m, mutated)
+        out = _logits(m, mutated)
         assert np.array_equal(ref[:j], out[:j])
 
 
 def test_forward_softmax_normalization():
     m = tiny_model()
-    logits = forward(m, [3, 4, 5, 6])
+    logits = _logits(m, [3, 4, 5, 6])
     probs = np.exp(logits - logits.max(axis=-1, keepdims=True))
     probs /= probs.sum(axis=-1, keepdims=True)
     assert np.allclose(probs.sum(axis=-1), 1.0, atol=1e-6)
@@ -214,21 +218,21 @@ def test_forward_softmax_normalization():
 
 def test_forward_deterministic():
     m = tiny_model()
-    assert np.array_equal(forward(m, [1, 2, 3]), forward(m, [1, 2, 3]))
+    assert np.array_equal(_logits(m, [1, 2, 3]), _logits(m, [1, 2, 3]))
 
 
 def test_forward_rejects_overlong_and_bad_ids():
     m = tiny_model()
     with pytest.raises(DomainError):
-        forward(m, list(range(1, 10)))
+        _logits(m, list(range(1, 10)))
     with pytest.raises(DomainError):
-        forward(m, [1, 25])
+        _logits(m, [1, 25])
 
 
 def test_forward_positional_embeddings_are_live():
     m = tiny_model()
-    a = forward(m, [3, 4, 5])
-    b = forward(m, [5, 4, 3])
+    a = _logits(m, [3, 4, 5])
+    b = _logits(m, [5, 4, 3])
     assert not np.allclose(a[-1], b[-1])
 
 

@@ -52,7 +52,7 @@ def test_push_matches_batch_scorer(model):
         n = int(rng.integers(4, CFG.max_seq_len))
         ids = [int(x) for x in rng.integers(1, CFG.vocab_size, size=n)]
         enc = EncodedTrajectory(ids=ids, prefix_len=1)
-        batch_lp = token_log_probs(model, enc)
+        batch_lp = token_log_probs(model, [ids])[0]
         s = open_session(model, ids[:1])
         surprisals = [s.push(tok)[0] for tok in ids[1:]]
         rel = np.abs(np.array(surprisals) + batch_lp) / np.abs(batch_lp)
@@ -80,7 +80,7 @@ def test_cache_matches_full_forward_kv(model):
 
 def test_prefill_then_push_matches_batch(model):
     ids = [int(x) for x in np.random.default_rng(11).integers(1, CFG.vocab_size, size=20)]
-    batch_lp = token_log_probs(model, EncodedTrajectory(ids=ids, prefix_len=1))
+    batch_lp = token_log_probs(model, [ids])[0]
     k = 5
     s = open_session(model, ids[:k])  # one cached call with t_new = 5
     surprisals = np.array([s.push(tok)[0] for tok in ids[k:]])

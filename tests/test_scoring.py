@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from trajlm import scoring
 from trajlm.errors import DomainError
 from trajlm.model import ModelConfig, init_model
 from trajlm.scoring import (
+    CHUNK_TOKENS,
     classify,
     compute_thresholds,
     perplexity,
@@ -51,24 +53,22 @@ def traj(ids, **kw):
 
 def test_log_probs_uniform_model():
     m = uniform_model(10)
-    lp = token_log_probs(m, traj([1, 3, 4, 5]))
+    lp = token_log_probs(m, [[1, 3, 4, 5]])[0]
     assert np.allclose(lp, -math.log(10), atol=1e-12)
 
 
 def test_log_probs_are_nonpositive_and_cover_all_transitions():
     m = uniform_model(8)
     t = traj([3, 4, 5, 6, 2])
-    lp = token_log_probs(m, t)
+    lp = token_log_probs(m, [t.ids])[0]
     assert len(lp) == len(t.ids) - 1  # head is context only; EOT is scored
     assert np.all(lp <= 0)
 
 
 def test_log_probs_needs_a_transition():
     m = uniform_model(8)
-    degenerate = EncodedTrajectory.__new__(EncodedTrajectory)
-    degenerate.ids = [3]  # unreachable through encode(); defensive check still fires
     with pytest.raises(DomainError):
-        token_log_probs(m, degenerate)
+        token_log_probs(m, [[3]])  # unreachable through encode(); defensive check still fires
 
 
 def test_surprisal_probability_one_and_one_over_e():
@@ -119,7 +119,7 @@ def test_memorized_corpus_log_probs_near_zero():
     m = init_model(cfg)
     train(m, corpus, TrainConfig(n_epochs=150, batch_size=6, learning_rate=3e-3, seed=1))
     for t in corpus:
-        assert np.all(token_log_probs(m, t) > -0.2)
+        assert np.all(token_log_probs(m, [t.ids])[0] > -0.2)
 
 
 def test_compute_thresholds_closed_forms():
@@ -213,6 +213,54 @@ def test_score_corpus_perplexity_is_bit_identical_to_perplexity():
     for t, report in zip(corpus, reports):
         assert report.perplexity == perplexity(m, t)
         assert report.perplexity == np.exp(np.mean(report.surprisal.values))
+
+
+def mixed_length_corpus():
+    """Shuffled trajectories whose length groups span one chunk, several chunks,
+    and rows longer than a whole chunk, with the model that scores them."""
+    cfg = ModelConfig(vocab_size=20, d_model=8, n_heads=2, n_layers=1, d_ff=16, max_seq_len=300, seed=5)
+    rng = np.random.default_rng(29)
+    lengths = [2] * 3 + [9] * 70 + [33] * 20 + [40] * 7 + [301] * 2
+    rng.shuffle(lengths)
+    corpus = [traj(rng.integers(1, 20, size=n), traj_id=f"t{i}") for i, n in enumerate(lengths)]
+    return init_model(cfg), corpus
+
+
+def test_score_corpus_chunks_match_one_row_traces_in_input_order():
+    m, corpus = mixed_length_corpus()
+    assert 70 * 8 > CHUNK_TOKENS  # the length-9 group needs more than one chunk
+    reports, _ = score_corpus(m, corpus)
+    assert [r.traj_id for r in reports] == [t.traj_id for t in corpus]
+    for t, report in zip(corpus, reports):
+        alone = surprisal(m, t)
+        assert np.array_equal(report.surprisal.values, alone.values)
+        assert report.surprisal.target_positions == alone.target_positions
+        assert report.perplexity == alone.perplexity
+
+
+def test_score_corpus_makes_one_forward_call_per_exact_length_chunk(monkeypatch):
+    m, corpus = mixed_length_corpus()
+    shapes = []
+    real = scoring.forward_batch
+
+    def counting(model, ids, *args, **kwargs):
+        shapes.append(np.shape(ids))
+        return real(model, ids, *args, **kwargs)
+
+    monkeypatch.setattr(scoring, "forward_batch", counting)
+    score_corpus(m, corpus)
+    members = {n: sum(len(t.ids) == n for t in corpus) for n in {len(t.ids) for t in corpus}}
+    rows = {n: max(1, CHUNK_TOKENS // (n - 1)) for n in members}
+    assert len(shapes) == sum(math.ceil(members[n] / rows[n]) for n in members) == 1 + 3 + 3 + 2 + 2
+    assert all(r * t <= CHUNK_TOKENS or r == 1 for r, t in shapes)
+
+
+def test_score_corpus_names_an_overlong_trajectory_before_any_forward_call(monkeypatch):
+    m = uniform_model(8, max_seq_len=4)
+    monkeypatch.setattr(scoring, "forward_batch", lambda *a, **k: pytest.fail("forward call made"))
+    corpus = [traj([1, 3, 4, 5, 6], traj_id="fits"), traj([1, 3, 4, 5, 6, 7], traj_id="long")]
+    with pytest.raises(DomainError, match="'long' has 6 tokens"):
+        score_corpus(m, corpus)
 
 
 def test_score_corpus_fits_thresholds_on_its_own_perplexities():
