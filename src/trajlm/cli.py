@@ -25,7 +25,7 @@ from .checkpoint import read_checkpoint, write_checkpoint
 from .errors import ConfigError, DataError, DomainError, TrajLMError, decoding
 from .evaluate import ablation_eval, completion_ratio_eval, global_eval, per_agent_eval
 from .grid import GridSpec
-from .model import ModelConfig, init_model
+from .model import ModelConfig, check_lengths, init_model
 from .online import open_session, partial_verdict
 from .scoring import score_corpus
 from .synth import (
@@ -311,6 +311,8 @@ def cmd_train(args) -> int:
     cfg = RunConfig.from_path(args.config)
     vocab = Vocab.load(args.vocab)
     encoded = _load_encoded(args.corpus, vocab)
+    if not encoded:
+        raise DataError(f"{args.corpus}: no trajectories to train on")
     loss_path = Path(args.loss_log) if args.loss_log else None
     start_epoch = 0
     if args.resume:
@@ -326,6 +328,7 @@ def cmd_train(args) -> int:
             start_epoch = sum(1 for line in lines if line and not line.startswith(("#", "epoch")))
     else:
         model = init_model(cfg.model_config(len(vocab)), vocab_hash=vocab.hash())
+    check_lengths(model, encoded)  # before the loss log is opened, so a rejected corpus writes nothing
     tc = cfg.train_config()
     mode = "a" if args.resume and loss_path is not None and loss_path.exists() else "w"
     log_fh = None

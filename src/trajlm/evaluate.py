@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .model import Model
+from .model import Model, check_lengths
 from .online import open_session
 from .scoring import ScoreReport, ThresholdTable, classify, perplexity, score_corpus
 from .vocab import EncodedTrajectory
@@ -181,8 +181,10 @@ def completion_ratio_eval(
 
     Ratio 1.0 is one score_corpus call, the same chunks `trajlm score` makes on
     this corpus, so it equals batch scoring bit for bit; partial ratios go
-    through prefix_perplexity.
+    through prefix_perplexity. check_lengths runs before the first ratio, so an
+    over-long trajectory is named before any session fills up.
     """
+    check_lengths(model, corpus)
     out: dict[float, tuple[float, float]] = {}
     for ratio in ratios:
         if ratio == 1.0:

@@ -12,6 +12,16 @@ forward_batch is the only implementation of the block. Training, batch
 scoring and online sessions all run it: a session passes its per-layer
 key/value cache and feeds one new row per call, so its results differ from a
 batch forward only by BLAS summation order.
+
+Training computes only the positions whose targets are scored. backward
+passes forward_batch a `keep` mask (True where the target is not PAD; a
+prefix of each row), and every position-wise layer (layer norms, the Q/K/V/O
+projections, the feed-forward, the final norm and the output projection) runs
+on the (n_scored, d_model) rows gathered at `keep`. Only attention sees the
+padded (n_seq, t, d_model) layout, with zeros at the dropped positions. A
+dropped position feeds only later positions, which are dropped too, so the
+loss and gradients are those of the padded batch. Scoring and sessions pass
+no mask and run the padded layout unchanged.
 """
 
 from __future__ import annotations
@@ -126,6 +136,22 @@ def init_model(cfg: ModelConfig, vocab_hash: str = "") -> Model:
     return Model(cfg, params, vocab_hash)
 
 
+def check_lengths(model: Model, corpus) -> None:
+    """Raise DomainError naming the first trajectory longer than max_seq_len + 1 ids.
+
+    The network reads at most max_seq_len positions, and a trajectory's last id
+    is only ever a target, so training, scoring and completion all take up to
+    max_seq_len + 1 ids. corpus holds objects with `ids` and `traj_id`.
+    """
+    max_len = model.config.max_seq_len + 1
+    for t in corpus:
+        if len(t.ids) > max_len:
+            raise DomainError(
+                f"trajectory {t.traj_id!r} has {len(t.ids)} tokens; "
+                f"this model takes at most {max_len} (max_seq_len {model.config.max_seq_len})"
+            )
+
+
 # ---------------------------------------------------------------------------
 # Building-block operations
 # ---------------------------------------------------------------------------
@@ -176,12 +202,20 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(b, t, h * dh)
 
 
+def _scatter(rows: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Packed (N, d) rows back into a zeroed (n_seq, t, d) layout at the True entries of keep."""
+    out = np.zeros(keep.shape + rows.shape[1:], dtype=rows.dtype)
+    out[keep] = rows
+    return out
+
+
 def forward_batch(
     model: Model,
     ids: np.ndarray,
     collect: bool = False,
     kv: list[tuple[np.ndarray, np.ndarray]] | None = None,
     pos: int = 0,
+    keep: np.ndarray | None = None,
 ) -> tuple[np.ndarray, dict | None]:
     """Run the network over an (n_seq, t_new) id batch at positions [pos, pos + t_new).
 
@@ -193,6 +227,14 @@ def forward_batch(
     the projections of the tokens fed before. The call writes the new rows
     [pos, pos + t_new) and attends over rows [0, pos + t_new). Without kv the
     batch is a whole sequence and pos is 0.
+
+    keep is an optional (n_seq, t_new) bool mask that is a prefix of each row
+    (no True after a False), and cannot be combined with kv. With it only the
+    N = keep.sum() kept positions are computed: logits come back packed as
+    (N, vocab_size) in row-major order of keep, and so do the collected
+    activations, except attention's, which stay padded. A kept position
+    attends only to kept positions, so its logits are those of the padded
+    call up to BLAS summation order.
     """
     cfg = model.config
     p = model.params
@@ -205,10 +247,21 @@ def forward_batch(
         raise DomainError(f"sequence length {end} exceeds max_seq_len {cfg.max_seq_len}")
     if ids.min() < 0 or ids.max() >= cfg.vocab_size:
         raise DomainError(f"token ids must lie in [0, {cfg.vocab_size})")
+    if keep is not None:
+        keep = np.asarray(keep)
+        if kv is not None:
+            raise DomainError("keep packs a whole batch and cannot be combined with a kv cache")
+        if keep.dtype != bool or keep.shape != ids.shape:
+            raise DomainError(f"keep must be a bool mask of shape {ids.shape}, got {keep.dtype} {keep.shape}")
+        if np.any(keep[:, 1:] & ~keep[:, :-1]):
+            raise DomainError("keep must mark a prefix of each row")
 
-    cache: dict | None = {"ids": ids, "layers": []} if collect else None
+    cache: dict | None = {"layers": []} if collect else None
 
-    x = p["tok_emb"][ids] + p["pos_emb"][pos:end]
+    if keep is None:
+        x = p["tok_emb"][ids] + p["pos_emb"][pos:end]
+    else:
+        x = p["tok_emb"][ids[keep]] + p["pos_emb"][pos + np.nonzero(keep)[1]]
     # Row i (position pos + i) sees keys j <= pos + i; a single new row sees them all.
     visible = np.tri(t_new, end, pos, dtype=bool) if t_new > 1 else None
     scale = np.sqrt(np.asarray(cfg.d_head, dtype=DTYPE))
@@ -216,9 +269,12 @@ def forward_batch(
     for i in range(cfg.n_layers):
         pre = f"layers.{i}"
         a, ln1_cache = layernorm(x, p[f"{pre}.ln1.g"], p[f"{pre}.ln1.b"])
-        qh = _split_heads(a @ p[f"{pre}.attn.wq"], cfg.n_heads)
+        q = a @ p[f"{pre}.attn.wq"]
         k = a @ p[f"{pre}.attn.wk"]
         v = a @ p[f"{pre}.attn.wv"]
+        if keep is not None:
+            q, k, v = _scatter(q, keep), _scatter(k, keep), _scatter(v, keep)
+        qh = _split_heads(q, cfg.n_heads)
         if kv is not None:
             k_buf, v_buf = kv[i]
             k_buf[:, pos:end] = k
@@ -231,6 +287,8 @@ def forward_batch(
             scores = np.where(visible, scores, -np.inf)
         attn = softmax(scores, axis=-1)
         ctx = _merge_heads(attn @ vh)
+        if keep is not None:
+            ctx = ctx[keep]
         x_mid = x + ctx @ p[f"{pre}.attn.wo"]
         f, ln2_cache = layernorm(x_mid, p[f"{pre}.ln2.g"], p[f"{pre}.ln2.b"])
         pre_act = f @ p[f"{pre}.ffn.w1"] + p[f"{pre}.ffn.b1"]
@@ -278,39 +336,42 @@ def nll_loss(logp: np.ndarray, targets: np.ndarray, pad_mask: np.ndarray) -> flo
 def backward(model: Model, ids: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
     """Loss and exact analytic gradients for next-token prediction on an id batch.
 
-    ids: (n_seq, seq_len); position t predicts ids[:, t + 1]. Every non-PAD
-    target is scored (PAD id is 0).
+    ids: (n_seq, seq_len), right-padded with PAD (id 0); position t predicts
+    ids[:, t + 1] and every non-PAD target is scored. Only the scored
+    positions are computed (forward_batch's keep), so a row with a PAD before
+    a non-PAD id is rejected: packing it would change what it attends to.
     """
     ids = np.asarray(ids)
     if ids.ndim != 2 or ids.shape[1] < 2:
         raise DomainError(f"need an (n_seq, seq_len>=2) batch, got {ids.shape}")
-    inputs_len = ids.shape[1] - 1
-    targets = ids[:, 1:]
-    pad_mask = targets != 0
-    n_scored = int(pad_mask.sum())
+    pad = ids == 0
+    interior = pad[:, :-1] & ~pad[:, 1:]
+    if interior.any():
+        row, col = np.argwhere(interior)[0]
+        raise DomainError(f"row {row} has a PAD at position {col} before a non-PAD id; pad only on the right")
+    inputs = ids[:, :-1]
+    keep = ~pad[:, 1:]
+    targets = ids[:, 1:][keep]
+    n_scored = len(targets)
     if n_scored == 0:
         raise DomainError("all positions are masked; nothing to learn from")
 
     cfg = model.config
     p = model.params
-    logits, cache = forward_batch(model, ids[:, :-1], collect=True)
+    logits, cache = forward_batch(model, inputs, collect=True, keep=keep)
 
     logp = log_softmax(logits)
-    loss = nll_loss(logp, targets, pad_mask)
+    loss = nll_loss(logp, targets, np.ones(n_scored, dtype=bool))
 
-    # d loss / d logits = (softmax - onehot) * mask / n_scored
+    # d loss / d logits = (softmax - onehot) / n_scored, one row per scored position
     dlogits = np.exp(logp)
-    rows = np.arange(targets.shape[0])[:, None]
-    cols = np.arange(targets.shape[1])[None, :]
-    dlogits[rows, cols, targets] -= 1.0
-    dlogits *= (pad_mask / n_scored)[..., None]
+    dlogits[np.arange(n_scored), targets] -= 1.0
+    dlogits *= 1.0 / n_scored
 
     grads = {name: np.zeros_like(arr) for name, arr in p.items()}
-    d = cfg.d_model
     scale = np.sqrt(np.asarray(cfg.d_head, dtype=DTYPE))
 
-    hf = cache["hf"]
-    grads["w_out"] += hf.reshape(-1, d).T @ dlogits.reshape(-1, cfg.vocab_size)
+    grads["w_out"] += cache["hf"].T @ dlogits
     d_hf = dlogits @ p["w_out"].T
     dx, dg, db = _layernorm_backward(d_hf, cache["final_ln"])
     grads["final_ln.g"] += dg
@@ -320,38 +381,37 @@ def backward(model: Model, ids: np.ndarray) -> tuple[float, dict[str, np.ndarray
         pre = f"layers.{i}"
         lc = cache["layers"][i]
         # feed-forward residual branch
-        flat = dx.reshape(-1, d)
-        grads[f"{pre}.ffn.w2"] += lc["relu"].reshape(-1, cfg.d_ff).T @ flat
-        grads[f"{pre}.ffn.b2"] += flat.sum(axis=0)
+        grads[f"{pre}.ffn.w2"] += lc["relu"].T @ dx
+        grads[f"{pre}.ffn.b2"] += dx.sum(axis=0)
         d_relu = dx @ p[f"{pre}.ffn.w2"].T
         d_pre = d_relu * (lc["pre_act"] > 0)
-        grads[f"{pre}.ffn.w1"] += lc["f"].reshape(-1, d).T @ d_pre.reshape(-1, cfg.d_ff)
-        grads[f"{pre}.ffn.b1"] += d_pre.reshape(-1, cfg.d_ff).sum(axis=0)
+        grads[f"{pre}.ffn.w1"] += lc["f"].T @ d_pre
+        grads[f"{pre}.ffn.b1"] += d_pre.sum(axis=0)
         d_f = d_pre @ p[f"{pre}.ffn.w1"].T
         d_x_mid_ln, dg, db = _layernorm_backward(d_f, lc["ln2"])
         grads[f"{pre}.ln2.g"] += dg
         grads[f"{pre}.ln2.b"] += db
         d_x_mid = dx + d_x_mid_ln
-        # attention residual branch
-        grads[f"{pre}.attn.wo"] += lc["ctx"].reshape(-1, d).T @ d_x_mid.reshape(-1, d)
-        d_ctx = _split_heads(d_x_mid @ p[f"{pre}.attn.wo"].T, cfg.n_heads)
+        # attention residual branch; only attention itself runs on the padded layout
+        grads[f"{pre}.attn.wo"] += lc["ctx"].T @ d_x_mid
+        d_ctx = _split_heads(_scatter(d_x_mid @ p[f"{pre}.attn.wo"].T, keep), cfg.n_heads)
         attn, vh, qh, kh = lc["attn"], lc["vh"], lc["qh"], lc["kh"]
         d_attn = d_ctx @ vh.transpose(0, 1, 3, 2)
         d_vh = attn.transpose(0, 1, 3, 2) @ d_ctx
         d_scores = attn * (d_attn - np.sum(d_attn * attn, axis=-1, keepdims=True))
         d_qh = d_scores @ kh / scale
         d_kh = d_scores.transpose(0, 1, 3, 2) @ qh / scale
-        d_q, d_k, d_v = _merge_heads(d_qh), _merge_heads(d_kh), _merge_heads(d_vh)
-        a_flat = lc["a"].reshape(-1, d)
-        grads[f"{pre}.attn.wq"] += a_flat.T @ d_q.reshape(-1, d)
-        grads[f"{pre}.attn.wk"] += a_flat.T @ d_k.reshape(-1, d)
-        grads[f"{pre}.attn.wv"] += a_flat.T @ d_v.reshape(-1, d)
+        d_q, d_k, d_v = (_merge_heads(d)[keep] for d in (d_qh, d_kh, d_vh))
+        a = lc["a"]
+        grads[f"{pre}.attn.wq"] += a.T @ d_q
+        grads[f"{pre}.attn.wk"] += a.T @ d_k
+        grads[f"{pre}.attn.wv"] += a.T @ d_v
         d_a = d_q @ p[f"{pre}.attn.wq"].T + d_k @ p[f"{pre}.attn.wk"].T + d_v @ p[f"{pre}.attn.wv"].T
         d_x_in_ln, dg, db = _layernorm_backward(d_a, lc["ln1"])
         grads[f"{pre}.ln1.g"] += dg
         grads[f"{pre}.ln1.b"] += db
         dx = d_x_mid + d_x_in_ln
 
-    grads["pos_emb"][:inputs_len] += dx.sum(axis=0)
-    np.add.at(grads["tok_emb"], cache["ids"], dx)
+    np.add.at(grads["pos_emb"], np.nonzero(keep)[1], dx)
+    np.add.at(grads["tok_emb"], inputs[keep], dx)
     return loss, grads

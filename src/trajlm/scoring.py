@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .model import Model, forward_batch, log_softmax
+from .model import Model, check_lengths, forward_batch, log_softmax
 from .vocab import EncodedTrajectory
 
 # Forward positions per score_corpus chunk. It bounds a chunk's activations: a
@@ -174,20 +174,14 @@ def score_corpus(model: Model, corpus: list[EncodedTrajectory], scope: str = "gl
 
     Trajectories are grouped by length and each group is scored in chunks of
     CHUNK_TOKENS // (length - 1) rows (at least one), one token_log_probs call
-    per chunk; reports come back in corpus order. Every trajectory is checked
-    against the model's max_seq_len before the first forward call. With table
-    None, thresholds are fitted on these same perplexities, with per-agent
-    entries under scope 'per_agent' for the agents the corpus has. Every
-    report carries its trace.
+    per chunk; reports come back in corpus order. check_lengths runs on the
+    whole corpus before the first forward call. With table None, thresholds
+    are fitted on these same perplexities, with per-agent entries under scope
+    'per_agent' for the agents the corpus has. Every report carries its trace.
     """
-    max_len = model.config.max_seq_len + 1  # the last id is only ever a target
+    check_lengths(model, corpus)
     by_length: dict[int, list[int]] = {}
     for i, t in enumerate(corpus):
-        if len(t.ids) > max_len:
-            raise DomainError(
-                f"trajectory {t.traj_id!r} has {len(t.ids)} tokens; "
-                f"this model scores at most {max_len} (max_seq_len {model.config.max_seq_len})"
-            )
         by_length.setdefault(len(t.ids), []).append(i)
     traces: list[SurprisalTrace | None] = [None] * len(corpus)
     for length, members in by_length.items():

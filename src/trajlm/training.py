@@ -2,6 +2,8 @@
 
 Everything is deterministic given the config seed: batch order comes from a
 seeded permutation per epoch and parameter updates run in canonical order.
+A batch is right-padded to its longest trajectory; model.backward computes
+only its scored positions, so the padding costs work only in attention.
 Adam uses the published defaults of Kingma & Ba (2015) and every step clips
 the global gradient norm to CLIP_NORM.
 """
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, TrajLMError
-from .model import Model, backward
+from .model import Model, backward, check_lengths
 from .vocab import PAD_ID, EncodedTrajectory
 
 
@@ -92,12 +94,7 @@ def train(
     """
     if not corpus:
         raise ConfigError("training corpus is empty")
-    too_long = [t.traj_id for t in corpus if len(t.ids) > model.config.max_seq_len]
-    if too_long:
-        raise ConfigError(
-            f"{len(too_long)} trajectories exceed max_seq_len={model.config.max_seq_len} "
-            f"(first: {too_long[0]!r})"
-        )
+    check_lengths(model, corpus)
     opt = AdamOptimizer(model, tc)
     order_rng = np.random.default_rng(tc.seed)
     epoch_losses: list[float] = []

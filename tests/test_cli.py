@@ -512,6 +512,65 @@ def test_score_rejects_an_empty_corpus(pol_pipeline, capsys):
     assert_score_fails(p, corpus, 2, f"error: {corpus}: no trajectories to score", capsys)
 
 
+def _corpus_with_last_tokens(p, source, name, tokens):
+    """A copy of corpus source whose last record has the given location tokens."""
+    lines = source.read_text().splitlines()
+    record = json.loads(lines[-1])
+    record["tokens"] = tokens
+    lines[-1] = json.dumps(record)
+    corpus = p["tmp"] / name
+    corpus.write_text("\n".join(lines) + "\n")
+    return corpus, record["id"]
+
+
+def assert_train_fails(p, corpus, message, capsys):
+    """`train` on corpus exits 2 with one `error:` line holding message and
+    writes neither its checkpoint nor its loss log."""
+    outs = [p["tmp"] / name for name in ("fail.ckpt", "fail_loss.csv")]
+    capsys.readouterr()
+    assert run("train", "--config", p["config"], "--corpus", corpus, "--vocab", p["vocab"],
+               "--out", outs[0], "--loss-log", outs[1]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and message in err, err
+    assert not [f for f in outs if f.exists()]
+
+
+def test_train_takes_max_seq_len_plus_one_ids_and_names_a_longer_trajectory(pol_pipeline, capsys):
+    p = pol_pipeline
+    tokens = json.loads(p["corpus"].read_text().splitlines()[-1])["tokens"] * 16
+    # agent, weekday, locations, EOT: 14 locations are 17 ids, max_seq_len 16 + 1
+    fits, _ = _corpus_with_last_tokens(p, p["corpus"], "fits.jsonl", tokens[:14])
+    assert run("train", "--config", p["config"], "--corpus", fits, "--vocab", p["vocab"],
+               "--out", p["tmp"] / "fits.ckpt") == 0
+    long, traj_id = _corpus_with_last_tokens(p, p["corpus"], "long.jsonl", tokens[:15])
+    message = f"error: trajectory {traj_id!r} has 18 tokens; this model takes at most 17"
+    assert_train_fails(p, long, message, capsys)
+
+
+def test_train_rejects_an_empty_corpus(pol_pipeline, capsys):
+    p = pol_pipeline
+    corpus = p["tmp"] / "empty.jsonl"
+    corpus.write_text(p["corpus"].read_text().splitlines()[0] + "\n")  # the provenance line only
+    assert_train_fails(p, corpus, f"error: {corpus}: no trajectories to train on", capsys)
+
+
+def test_report_completion_names_the_trajectory_longer_than_the_model(porto_pipeline, capsys):
+    p = porto_pipeline
+    source = p["data"] / "eval_random_shift.jsonl"
+    # 100 locations: ratio 0.5, which runs first, already fills a max_seq_len 48 session
+    tokens = (json.loads(source.read_text().splitlines()[-1])["tokens"] * 100)[:100]
+    corpus, traj_id = _corpus_with_last_tokens(p, source, "long.jsonl", tokens)
+    rep = p["tmp"] / "rep"
+    capsys.readouterr()
+    assert run("report", "--kind", "completion", "--config", p["config"], "--out-dir", rep,
+               "--checkpoint", p["ckpt"], "--vocab", p["vocab"], "--corpus", corpus,
+               "--thresholds", p["thresholds"], "--truth", p["data"] / "truth_random_shift.csv") == 2
+    err = capsys.readouterr().err
+    n_ids = len(tokens) + 2  # SOT, locations, EOT
+    assert err == f"error: trajectory {traj_id!r} has {n_ids} tokens; this model takes at most 49 (max_seq_len 48)\n"
+    assert not list(rep.iterdir())
+
+
 def test_flag_prefixes_are_not_accepted(pol_pipeline, capsys):
     p = pol_pipeline
     argv = ["train", "--config", p["config"], "--corpus", p["corpus"], "--vocab", p["vocab"],

@@ -338,6 +338,76 @@ def test_backward_loss_matches_forward_loss():
     assert math.isclose(loss, nll_loss(log_softmax(logits), ids[:, 1:], ids[:, 1:] != 0), rel_tol=1e-12)
 
 
+def _padded(rows, width):
+    out = np.zeros((len(rows), width), dtype=np.int64)
+    for r, row in enumerate(rows):
+        out[r, : len(row)] = row
+    return out
+
+
+PACK = ModelConfig(vocab_size=11, d_model=6, n_heads=2, n_layers=2, d_ff=8, max_seq_len=9, seed=8)
+
+
+def _mixed_rows(lengths, seed=0):
+    rng = np.random.default_rng(seed)
+    return [[int(x) for x in rng.integers(1, PACK.vocab_size, size=n)] for n in lengths]
+
+
+def _rel(a, b):
+    return float(np.linalg.norm(np.asarray(a) - np.asarray(b)) / max(np.linalg.norm(b), 1e-300))
+
+
+def test_backward_packed_matches_finite_differences_with_trailing_pads():
+    cfg = ModelConfig(vocab_size=9, d_model=4, n_heads=2, n_layers=2, d_ff=6, max_seq_len=7, seed=2)
+    m = init_model(cfg)
+    ids = _padded([[3, 4, 5, 6, 7, 8, 3, 4], [5, 3, 8, 7, 6, 4], [6, 8, 5]], 8)  # 0, 2 and 5 PADs
+    _, worst = fd_check(m, ids)
+    assert worst < 1e-4
+
+
+def test_backward_of_a_padded_batch_is_the_scored_count_weighted_mean_of_its_rows():
+    m = init_model(PACK)
+    rows = _mixed_rows([10, 4, 7, 2, 9])
+    loss, grads = backward(m, _padded(rows, 10))
+    counts = np.array([len(r) - 1 for r in rows], dtype=float)
+    weights = counts / counts.sum()
+    per_row = [backward(m, np.array([r])) for r in rows]
+    assert _rel(loss, sum(w * l for w, (l, _) in zip(weights, per_row))) < 1e-12
+    for name in grads:
+        expected = sum(w * g[name] for w, (_, g) in zip(weights, per_row))
+        assert _rel(grads[name], expected) < 1e-12, name
+
+
+def test_backward_ignores_all_pad_columns():
+    m = init_model(PACK)
+    rows = _mixed_rows([6, 3, 5], seed=1)
+    loss, grads = backward(m, _padded(rows, 6))
+    wide_loss, wide_grads = backward(m, _padded(rows, 10))
+    assert _rel(wide_loss, loss) < 1e-12
+    for name in grads:
+        assert _rel(wide_grads[name], grads[name]) < 1e-12, name
+
+
+def test_backward_rejects_a_pad_before_a_real_id():
+    with pytest.raises(DomainError, match="row 1 has a PAD at position 1"):
+        backward(tiny_model(), np.array([[3, 4, 5, 6], [3, 0, 5, 0]]))
+
+
+def test_forward_batch_keep_is_a_row_prefix_without_a_cache():
+    m = tiny_model()
+    ids = np.array([[3, 4, 5, 6], [7, 8, 9, 0]])
+    keep = np.array([[True, True, True, True], [True, True, False, False]])
+    packed, _ = forward_batch(m, ids, keep=keep)
+    padded, _ = forward_batch(m, ids)
+    assert packed.shape == (6, TINY.vocab_size)
+    assert np.allclose(packed, padded[keep], rtol=1e-12, atol=1e-14)
+    with pytest.raises(DomainError, match="prefix"):
+        forward_batch(m, ids, keep=np.array([[True, False, True, True], [True, True, False, False]]))
+    kv = [(np.zeros((2, TINY.max_seq_len, TINY.d_model)),) * 2 for _ in range(TINY.n_layers)]
+    with pytest.raises(DomainError, match="kv"):
+        forward_batch(m, ids, kv=kv, keep=keep)
+
+
 # --- training --------------------------------------------------------------
 
 def _toy_corpus(n=8, length=6, vocab=15, seed=0):
@@ -381,8 +451,10 @@ def test_train_deterministic_given_seed():
 
 def test_train_rejects_overlong_sequences():
     cfg = ModelConfig(vocab_size=15, d_model=8, n_heads=2, n_layers=1, d_ff=16, max_seq_len=4, seed=0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError, match="trajectory 't0' has 8 tokens"):
         train(init_model(cfg), _toy_corpus(length=8), TrainConfig(n_epochs=1))
+    # the last id is only a target, so max_seq_len + 1 ids train
+    assert len(train(init_model(cfg), _toy_corpus(length=5), TrainConfig(n_epochs=1))) == 1
 
 
 def test_train_config_validation():
