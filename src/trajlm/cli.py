@@ -3,7 +3,9 @@
 Every experiment is fully determined by (config file, root seed). The root
 seed lives in the config's [run] section and each component draws from its own
 stream derived as sha256(root_seed, component name); per-unit streams inside
-the generators split further by XORing the unit index. Artifacts embed the
+the generators split further by XORing the unit index. gen-data builds every
+file of a preset (pol_corpora, porto_corpora) before it creates the output
+directory, so a rejected config leaves nothing behind. Artifacts embed the
 config hash and tool version. Exit codes: 0 success, 1 usage/config error,
 2 data or model error.
 """
@@ -174,22 +176,19 @@ class RunConfig:
 # Data generation
 # ---------------------------------------------------------------------------
 
-def _pol_records(corpus, configuration: str) -> list[dataio.CorpusRecord]:
-    return [
-        dataio.CorpusRecord(
-            traj_id=traj.traj_id,
-            tokens=pol_location_tokens(traj, configuration),
-            agent=traj.agent,
-            weekday=traj.weekday,
-        )
-        for traj in corpus.trajectories
-    ]
+Corpora = dict[str, list[dataio.CorpusRecord]]
+Truth = dict[str, list[dataio.TruthRecord]]
 
 
-def _gen_pol(cfg: RunConfig, out_dir: Path) -> None:
-    configurations = cfg.configurations("staypoint")
+def pol_records(corpus, configuration: str) -> list[dataio.CorpusRecord]:
+    return [dataio.CorpusRecord(t.traj_id, pol_location_tokens(t, configuration), t.agent, t.weekday)
+            for t in corpus.trajectories]
+
+
+def pol_corpora(cfg: RunConfig, configurations: list[str]) -> tuple[Corpora, Truth]:
+    """The pol world, keyed by file name: corpus_<configuration>.jsonl per
+    configuration and truth.csv. Checks every config value; writes nothing."""
     corpus = gen_pol_corpus(cfg.world_config())
-    n_anom = sum(1 for t in corpus.trajectories if t.label == "anomalous")
     truth = [
         dataio.TruthRecord(
             traj_id=t.traj_id,
@@ -199,18 +198,14 @@ def _gen_pol(cfg: RunConfig, out_dir: Path) -> None:
         )
         for t in corpus.trajectories
     ]
-    dataio.write_truth(out_dir / "truth.csv", truth, cfg.hash)
-    for configuration in configurations:
-        records = _pol_records(corpus, configuration)
-        dataio.write_corpus(out_dir / f"corpus_{configuration}.jsonl", records, cfg.hash)
-        vocab = build_vocab([dataio.full_tokens(r) for r in records])
-        print(
-            f"[gen-data] {configuration}: {len(records)} trajectories, "
-            f"{n_anom} anomalous, vocab size {len(vocab)}"
-        )
+    corpora = {f"corpus_{name}.jsonl": pol_records(corpus, name) for name in configurations}
+    return corpora, {"truth.csv": truth}
 
 
-def _gen_porto(cfg: RunConfig, out_dir: Path) -> None:
+def porto_corpora(cfg: RunConfig) -> tuple[Corpora, Truth]:
+    """The porto routes, keyed by file name: train.jsonl holds the routes left
+    normal; eval_<kind>.jsonl holds every route, the selected ones injected with
+    kind, and truth_<kind>.csv labels them. Checks every config value; writes nothing."""
     root = cfg.seed
     per_pair = cfg.get("routes", "routes_per_pair", int)
     fraction = cfg.get("anomaly", "fraction", float, 0.05)
@@ -219,7 +214,6 @@ def _gen_porto(cfg: RunConfig, out_dir: Path) -> None:
     ratio = cfg.get("anomaly", "ratio", float, 0.3)
     dist = cfg.get("anomaly", "dist", int, 3)
     kinds = [k.strip() for k in cfg.get("anomaly", "kinds", str, "random_shift,detour").split(",")]
-    # Every value is checked here, before the first file is written.
     try:
         grid = cfg.grid()
         routes = gen_route_corpus(
@@ -238,47 +232,45 @@ def _gen_porto(cfg: RunConfig, out_dir: Path) -> None:
     sel_rng = np.random.default_rng(derive_seed(root, "anomaly-select"))
     selected = set(int(i) for i in sel_rng.choice(len(routes), size=n_anom, replace=False))
 
-    def cell_tokens(cells) -> list[Token]:
-        return [Token("cell", f"{c.col},{c.row}") for c in cells]
+    def record(i: int, cells) -> dataio.CorpusRecord:
+        return dataio.CorpusRecord(ids[i], [Token("cell", f"{c.col},{c.row}") for c in cells])
 
-    train_records = [
-        dataio.CorpusRecord(ids[i], cell_tokens(routes[i]))
-        for i in range(len(routes))
-        if i not in selected
-    ]
-    dataio.write_corpus(out_dir / "train.jsonl", train_records, cfg.hash)
-    print(f"[gen-data] train: {len(train_records)} routes ({n_anom} held out for anomalies)")
+    corpora = {"train.jsonl": [record(i, route) for i, route in enumerate(routes) if i not in selected]}
+    truth = {}
     for spec in specs:
         kind = spec.kind
-        records, truth = [], []
+        records, labels = [], []
         for i, route in enumerate(routes):
             if i in selected:
                 cells = injectors[kind](route, spec, grid, seed=derive_seed(root, f"inject-{kind}-{i}"))
-                truth.append(dataio.TruthRecord(ids[i], "anomalous", kind, ratio, dist))
+                labels.append(dataio.TruthRecord(ids[i], "anomalous", kind, ratio, dist))
             else:
                 cells = route
-                truth.append(dataio.TruthRecord(ids[i], "normal"))
-            records.append(dataio.CorpusRecord(ids[i], cell_tokens(cells)))
-        dataio.write_corpus(out_dir / f"eval_{kind}.jsonl", records, cfg.hash)
-        dataio.write_truth(out_dir / f"truth_{kind}.csv", truth, cfg.hash)
-        vocab = build_vocab([r.tokens for r in records])
-        print(
-            f"[gen-data] eval_{kind}: {len(records)} routes, {n_anom} anomalous, "
-            f"vocab size {len(vocab)}"
-        )
+                labels.append(dataio.TruthRecord(ids[i], "normal"))
+            records.append(record(i, cells))
+        corpora[f"eval_{kind}.jsonl"] = records
+        truth[f"truth_{kind}.csv"] = labels
+    return corpora, truth
 
 
 def cmd_gen_data(args) -> int:
     cfg = RunConfig.from_path(args.config)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     preset = cfg.get("run", "preset", str)
     if preset == "pol":
-        _gen_pol(cfg, out_dir)
+        corpora, truth = pol_corpora(cfg, cfg.configurations("staypoint"))
     elif preset == "porto":
-        _gen_porto(cfg, out_dir)
+        corpora, truth = porto_corpora(cfg)
     else:
         raise ConfigError(f"unknown preset {preset!r}; expected 'pol' or 'porto'")
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, records in corpora.items():
+        dataio.write_corpus(out_dir / name, records, cfg.hash)
+        print(f"[gen-data] {name}: {len(records)} trajectories")
+    for name, labels in truth.items():
+        dataio.write_truth(out_dir / name, labels, cfg.hash)
+        n_anom = sum(1 for t in labels if t.label == "anomalous")
+        print(f"[gen-data] {name}: {len(labels)} labels, {n_anom} anomalous")
     return EXIT_OK
 
 
@@ -348,7 +340,7 @@ def cmd_train(args) -> int:
     finally:
         if log_fh is not None:
             log_fh.close()
-    write_checkpoint(model, args.out, metadata={"config_hash": cfg.hash, "tool_version": dataio.TOOL_VERSION})
+    write_checkpoint(model, args.out, metadata=dataio.provenance(cfg.hash))
     final = losses[-1] if losses else float("nan")
     print(f"[train] {len(encoded)} trajectories, {tc.n_epochs} epochs, final loss {final:.4f} -> {args.out}")
     return EXIT_OK
@@ -440,14 +432,15 @@ def _train_eval_pipeline(cfg: RunConfig, truth: dict[str, str]):
 
 def cmd_report(args) -> int:
     cfg = RunConfig.from_path(args.config)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = Path(args.out_dir)  # made only once every input has been read and checked
     if args.kind == "ablation":
         configurations = cfg.configurations("staypoint,gps,duration")
-        corpus = gen_pol_corpus(cfg.world_config())
-        corpora = {name: _pol_records(corpus, name) for name in configurations}
-        truth = {t.traj_id: t.label for t in corpus.trajectories}
-        result = ablation_eval(corpora, _train_eval_pipeline(cfg, truth))
+        corpora, truth = pol_corpora(cfg, configurations)
+        labels = {t.traj_id: t.label for t in truth["truth.csv"]}
+        result = ablation_eval(
+            {name: corpora[f"corpus_{name}.jsonl"] for name in configurations}, _train_eval_pipeline(cfg, labels)
+        )
+        out_dir.mkdir(parents=True, exist_ok=True)
         summary = out_dir / "ablation.csv"
         rows = ([name, entry.average_f1, entry.average_pr_auc] for name, entry in result.items())
         dataio.write_csv(summary, ["configuration", "average_f1", "average_pr_auc"], rows, cfg.hash)
@@ -468,6 +461,7 @@ def cmd_report(args) -> int:
         table = dataio.read_thresholds(args.thresholds)
         truth = dataio.truth_labels(dataio.read_truth(args.truth))
         result = completion_ratio_eval(model, encoded, truth, ratios, table)
+        out_dir.mkdir(parents=True, exist_ok=True)
         out = out_dir / "completion.csv"
         rows = ([ratio, *result[ratio]] for ratio in sorted(result))
         dataio.write_csv(out, ["ratio", "f1", "pr_auc"], rows, cfg.hash)

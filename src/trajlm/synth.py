@@ -57,7 +57,7 @@ def round_half_up(x: float) -> int:
 class AnomalySpec:
     kind: str  # random_shift | detour
     ratio: float
-    dist: int = 0
+    dist: int
 
     def __post_init__(self) -> None:
         if self.kind not in ("random_shift", "detour"):

@@ -7,15 +7,15 @@ of CPU time; tolerances and thresholds are fixed here, not tuned at runtime.
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from trajlm import dataio
 from trajlm.checkpoint import load_checkpoint, save_checkpoint
-from trajlm.cli import _pol_records, derive_seed, main
+from trajlm.cli import RunConfig, main, pol_records, porto_corpora
 from trajlm.evaluate import ablation_eval, completion_ratio_eval, f1, per_agent_eval, pr_auc
-from trajlm.grid import GridSpec
 from trajlm.model import ModelConfig, backward, forward_batch, init_model, log_softmax, nll_loss
 from trajlm.online import open_session
 from trajlm.scoring import (
@@ -26,16 +26,9 @@ from trajlm.scoring import (
     surprisal,
     token_log_probs,
 )
-from trajlm.synth import (
-    AnomalySpec,
-    WorldConfig,
-    gen_pol_corpus,
-    gen_route_corpus,
-    inject_detour,
-    inject_random_shift,
-)
+from trajlm.synth import WorldConfig, gen_pol_corpus
 from trajlm.training import TrainConfig, train
-from trajlm.vocab import EncodedTrajectory, Token, build_vocab
+from trajlm.vocab import EncodedTrajectory, build_vocab
 
 
 def report_line(criterion: int, name: str, passed: bool, detail: str) -> None:
@@ -63,7 +56,7 @@ def pol_run():
     trained on all data including the anomalous days."""
     world = WorldConfig(n_agents=50, n_days=100, n_anomalous_agents=5, anomalous_days=14, seed=7)
     corpus = gen_pol_corpus(world)
-    records = _pol_records(corpus, "staypoint")
+    records = pol_records(corpus, "staypoint")
     vocab, model, encoded = _train_pol(records, d_model=64, d_ff=128, epochs=30, seed=1)
     reports, table = score_corpus(model, encoded, scope="per_agent")
     truth = {t.traj_id: t.label for t in corpus.trajectories}
@@ -73,48 +66,18 @@ def pol_run():
 
 @pytest.fixture(scope="module")
 def route_run():
-    """Route corpus: 20 OD pairs x 40 routes, 5% injected anomalies held out of training."""
-    root = 11
-    grid = GridSpec(0.0, 0.0, 100.0, 24, 24)
-    routes = gen_route_corpus(grid, 20, 40, noise=0.08, seed=derive_seed(root, "routes"))
-    ids = [f"r{i:03d}" for i in range(len(routes))]
-    sel = np.random.default_rng(derive_seed(root, "anomaly-select")).choice(len(routes), size=40, replace=False)
-    selected = set(int(i) for i in sel)
-
-    def cell_tokens(cells):
-        return [Token("cell", f"{c.col},{c.row}") for c in cells]
-
-    eval_records = {}
-    for kind, injector in (("random_shift", inject_random_shift), ("detour", inject_detour)):
-        spec = AnomalySpec(kind, 0.3, 3)
-        recs = []
-        for i, route in enumerate(routes):
-            if i in selected:
-                cells = injector(route, spec, grid, seed=derive_seed(root, f"inject-{kind}-{i}"))
-            else:
-                cells = route
-            recs.append(dataio.CorpusRecord(ids[i], cell_tokens(cells)))
-        eval_records[kind] = recs
-    labels = {ids[i]: "anomalous" if i in selected else "normal" for i in range(len(routes))}
-    truth = {kind: labels for kind in eval_records}  # both kinds plant anomalies in the same routes
-    train_records = [dataio.CorpusRecord(ids[i], cell_tokens(routes[i]))
-                     for i in range(len(routes)) if i not in selected]
-    all_seqs = [r.tokens for r in train_records]
-    for recs in eval_records.values():
-        all_seqs.extend(r.tokens for r in recs)
-    vocab = build_vocab(all_seqs)
-    cfg = ModelConfig(vocab_size=len(vocab), d_model=64, n_heads=4, n_layers=4, d_ff=256,
-                      max_seq_len=96, seed=derive_seed(root, "model-init"))
-    model = init_model(cfg, vocab.hash())
-    enc_train = [dataio.encode_record(r, vocab) for r in train_records]
-    train(model, enc_train, TrainConfig(n_epochs=30, batch_size=64, learning_rate=3e-3,
-                                        seed=derive_seed(root, "train")))
+    """configs/porto.ini: 20 OD pairs x 40 routes, 5% injected anomalies held out of training."""
+    cfg = RunConfig.from_path(Path(__file__).resolve().parents[1] / "configs" / "porto.ini")
+    corpora, truth = porto_corpora(cfg)
+    vocab = build_vocab([r.tokens for records in corpora.values() for r in records])
+    model = init_model(cfg.model_config(len(vocab)), vocab.hash())
+    enc_train = [dataio.encode_record(r, vocab) for r in corpora["train.jsonl"]]
+    train(model, enc_train, cfg.train_config())
     table = compute_thresholds([perplexity(model, t) for t in enc_train])
-    enc_eval = {
-        kind: [dataio.encode_record(r, vocab) for r in recs]
-        for kind, recs in eval_records.items()
-    }
-    return dict(model=model, vocab=vocab, table=table, enc_eval=enc_eval, truth=truth)
+    kinds = ("random_shift", "detour")
+    enc_eval = {kind: [dataio.encode_record(r, vocab) for r in corpora[f"eval_{kind}.jsonl"]] for kind in kinds}
+    labels = {kind: {t.traj_id: t.label for t in truth[f"truth_{kind}.csv"]} for kind in kinds}
+    return dict(model=model, vocab=vocab, table=table, enc_eval=enc_eval, truth=labels)
 
 
 @pytest.fixture(scope="module")
@@ -124,7 +87,7 @@ def memorized_run():
     world = WorldConfig(n_agents=20, n_days=98, n_anomalous_agents=3, anomalous_days=14,
                         seed=21, alt_prob=0.0)
     corpus = gen_pol_corpus(world)
-    records = _pol_records(corpus, "staypoint")
+    records = pol_records(corpus, "staypoint")
     vocab, model, encoded = _train_pol(records, d_model=48, d_ff=96, epochs=60, seed=5, max_seq_len=16)
     return dict(corpus=corpus, model=model, encoded={t.traj_id: t for t in encoded})
 
@@ -420,7 +383,7 @@ def test_c11_ablation():
         reports, _ = score_corpus(model, encoded, scope="per_agent")
         return per_agent_eval(reports, {t.traj_id: t.label for t in corpus.trajectories})
 
-    corpora = {name: _pol_records(corpus, name) for name in ("staypoint", "gps", "duration")}
+    corpora = {name: pol_records(corpus, name) for name in ("staypoint", "gps", "duration")}
     result = ablation_eval(corpora, pipeline)
     avg = {name: entry.average_f1 for name, entry in result.items()}
     ok = avg["staypoint"] >= avg["gps"] and avg["staypoint"] >= avg["duration"]

@@ -11,7 +11,7 @@ import pytest
 
 from trajlm import dataio
 from trajlm.checkpoint import read_checkpoint
-from trajlm.cli import RunConfig, build_parser, main
+from trajlm.cli import RunConfig, build_parser, main, pol_corpora, porto_corpora
 from trajlm.errors import ConfigError
 from trajlm.scoring import ScoreReport, token_log_probs
 from trajlm.vocab import Vocab
@@ -156,6 +156,24 @@ def test_gen_data_porto_layout(porto_config, tmp_path):
         anomalous = {t.traj_id for t in truth.values() if t.label == "anomalous"}
         assert len(anomalous) == 2
         assert not anomalous & {r.traj_id for r in train}  # held out of training
+
+
+@pytest.mark.parametrize("text, build", [
+    (POL_TINY, lambda cfg: pol_corpora(cfg, cfg.configurations("staypoint"))),
+    (PORTO_TINY, porto_corpora),
+], ids=["pol", "porto"])
+def test_gen_data_writes_what_the_builder_returns(tmp_path, monkeypatch, text, build):
+    monkeypatch.chdir(tmp_path)
+    corpora, truth = build(RunConfig(text))
+    assert build(RunConfig(text)) == (corpora, truth)
+    assert not list(tmp_path.iterdir())  # the builder writes nothing
+    (tmp_path / "run.ini").write_text(text)
+    assert run("gen-data", "--config", "run.ini", "--out-dir", "out") == 0
+    assert sorted(f.name for f in (tmp_path / "out").iterdir()) == sorted([*corpora, *truth])
+    for name, records in corpora.items():
+        assert dataio.read_corpus(tmp_path / "out" / name) == records
+    for name, labels in truth.items():
+        assert list(dataio.read_truth(tmp_path / "out" / name).values()) == labels
 
 
 @pytest.fixture
@@ -346,7 +364,9 @@ def test_exit_codes(pol_config, tmp_path):
                "--vocab", tmp_path / "missing.tsv", "--out", tmp_path / "x.ckpt") == 2
     bad = tmp_path / "bad.ini"
     bad.write_text("[run]\npreset = nonsense\nseed = 1\n")
-    assert run("gen-data", "--config", bad, "--out-dir", tmp_path / "o") == 1
+    assert run("gen-data", "--config", bad, "--out-dir", tmp_path / "o" / "p") == 1
+    assert run("report", "--kind", "completion", "--config", pol_config, "--out-dir", tmp_path / "o" / "p") == 1
+    assert not (tmp_path / "o").exists()  # a rejected command makes neither its --out-dir nor a parent
     assert run("no-such-command") == 1
     assert run("score") == 1  # missing required arguments
 
@@ -436,9 +456,9 @@ def test_bad_input_exits_with_one_line_error(pol_pipeline, capsys, command, name
         argv = ["train", "--config", path["run.ini"], "--corpus", p["corpus"], "--vocab", p["vocab"],
                 "--out", p["tmp"] / "train_out.ckpt"]
     elif command == "gen-data":
-        argv = ["gen-data", "--config", path["run.ini"], "--out-dir", p["tmp"] / "gen"]
+        argv = ["gen-data", "--config", path["run.ini"], "--out-dir", p["tmp"] / "gen" / "sub"]
     else:
-        argv = ["report", "--kind", "completion", "--config", path["run.ini"], "--out-dir", p["tmp"] / "rep",
+        argv = ["report", "--kind", "completion", "--config", path["run.ini"], "--out-dir", p["tmp"] / "rep" / "sub",
                 "--checkpoint", p["ckpt"], "--vocab", p["vocab"], "--corpus", p["corpus"],
                 "--thresholds", path["thresholds.csv"], "--truth", path["truth.csv"]]
     capsys.readouterr()
@@ -451,7 +471,7 @@ def test_bad_input_exits_with_one_line_error(pol_pipeline, capsys, command, name
         assert f"{name}:2:" in err
     written = [p["tmp"] / out for out in ("eval.csv", "vocab_out.tsv", "train_out.ckpt")]
     assert not [f for f in written if f.exists()]
-    assert not list((p["tmp"] / "gen").glob("*")) + list((p["tmp"] / "rep").glob("*"))
+    assert not (p["tmp"] / "gen").exists() and not (p["tmp"] / "rep").exists()
 
 
 @pytest.mark.parametrize("text, named", [
@@ -568,7 +588,7 @@ def test_report_completion_names_the_trajectory_longer_than_the_model(porto_pipe
     err = capsys.readouterr().err
     n_ids = len(tokens) + 2  # SOT, locations, EOT
     assert err == f"error: trajectory {traj_id!r} has {n_ids} tokens; this model takes at most 49 (max_seq_len 48)\n"
-    assert not list(rep.iterdir())
+    assert not rep.exists()
 
 
 def test_flag_prefixes_are_not_accepted(pol_pipeline, capsys):

@@ -143,6 +143,8 @@ def test_anomaly_spec_validation():
         AnomalySpec("detour", 0.3, 0)
     with pytest.raises(DomainError):
         AnomalySpec("wiggle", 0.3, 1)
+    with pytest.raises(TypeError):  # dist has no default: 0 would be rejected anyway
+        AnomalySpec("detour", 0.3)
 
 
 def straight_east(n, row=10):
