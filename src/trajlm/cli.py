@@ -7,7 +7,8 @@ the generators split further by XORing the unit index. gen-data builds every
 file of a preset (pol_corpora, porto_corpora) before it creates the output
 directory, so a rejected config leaves nothing behind. Artifacts embed the
 config hash and tool version. Exit codes: 0 success, 1 usage/config error,
-2 data or model error.
+2 data or model error. On glibc, main first asks the allocator to keep freed
+heap pages (_keep_freed_heap_pages), so training steps reuse their memory.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import ctypes
 import hashlib
 import sys
 from dataclasses import fields
@@ -46,6 +48,10 @@ from .vocab import Token, Vocab, build_vocab
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
+
+# glibc mallopt parameter: bytes kept at the heap top when free() trims it.
+M_TOP_PAD = -2
+HEAP_TOP_PAD = 64 << 20
 
 
 def derive_seed(root: int, name: str) -> int:
@@ -383,6 +389,7 @@ def cmd_stream(args) -> int:
     for tok in tokens:
         if tok.kind == "agent_id":
             agent = tok.value
+    table.threshold_for(args.scope, agent)  # a missing threshold fails before stdin is read
     session = open_session(model, [vocab.id(tok) for tok in tokens])
     writer = csv.writer(sys.stdout, lineterminator="\n")
     for line in sys.stdin:
@@ -553,7 +560,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _keep_freed_heap_pages() -> None:
+    """Ask glibc to keep HEAP_TOP_PAD bytes at the heap top when free() trims it.
+
+    A training step frees its activations at the end of the step; by default
+    glibc hands that top of the heap back to the kernel, and the next step
+    page-faults the same memory back in. Keeping it costs no resident memory
+    the step did not already touch. A no-op off Linux or without mallopt.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(M_TOP_PAD, HEAP_TOP_PAD)
+
+
 def main(argv=None) -> int:
+    _keep_freed_heap_pages()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -22,6 +22,12 @@ padded (n_seq, t, d_model) layout, with zeros at the dropped positions. A
 dropped position feeds only later positions, which are dropped too, so the
 loss and gradients are those of the padded batch. Scoring and sessions pass
 no mask and run the padded layout unchanged.
+
+Attention works in place on the score arrays it creates: forward_batch
+scales and masks its scores in place and softmax overwrites them with the
+attention weights; backward turns d_attn into d_scores in place. These are
+the operations of the out-of-place forms in the same order, so the results
+are bit-identical to them.
 """
 
 from __future__ import annotations
@@ -157,9 +163,14 @@ def check_lengths(model: Model, corpus) -> None:
 # ---------------------------------------------------------------------------
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Max-subtracted softmax; -inf entries come out as exact zeros."""
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
+    """Max-subtracted softmax computed in place: overwrites x and returns it.
+
+    -inf entries come out as exact zeros.
+    """
+    x -= x.max(axis=axis, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=axis, keepdims=True)
+    return x
 
 
 def layernorm(x: np.ndarray, g: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, tuple]:
@@ -180,10 +191,11 @@ def _layernorm_backward(dy: np.ndarray, cache: tuple) -> tuple[np.ndarray, np.nd
     dg = np.sum(dy * xhat, axis=tuple(range(dy.ndim - 1)))
     db = np.sum(dy, axis=tuple(range(dy.ndim - 1)))
     dxhat = dy * g
+    n = dy.shape[-1]
     dx = inv * (
         dxhat
-        - dxhat.mean(axis=-1, keepdims=True)
-        - xhat * np.mean(dxhat * xhat, axis=-1, keepdims=True)
+        - np.add.reduce(dxhat, axis=-1, keepdims=True) / n
+        - xhat * (np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / n)
     )
     return dx, dg, db
 
@@ -262,8 +274,8 @@ def forward_batch(
         x = p["tok_emb"][ids] + p["pos_emb"][pos:end]
     else:
         x = p["tok_emb"][ids[keep]] + p["pos_emb"][pos + np.nonzero(keep)[1]]
-    # Row i (position pos + i) sees keys j <= pos + i; a single new row sees them all.
-    visible = np.tri(t_new, end, pos, dtype=bool) if t_new > 1 else None
+    # Row i (position pos + i) hides keys j > pos + i; a single new row sees them all.
+    hidden = ~np.tri(t_new, end, pos, dtype=bool) if t_new > 1 else None
     scale = np.sqrt(np.asarray(cfg.d_head, dtype=DTYPE))
 
     for i in range(cfg.n_layers):
@@ -282,9 +294,10 @@ def forward_batch(
             k, v = k_buf[:, :end], v_buf[:, :end]
         kh = _split_heads(k, cfg.n_heads)
         vh = _split_heads(v, cfg.n_heads)
-        scores = qh @ kh.transpose(0, 1, 3, 2) / scale
-        if visible is not None:
-            scores = np.where(visible, scores, -np.inf)
+        scores = qh @ kh.transpose(0, 1, 3, 2)
+        scores /= scale
+        if hidden is not None:
+            np.copyto(scores, -np.inf, where=hidden)
         attn = softmax(scores, axis=-1)
         ctx = _merge_heads(attn @ vh)
         if keep is not None:
@@ -398,9 +411,13 @@ def backward(model: Model, ids: np.ndarray) -> tuple[float, dict[str, np.ndarray
         attn, vh, qh, kh = lc["attn"], lc["vh"], lc["qh"], lc["kh"]
         d_attn = d_ctx @ vh.transpose(0, 1, 3, 2)
         d_vh = attn.transpose(0, 1, 3, 2) @ d_ctx
-        d_scores = attn * (d_attn - np.sum(d_attn * attn, axis=-1, keepdims=True))
-        d_qh = d_scores @ kh / scale
-        d_kh = d_scores.transpose(0, 1, 3, 2) @ qh / scale
+        # d_scores = attn * (d_attn - rowsum(d_attn * attn)), computed in d_attn
+        d_attn -= np.sum(d_attn * attn, axis=-1, keepdims=True)
+        d_attn *= attn
+        d_qh = d_attn @ kh
+        d_qh /= scale
+        d_kh = d_attn.transpose(0, 1, 3, 2) @ qh
+        d_kh /= scale
         d_q, d_k, d_v = (_merge_heads(d)[keep] for d in (d_qh, d_kh, d_vh))
         a = lc["a"]
         grads[f"{pre}.attn.wq"] += a.T @ d_q

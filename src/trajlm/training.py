@@ -5,7 +5,9 @@ seeded permutation per epoch and parameter updates run in canonical order.
 A batch is right-padded to its longest trajectory; model.backward computes
 only its scored positions, so the padding costs work only in attention.
 Adam uses the published defaults of Kingma & Ba (2015) and every step clips
-the global gradient norm to CLIP_NORM.
+the global gradient norm to CLIP_NORM. Its moments are two flat vectors in
+model.params order, updated in place, and each parameter array is updated in
+place from its slice of the step.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, TrajLMError
-from .model import Model, backward, check_lengths
+from .model import DTYPE, Model, backward, check_lengths
 from .vocab import PAD_ID, EncodedTrajectory
 
 
@@ -47,29 +49,53 @@ class TrainConfig:
 
 
 class AdamOptimizer:
-    """Adaptive moment estimation with bias correction and global-norm clipping."""
+    """Adaptive moment estimation with bias correction and global-norm clipping.
+
+    The moments m and v are two flat float64 vectors over every parameter in
+    model.params order. A step gathers the gradients into one flat vector,
+    updates the moments and computes the update in place with one scratch
+    vector, then subtracts each parameter's slice from that parameter in
+    place. Each element sees the same operations in the same order as a
+    per-parameter update, so the parameters are bit-identical to one.
+    """
 
     def __init__(self, model: Model, tc: TrainConfig):
         self.learning_rate = tc.learning_rate
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in model.params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in model.params.items()}
+        n = sum(p.size for p in model.params.values())
+        self.m = np.zeros(n, dtype=DTYPE)
+        self.v = np.zeros(n, dtype=DTYPE)
+        self._grad = np.empty(n, dtype=DTYPE)
+        self._scratch = np.empty(n, dtype=DTYPE)
 
     def step(self, model: Model, grads: dict[str, np.ndarray]) -> None:
         total = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+        g, s = self._grad, self._scratch
+        np.concatenate([grads[name].ravel() for name in model.params], out=g)
         if total > CLIP_NORM:
-            scale = CLIP_NORM / total
-            grads = {k: g * scale for k, g in grads.items()}
+            g *= CLIP_NORM / total
         self.t += 1
         bc1 = 1.0 - BETA1**self.t
         bc2 = 1.0 - BETA2**self.t
-        for name, p in model.params.items():
-            g = grads[name]
-            self.m[name] = BETA1 * self.m[name] + (1.0 - BETA1) * g
-            self.v[name] = BETA2 * self.v[name] + (1.0 - BETA2) * (g * g)
-            mhat = self.m[name] / bc1
-            vhat = self.v[name] / bc2
-            p -= self.learning_rate * mhat / (np.sqrt(vhat) + EPS)
+        # m = BETA1*m + (1-BETA1)*g and v = BETA2*v + (1-BETA2)*(g*g)
+        self.m *= BETA1
+        np.multiply(g, 1.0 - BETA1, out=s)
+        self.m += s
+        self.v *= BETA2
+        np.multiply(g, g, out=s)
+        s *= 1.0 - BETA2
+        self.v += s
+        # update = lr*mhat / (sqrt(vhat) + EPS), written over g
+        np.divide(self.v, bc2, out=s)
+        np.sqrt(s, out=s)
+        s += EPS
+        np.divide(self.m, bc1, out=g)
+        g *= self.learning_rate
+        g /= s
+        start = 0
+        for p in model.params.values():
+            p -= g[start : start + p.size].reshape(p.shape)
+            start += p.size
 
 
 def pad_batch(batch: list[EncodedTrajectory]) -> np.ndarray:

@@ -1,20 +1,25 @@
 import csv
+import ctypes
 import io
 import json
 from collections import Counter
 import re
+import resource
 import shlex
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from trajlm import dataio
 from trajlm.checkpoint import read_checkpoint
 from trajlm.cli import RunConfig, build_parser, main, pol_corpora, porto_corpora
 from trajlm.errors import ConfigError
+from trajlm.model import init_model
 from trajlm.scoring import ScoreReport, token_log_probs
-from trajlm.vocab import Vocab
+from trajlm.training import train
+from trajlm.vocab import Token, Vocab
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 README = CONFIGS.parent / "README.md"
@@ -312,6 +317,35 @@ def test_stream_matches_batch_scorer(pol_pipeline, monkeypatch, capsys):
 def test_stream_writes_porto_cell_as_one_field(porto_pipeline, monkeypatch, capsys):
     p = porto_pipeline
     assert_stream_matches_batch(p, p["thresholds"], monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("drop", ["agent token", "agent threshold"])
+@pytest.mark.parametrize("stdin", ["", "one event"])
+def test_stream_checks_its_threshold_before_reading_stdin(pol_pipeline, monkeypatch, capsys, drop, stdin):
+    p = pol_pipeline
+    fitted = p["tmp"] / "fitted.csv"
+    assert run("score", "--config", p["config"], "--checkpoint", p["ckpt"], "--vocab", p["vocab"],
+               "--corpus", p["corpus"], "--out", p["tmp"] / "s.csv", "--scope", "per_agent",
+               "--fit-thresholds", "--thresholds-out", fitted) == 0
+    vocab = Vocab.load(p["vocab"])
+    agent_tok, weekday_tok, first, *_ = [vocab.token(i) for i in
+                                         dataio.encode_record(dataio.read_corpus(p["corpus"])[0], vocab).ids]
+    if drop == "agent token":
+        thresholds, conditioning, message = fitted, str(weekday_tok), "per_agent scope requires an agent"
+    else:
+        thresholds = p["tmp"] / "thr.csv"
+        conditioning, message = f"{agent_tok},{weekday_tok}", f"agent {agent_tok.value!r} has no per-agent threshold"
+        lines = fitted.read_text().splitlines(keepends=True)
+        thresholds.write_text("".join(l for l in lines if f",{agent_tok.value}," not in l))
+    events = f"{first}\n" if stdin else ""
+    monkeypatch.setattr(sys, "stdin", io.StringIO(events))
+    capsys.readouterr()
+    assert run("stream", "--checkpoint", p["ckpt"], "--vocab", p["vocab"], "--thresholds", thresholds,
+               "--conditioning", conditioning, "--scope", "per_agent") == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert sys.stdin.read() == events  # no event consumed
 
 
 def test_report_ablation_row_count(pol_config, tmp_path):
@@ -700,3 +734,45 @@ def test_readme_commands_parse(capsys):
         assert run(argv[0], "--help") == 0
         flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
         assert {a for a in argv if a.startswith("--")} <= flags, argv
+
+
+def _has_mallopt() -> bool:
+    try:
+        ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return False
+    return True
+
+
+@pytest.mark.skipif(not (sys.platform.startswith("linux") and _has_mallopt()),
+                    reason="needs glibc's mallopt on Linux")
+def test_cli_keeps_freed_heap_pages_for_the_next_training_step(porto_config, tmp_path):
+    """After `trajlm train` has run in a process, a porto-shaped training (16-row batches
+    of 30-40 cells, d_model 64) reuses its freed heap pages instead of faulting them back in."""
+    text = porto_config.read_text()
+    for old, new in (("d_model = 16", "d_model = 64"), ("n_heads = 2", "n_heads = 4"),
+                     ("d_ff = 32", "d_ff = 256"), ("n_layers = 1", "n_layers = 2"),
+                     ("batch_size = 8", "batch_size = 16")):
+        assert old in text
+        text = text.replace(old, new)
+    porto_config.write_text(text)
+    rng = np.random.default_rng(0)
+    records = []
+    for i in range(64):
+        col, row = rng.integers(0, 16, size=2)
+        cells = []
+        for _ in range(rng.integers(30, 41)):
+            col, row = (col + rng.integers(-1, 2)) % 16, (row + rng.integers(-1, 2)) % 16
+            cells.append(Token("cell", f"{col},{row}"))
+        records.append(dataio.CorpusRecord(f"r{i}", cells))
+    corpus, vocab_path = tmp_path / "routes.jsonl", tmp_path / "v.tsv"
+    dataio.write_corpus(corpus, records)
+    assert run("build-vocab", "--inputs", corpus, "--out", vocab_path) == 0
+    assert run("train", "--config", porto_config, "--corpus", corpus, "--vocab", vocab_path,
+               "--out", tmp_path / "m.ckpt") == 0
+    cfg, vocab = RunConfig.from_path(porto_config), Vocab.load(vocab_path)
+    encoded = [dataio.encode_record(r, vocab) for r in dataio.read_corpus(corpus)]
+    model = init_model(cfg.model_config(len(vocab)))
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    train(model, encoded, cfg.train_config())
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1000

@@ -12,8 +12,9 @@ from trajlm.model import (
     log_softmax,
     nll_loss,
     param_shapes,
+    softmax,
 )
-from trajlm.training import TrainConfig, train
+from trajlm.training import BETA1, BETA2, CLIP_NORM, EPS, AdamOptimizer, TrainConfig, train
 from trajlm.vocab import EncodedTrajectory
 
 TINY = ModelConfig(vocab_size=20, d_model=8, n_heads=2, n_layers=2, d_ff=16, max_seq_len=8, seed=27)
@@ -408,6 +409,53 @@ def test_forward_batch_keep_is_a_row_prefix_without_a_cache():
         forward_batch(m, ids, kv=kv, keep=keep)
 
 
+def _snapshot(*arrays):
+    return [a.copy() for a in arrays]
+
+
+def _assert_bits_unchanged(before, after):
+    for b, a in zip(before, after):
+        assert b.dtype == a.dtype and b.tobytes() == a.tobytes()
+
+
+def test_in_place_attention_writes_only_its_own_temporaries():
+    m = init_model(PACK)
+    params = list(m.params.values())
+    ids = _padded(_mixed_rows([9, 5, 7], seed=3), 9)
+    keep = ids[:, 1:] != 0
+    inputs = ids[:, :-1]
+    before = _snapshot(*params, ids, keep)
+
+    forward_batch(m, inputs)
+    forward_batch(m, inputs, collect=True, keep=keep)
+    backward(m, ids)
+    _assert_bits_unchanged(before, params + [ids, keep])
+
+    kv = [(np.zeros((3, PACK.max_seq_len, PACK.d_model)), np.zeros((3, PACK.max_seq_len, PACK.d_model)))
+          for _ in range(PACK.n_layers)]
+    forward_batch(m, inputs[:, :3], kv=kv)
+    for pos, t_new in ((3, 2), (5, 1)):  # several new rows under the mask, then one
+        chunk = inputs[:, pos : pos + t_new]
+        cached = [(k[:, :pos].copy(), v[:, :pos].copy()) for k, v in kv]
+        before = _snapshot(*params, chunk)
+        forward_batch(m, chunk, kv=kv, pos=pos)
+        _assert_bits_unchanged(before, params + [chunk])
+        for (k, v), (k0, v0) in zip(kv, cached):
+            _assert_bits_unchanged([k0, v0], [k[:, :pos], v[:, :pos]])
+
+
+def test_softmax_overwrites_its_argument():
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(3, 5, 5))
+    hidden = np.broadcast_to(~np.tri(5, dtype=bool), x.shape)
+    x[hidden] = -np.inf
+    out = softmax(x)
+    assert out is x
+    assert np.allclose(out.sum(axis=-1), 1.0, rtol=0, atol=1e-15)
+    assert np.all(out[hidden] == 0.0)
+    assert np.all(out[~hidden] > 0.0)
+
+
 # --- training --------------------------------------------------------------
 
 def _toy_corpus(n=8, length=6, vocab=15, seed=0):
@@ -462,3 +510,59 @@ def test_train_config_validation():
         TrainConfig(learning_rate=0.0)
     with pytest.raises(ConfigError):
         TrainConfig(batch_size=0)
+
+
+class _ReferenceAdam:
+    """The per-parameter Adam step that AdamOptimizer replaced, verbatim."""
+
+    def __init__(self, model, tc):
+        self.learning_rate = tc.learning_rate
+        self.t = 0
+        self.m = {k: np.zeros_like(v) for k, v in model.params.items()}
+        self.v = {k: np.zeros_like(v) for k, v in model.params.items()}
+
+    def step(self, model, grads):
+        total = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+        if total > CLIP_NORM:
+            scale = CLIP_NORM / total
+            grads = {k: g * scale for k, g in grads.items()}
+        self.t += 1
+        bc1 = 1.0 - BETA1**self.t
+        bc2 = 1.0 - BETA2**self.t
+        for name, p in model.params.items():
+            g = grads[name]
+            self.m[name] = BETA1 * self.m[name] + (1.0 - BETA1) * g
+            self.v[name] = BETA2 * self.v[name] + (1.0 - BETA2) * (g * g)
+            mhat = self.m[name] / bc1
+            vhat = self.v[name] / bc2
+            p -= self.learning_rate * mhat / (np.sqrt(vhat) + EPS)
+
+
+def _flat_bytes(arrays):
+    return np.concatenate([a.ravel() for a in arrays]).tobytes()
+
+
+def test_adam_step_matches_the_per_parameter_reference_bit_for_bit():
+    m = init_model(PACK)
+    ref_model = m.copy()
+    tc = TrainConfig(learning_rate=3e-3)
+    opt, ref = AdamOptimizer(m, tc), _ReferenceAdam(ref_model, tc)
+    arrays = list(m.params.values())
+    batches = [_padded(_mixed_rows([9, 6, 4], seed=s), 9) for s in range(3)]
+    # gradients scaled to a global norm far above CLIP_NORM (clipped), then below it
+    for gain, clipped in ((50.0, True), (0.05, False)):
+        for ids in batches + batches[:1]:
+            _, grads = backward(m, ids)
+            grads = {k: gain * g for k, g in grads.items()}
+            norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+            assert (norm > CLIP_NORM) == clipped
+            given = _snapshot(*grads.values())
+            opt.step(m, grads)
+            ref.step(ref_model, grads)
+            _assert_bits_unchanged(given, list(grads.values()))
+            assert all(a is b for a, b in zip(m.params.values(), arrays))
+            for name in m.params:
+                assert m.params[name].tobytes() == ref_model.params[name].tobytes(), name
+            assert opt.t == ref.t
+            assert opt.m.tobytes() == _flat_bytes(ref.m.values())
+            assert opt.v.tobytes() == _flat_bytes(ref.v.values())
