@@ -49,6 +49,10 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 
+# The location configurations `report --kind ablation` compares, whatever the
+# config's [world] configurations (which only chooses the corpora gen-data writes).
+ABLATION_CONFIGURATIONS = ["staypoint", "gps", "duration"]
+
 # glibc mallopt parameter: bytes kept at the heap top when free() trims it.
 M_TOP_PAD = -2
 HEAP_TOP_PAD = 64 << 20
@@ -162,8 +166,9 @@ class RunConfig:
         except DomainError as e:
             raise ConfigError(f"config [world]: {e}") from e
 
-    def configurations(self, default: str) -> list[str]:
-        names = [c.strip() for c in self.get("world", "configurations", str, default).split(",") if c.strip()]
+    def configurations(self) -> list[str]:
+        """The location configurations gen-data writes a pol corpus for."""
+        names = [c.strip() for c in self.get("world", "configurations", str, "staypoint").split(",") if c.strip()]
         if not names or not set(names) <= set(LOCATION_CONFIGURATIONS):
             raise ConfigError(
                 f"[world] configurations must be one or more of {list(LOCATION_CONFIGURATIONS)}, got {names}"
@@ -263,7 +268,7 @@ def cmd_gen_data(args) -> int:
     cfg = RunConfig.from_path(args.config)
     preset = cfg.get("run", "preset", str)
     if preset == "pol":
-        corpora, truth = pol_corpora(cfg, cfg.configurations("staypoint"))
+        corpora, truth = pol_corpora(cfg, cfg.configurations())
     elif preset == "porto":
         corpora, truth = porto_corpora(cfg)
     else:
@@ -314,7 +319,7 @@ def cmd_train(args) -> int:
     loss_path = Path(args.loss_log) if args.loss_log else None
     start_epoch = 0
     if args.resume:
-        model = read_checkpoint(args.checkpoint_in or args.out, expected_vocab_hash=vocab.hash())
+        model = read_checkpoint(args.out, expected_vocab_hash=vocab.hash())
         wanted = cfg.model_config(len(vocab))
         for f in fields(ModelConfig):  # the seed only initialises weights, which are loaded
             ours, theirs = getattr(wanted, f.name), getattr(model.config, f.name)
@@ -373,9 +378,7 @@ def cmd_score(args) -> int:
         print(f"[score] fitted thresholds -> {args.thresholds_out}")
     dataio.write_scores(args.out, reports, config_hash)
     if args.per_position:
-        dataio.write_surprisals(
-            args.per_position, reports, vocab, {t.traj_id: t for t in encoded}, config_hash
-        )
+        dataio.write_surprisals(args.per_position, reports, vocab, encoded, config_hash)
     n_anom = sum(1 for r in reports if r.verdict == "anomalous")
     print(f"[score] {len(reports)} trajectories scored ({scope}); {n_anom} anomalous -> {args.out}")
     return EXIT_OK
@@ -441,11 +444,11 @@ def cmd_report(args) -> int:
     cfg = RunConfig.from_path(args.config)
     out_dir = Path(args.out_dir)  # made only once every input has been read and checked
     if args.kind == "ablation":
-        configurations = cfg.configurations("staypoint,gps,duration")
-        corpora, truth = pol_corpora(cfg, configurations)
+        corpora, truth = pol_corpora(cfg, ABLATION_CONFIGURATIONS)
         labels = {t.traj_id: t.label for t in truth["truth.csv"]}
         result = ablation_eval(
-            {name: corpora[f"corpus_{name}.jsonl"] for name in configurations}, _train_eval_pipeline(cfg, labels)
+            {name: corpora[f"corpus_{name}.jsonl"] for name in ABLATION_CONFIGURATIONS},
+            _train_eval_pipeline(cfg, labels),
         )
         out_dir.mkdir(parents=True, exist_ok=True)
         summary = out_dir / "ablation.csv"
@@ -515,7 +518,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--loss-log")
     p.add_argument("--resume", action="store_true")
-    p.add_argument("--checkpoint-in", help="checkpoint to resume from (defaults to --out)")
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("score", help="perplexity + verdict per trajectory")

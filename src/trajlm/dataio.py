@@ -84,7 +84,10 @@ def write_corpus(path, records: list[CorpusRecord], config_hash: str = "") -> No
 
 
 def read_corpus(path) -> list[CorpusRecord]:
+    """The records of a corpus file. Ids are unique within it, and agent and
+    weekday are strings when given; any other line is a DataError naming it."""
     records = []
+    first_line: dict[str, int] = {}
     with decoding(path), open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -101,16 +104,23 @@ def read_corpus(path) -> list[CorpusRecord]:
             if "_meta" in obj:
                 continue
             try:
-                records.append(
-                    CorpusRecord(
-                        traj_id=str(obj["id"]),
-                        tokens=[Token.parse(t) for t in obj["tokens"]],
-                        agent=obj.get("agent"),
-                        weekday=obj.get("weekday"),
-                    )
+                rec = CorpusRecord(
+                    traj_id=str(obj["id"]),
+                    tokens=[Token.parse(t) for t in obj["tokens"]],
+                    agent=obj.get("agent"),
+                    weekday=obj.get("weekday"),
                 )
             except (KeyError, TypeError, DomainError) as e:
                 raise DataError(f"{path}:{lineno}: bad corpus record: {e}") from e
+            for key, value in (("agent", rec.agent), ("weekday", rec.weekday)):
+                if value is not None and not isinstance(value, str):
+                    raise DataError(f"{path}:{lineno}: corpus {key} must be a string, got {value!r}")
+            if rec.traj_id in first_line:
+                raise DataError(
+                    f"{path}:{lineno}: duplicate id {rec.traj_id!r}, first on line {first_line[rec.traj_id]}"
+                )
+            first_line[rec.traj_id] = lineno
+            records.append(rec)
     return records
 
 
@@ -168,8 +178,11 @@ def _label(where: str, value: str, what: str) -> str:
 
 
 def read_truth(path) -> dict[str, TruthRecord]:
+    """Truth rows by id; a repeated id is a DataError naming its line."""
     out: dict[str, TruthRecord] = {}
     for where, row in _csv_rows(path, TRUTH_HEADER[:2], "truth", prefix=True):
+        if row[0] in out:
+            raise DataError(f"{where}: duplicate id {row[0]!r}")
         _label(where, row[1], "truth label")
         try:
             rec = TruthRecord(
@@ -210,11 +223,14 @@ def read_scores(path) -> list[ScoreReport]:
 
 
 def write_surprisals(path, reports: list[ScoreReport], vocab: Vocab,
-                     encoded: dict[str, EncodedTrajectory], config_hash: str = "") -> None:
-    """Per-position dump: id,pos,token,surprisal (one row per scored token)."""
+                     encoded: list[EncodedTrajectory], config_hash: str = "") -> None:
+    """Per-position dump: id,pos,token,surprisal (one row per scored token).
+
+    reports[i] is the report of encoded[i], as score_corpus returns them.
+    """
     rows = (
-        [r.traj_id, pos, vocab.token(encoded[r.traj_id].ids[pos]), float(value)]
-        for r in reports
+        [r.traj_id, pos, vocab.token(t.ids[pos]), float(value)]
+        for r, t in zip(reports, encoded, strict=True)
         for value, pos in zip(r.surprisal.values, r.surprisal.target_positions)
     )
     write_csv(path, ["id", "pos", "token", "surprisal"], rows, config_hash)

@@ -9,7 +9,7 @@ verdicts rather than the best threshold in hindsight.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -21,16 +21,8 @@ from .scoring import ScoreReport, ThresholdTable, classify, perplexity, score_co
 from .vocab import EncodedTrajectory
 
 
-@dataclass(frozen=True)
-class PRPoint:
-    threshold: float
-    precision: float
-    recall: float
-
-
 @dataclass
 class EvalReport:
-    scope: str
     f1: float
     pr_auc: float
     tp: int
@@ -68,11 +60,12 @@ def f1(labels: Sequence, verdicts: Sequence) -> float:
     return 2 * tp / denom if denom else 0.0
 
 
-def pr_curve(labels: Sequence, scores: Sequence) -> list[PRPoint]:
-    """One point per distinct score, swept from the highest score down.
+def pr_auc(labels: Sequence, scores: Sequence) -> float:
+    """Average precision: sum of (R_k - R_{k-1}) * P_k over the descending sweep.
 
-    At each threshold tau, everything scoring >= tau is predicted anomalous;
-    tied scores enter together. Points come out ordered by increasing recall.
+    Step k is the k-th distinct score tau from the highest down; everything
+    scoring >= tau is predicted anomalous, so tied scores enter together. The
+    terms are added left to right.
     """
     y = _as_binary(labels, "labels")
     s = np.asarray(scores, dtype=np.float64)
@@ -83,31 +76,11 @@ def pr_curve(labels: Sequence, scores: Sequence) -> list[PRPoint]:
         raise DomainError("precision-recall needs at least one positive label")
     order = np.argsort(-s, kind="stable")
     s_sorted = s[order]
-    y_sorted = y[order]
-    tp_cum = np.cumsum(y_sorted)
-    pred_cum = np.arange(1, len(s) + 1)
-    last_of_group = np.ones(len(s), dtype=bool)
-    last_of_group[:-1] = s_sorted[:-1] != s_sorted[1:]
-    points = [
-        PRPoint(
-            threshold=float(s_sorted[i]),
-            precision=float(tp_cum[i] / pred_cum[i]),
-            recall=float(tp_cum[i] / n_pos),
-        )
-        for i in np.flatnonzero(last_of_group)
-    ]
-    return points
-
-
-def pr_auc(labels: Sequence, scores: Sequence) -> float:
-    """Average precision: sum of (R_k - R_{k-1}) * P_k over the descending sweep."""
-    points = pr_curve(labels, scores)
-    auc = 0.0
-    prev_recall = 0.0
-    for pt in points:
-        auc += (pt.recall - prev_recall) * pt.precision
-        prev_recall = pt.recall
-    return auc
+    ends = np.flatnonzero(np.append(s_sorted[:-1] != s_sorted[1:], True))  # last index of each tie group
+    tp = np.cumsum(y[order])[ends]
+    precision = tp / (ends + 1)
+    recall = tp / n_pos
+    return float(np.cumsum(np.diff(recall, prepend=0.0) * precision)[-1])
 
 
 def per_agent_eval(
@@ -127,7 +100,7 @@ def per_agent_eval(
             raise DomainError(f"trajectory {r.traj_id!r} missing from ground truth")
         by_agent.setdefault(r.agent, []).append(r)
     return {
-        agent: replace(global_eval(rs, truth), scope=f"agent:{agent}")
+        agent: global_eval(rs, truth)
         for agent, rs in sorted(by_agent.items())
         if any(truth[r.traj_id] == "anomalous" for r in rs)
     }
@@ -143,7 +116,6 @@ def global_eval(reports: list[ScoreReport], truth: dict[str, str]) -> EvalReport
     scores = [r.perplexity for r in reports]
     tp, fp, fn, tn = confusion_counts(labels, verdicts)
     return EvalReport(
-        scope="global",
         f1=f1(labels, verdicts),
         pr_auc=pr_auc(labels, scores),
         tp=tp, fp=fp, fn=fn, tn=tn,

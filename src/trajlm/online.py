@@ -1,12 +1,15 @@
 """Incremental trajectory scoring with per-layer key/value caches.
 
-A session consumes one token at a time. Each push runs the batch kernel,
-model.forward_batch, on the one new row with the session's key/value cache,
-so only one attention query row is computed per layer against the cached keys
-and values of the prefix; scoring a whole stream costs O(n^2 d) instead of the
-O(n^3 d) of re-running a full forward pass per prefix. The only difference
-from batch scoring is BLAS summation order, so per-token results match the
-batch scorer to 1e-9 relative.
+A session is opened from its conditioning tokens (agent/weekday prefix or SOT),
+which fill the caches in one cached call and are not scored; there is no
+session without them. After that it consumes one token at a time. Each push
+scores the token against the logits of the previous position, then runs the
+batch kernel, model.forward_batch, on the one new row with the session's
+key/value cache, so only one attention query row is computed per layer against
+the cached keys and values of the prefix; scoring a whole stream costs
+O(n^2 d) instead of the O(n^3 d) of re-running a full forward pass per prefix.
+The only difference from batch scoring is BLAS summation order, so per-token
+results match the batch scorer to 1e-9 relative.
 """
 
 from __future__ import annotations
@@ -23,34 +26,36 @@ from .scoring import ScoreReport, ThresholdTable, classify
 class Session:
     """Single-owner incremental scorer over one immutable model.
 
-    The caches hold the post-projection key and value rows of every pushed
-    token, one (1, max_seq_len, d_model) buffer each per layer; pushes append
-    one row per layer and never touch earlier rows.
+    The constructor feeds the conditioning tokens. The caches hold the
+    post-projection key and value rows of every token fed, one
+    (1, max_seq_len, d_model) buffer each per layer; pushes append one row per
+    layer and never touch earlier rows. len() counts the tokens fed.
     """
 
-    def __init__(self, model: Model):
+    def __init__(self, model: Model, conditioning_ids: list[int]):
+        if len(conditioning_ids) == 0:
+            raise DomainError("conditioning must contain at least one token")
         cfg = model.config
         shape = (1, cfg.max_seq_len, cfg.d_model)
         self.model = model
         self._kv = [(np.zeros(shape, dtype=DTYPE), np.zeros(shape, dtype=DTYPE))
                     for _ in range(cfg.n_layers)]
-        self.pushed_ids: list[int] = []
+        self._n_fed = 0
         self.surprisal_sum = 0.0
         self.scored_count = 0
-        self._last_logits: np.ndarray | None = None
+        self._advance([int(t) for t in conditioning_ids])
 
     def __len__(self) -> int:
-        return len(self.pushed_ids)
+        return self._n_fed
 
     @property
     def full(self) -> bool:
-        return len(self.pushed_ids) >= self.model.config.max_seq_len
+        return self._n_fed >= self.model.config.max_seq_len
 
     def cached_kv(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
         """Views of the key/value rows cached so far for one layer."""
-        t = len(self.pushed_ids)
         k, v = self._kv[layer]
-        return k[0, :t], v[0, :t]
+        return k[0, :self._n_fed], v[0, :self._n_fed]
 
     @property
     def running_perplexity(self) -> float:
@@ -64,19 +69,17 @@ class Session:
         forward_batch validates the ids and the length before it writes a cache
         row, so a rejected call leaves the session unchanged.
         """
-        logits, _ = forward_batch(self.model, [token_ids], kv=self._kv, pos=len(self.pushed_ids))
+        logits, _ = forward_batch(self.model, [token_ids], kv=self._kv, pos=self._n_fed)
         self._last_logits = logits[0, -1]
-        self.pushed_ids.extend(token_ids)
+        self._n_fed += len(token_ids)
 
     def push(self, token_id: int) -> tuple[float, float]:
         """Score one arriving token; returns (its surprisal, running perplexity).
 
         The surprisal comes from the logits of the previous position, i.e.
-        -log P(token | everything pushed so far). Raises SessionFullError with
+        -log P(token | every token fed so far). Raises SessionFullError with
         the session unchanged when the model's context window is exhausted.
         """
-        if self._last_logits is None:
-            raise DomainError("session has no conditioning context; use open_session first")
         if self.full:
             raise SessionFullError(
                 f"session already holds max_seq_len={self.model.config.max_seq_len} tokens"
@@ -92,16 +95,9 @@ class Session:
 
 
 def open_session(model: Model, conditioning_ids: list[int]) -> Session:
-    """Start a session from conditioning tokens (agent/weekday prefix or SOT).
-
-    The conditioning tokens populate the caches but are not scored; the first
-    push is scored against the distribution they induce.
-    """
-    if not conditioning_ids:
-        raise DomainError("conditioning must contain at least one token")
-    session = Session(model)
-    session._advance([int(t) for t in conditioning_ids])
-    return session
+    """A session whose caches hold the conditioning tokens (agent/weekday
+    prefix or SOT); the first push is scored against the distribution they induce."""
+    return Session(model, conditioning_ids)
 
 
 def partial_verdict(
@@ -109,9 +105,8 @@ def partial_verdict(
     table: ThresholdTable,
     scope: str = "global",
     agent: str | None = None,
-    traj_id: str | None = None,
 ) -> ScoreReport:
     """Classify the running perplexity of a partially observed trajectory."""
     if session.scored_count < 1:
         raise DomainError("cannot classify before any location has been scored")
-    return classify(traj_id, session.running_perplexity, table, scope=scope, agent=agent)
+    return classify(None, session.running_perplexity, table, scope=scope, agent=agent)

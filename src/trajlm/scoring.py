@@ -37,11 +37,14 @@ class SurprisalTrace:
     """Per-position surprisal in nats, aligned to the tokens it scores.
 
     values[i] is the surprisal of the token at sequence position
-    target_positions[i] (an index into the trajectory's ids).
+    target_positions[i] = i + 1 (an index into the trajectory's ids).
     """
 
     values: np.ndarray
-    target_positions: list[int]
+
+    @property
+    def target_positions(self) -> list[int]:
+        return list(range(1, len(self.values) + 1))
 
     @property
     def perplexity(self) -> float:
@@ -97,13 +100,9 @@ def token_log_probs(model: Model, ids) -> np.ndarray:
     return np.take_along_axis(log_softmax(logits), ids[:, 1:, None], axis=-1)[..., 0]
 
 
-def _trace(log_probs: np.ndarray) -> SurprisalTrace:
-    return SurprisalTrace(values=-log_probs, target_positions=list(range(1, len(log_probs) + 1)))
-
-
 def surprisal(model: Model, traj: EncodedTrajectory) -> SurprisalTrace:
     """Negated log-probabilities with the sequence position of each scored token."""
-    return _trace(token_log_probs(model, [traj.ids])[0])
+    return SurprisalTrace(-token_log_probs(model, [traj.ids])[0])
 
 
 def perplexity(model: Model, traj: EncodedTrajectory) -> float:
@@ -190,7 +189,7 @@ def score_corpus(model: Model, corpus: list[EncodedTrajectory], scope: str = "gl
             chunk = members[start:start + rows]
             log_probs = token_log_probs(model, [corpus[i].ids for i in chunk])
             for i, lp in zip(chunk, log_probs):
-                traces[i] = _trace(lp)
+                traces[i] = SurprisalTrace(-lp)
     ppls = [trace.perplexity for trace in traces]
     if table is None:
         table = compute_thresholds(ppls, [t.agent for t in corpus], group_by_agent=scope == "per_agent")

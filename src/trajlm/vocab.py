@@ -80,9 +80,6 @@ class Vocab:
     def __len__(self) -> int:
         return len(self._id_to_token)
 
-    def __contains__(self, token: Token) -> bool:
-        return token in self._token_to_id
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Vocab) and self._id_to_token == other._id_to_token
 

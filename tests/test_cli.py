@@ -164,7 +164,7 @@ def test_gen_data_porto_layout(porto_config, tmp_path):
 
 
 @pytest.mark.parametrize("text, build", [
-    (POL_TINY, lambda cfg: pol_corpora(cfg, cfg.configurations("staypoint"))),
+    (POL_TINY, lambda cfg: pol_corpora(cfg, cfg.configurations())),
     (PORTO_TINY, porto_corpora),
 ], ids=["pol", "porto"])
 def test_gen_data_writes_what_the_builder_returns(tmp_path, monkeypatch, text, build):
@@ -349,11 +349,11 @@ def test_stream_checks_its_threshold_before_reading_stdin(pol_pipeline, monkeypa
 
 
 def test_report_ablation_row_count(pol_config, tmp_path):
-    text = POL_TINY.replace("configurations = staypoint", "configurations = staypoint,gps,duration")
-    cfg = tmp_path / "ablate.ini"
-    cfg.write_text(text)
+    """The ablation compares staypoint, gps and duration even though the config's
+    [world] configurations names only staypoint, the corpus gen-data writes."""
+    assert RunConfig(POL_TINY).configurations() == ["staypoint"]
     out = tmp_path / "rep"
-    assert run("report", "--kind", "ablation", "--config", cfg, "--out-dir", out) == 0
+    assert run("report", "--kind", "ablation", "--config", pol_config, "--out-dir", out) == 0
     rows = [l for l in (out / "ablation.csv").read_text().splitlines() if not l.startswith("#")]
     assert len(rows) == 3 + 1  # one per configuration plus the header
     for name in ("staypoint", "gps", "duration"):
@@ -459,6 +459,10 @@ GOOD_INPUTS = {
     ("gen-data", "run.ini", POL_TINY.replace("configurations = staypoint", "configurations = ,"), 1),
     ("eval", "truth.csv", "id,label\nt1,Anomalous\n", 2),
     ("eval", "scores.csv", SCORES_HEAD + "t1,,2.0,3.0,maybe\n", 2),
+    ("build-vocab", "corpus.jsonl", GOOD_INPUTS["corpus.jsonl"] + '{"id": "t1", "tokens": ["cell:3,4"]}\n', 2),
+    ("build-vocab", "corpus.jsonl", GOOD_INPUTS["corpus.jsonl"] + '{"id": "t2", "agent": 5, "tokens": ["cell:3,4"]}\n'
+     '{"id": "t3", "agent": "x", "tokens": ["cell:3,4"]}\n', 2),
+    ("build-vocab", "corpus.jsonl", GOOD_INPUTS["corpus.jsonl"] + '{"id": "t2", "agent": "x", "weekday": 1, "tokens": []}\n', 2),
 ], ids=["truth-no-label", "truth-bad-ratio", "scores-bad-float", "scores-short-row",
         "thresholds-bad-float", "thresholds-short-row", "config-bad-ratio",
         "truth-not-utf8", "corpus-not-utf8", "config-not-utf8",
@@ -474,7 +478,8 @@ GOOD_INPUTS = {
         "config-pol-negative-anomalous-agents", "config-pol-negative-anomalous-days",
         "config-pol-alt-prob-above-one", "config-pol-unknown-configuration",
         "config-pol-no-configuration",
-        "truth-unknown-label", "scores-unknown-verdict"])
+        "truth-unknown-label", "scores-unknown-verdict",
+        "corpus-duplicate-id", "corpus-agent-not-string", "corpus-weekday-not-string"])
 def test_bad_input_exits_with_one_line_error(pol_pipeline, capsys, command, name, text, code):
     p = pol_pipeline
     for file, good in GOOD_INPUTS.items():
@@ -556,6 +561,19 @@ def test_score_names_the_trajectory_longer_than_the_model(pol_pipeline, capsys):
     n_ids = 1 + 1 + len(record["tokens"]) + 1  # agent, weekday, locations, EOT
     assert n_ids > 17  # max_seq_len 16 scores at most 17 ids
     assert_score_fails(p, corpus, 2, f"trajectory {record['id']!r} has {n_ids} tokens", capsys)
+
+
+def test_score_rejects_a_corpus_with_a_duplicate_id(porto_pipeline, capsys):
+    """Two routes of different lengths under one id: score names the second line
+    holding it and writes none of its outputs."""
+    p = porto_pipeline
+    lines = (p["data"] / "eval_detour.jsonl").read_text().splitlines()
+    first = json.loads(lines[1])
+    short = dict(first, tokens=first["tokens"][:2])
+    corpus = p["tmp"] / "dup.jsonl"
+    corpus.write_text("\n".join([*lines, json.dumps(short)]) + "\n")
+    assert_score_fails(p, corpus, 2, f"{corpus}:{len(lines) + 1}: duplicate id {first['id']!r}, first on line 2",
+                       capsys)
 
 
 def test_score_rejects_an_empty_corpus(pol_pipeline, capsys):

@@ -81,3 +81,10 @@ def test_agent_named_global_keeps_its_own_threshold_provenance(tmp_path):
     path = tmp_path / "thresholds.csv"
     dataio.write_thresholds(path, table, "h")
     assert dataio.read_thresholds(path) == table
+
+
+def test_read_truth_names_a_duplicate_id(tmp_path):
+    path = tmp_path / "truth.csv"
+    path.write_text("id,label\nt1,anomalous\nt2,normal\nt1,normal\n")
+    with pytest.raises(dataio.DataError, match=f"{path}:4: duplicate id 't1'"):
+        dataio.read_truth(path)

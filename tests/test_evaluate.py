@@ -1,4 +1,6 @@
 import math
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -7,13 +9,13 @@ from hypothesis import strategies as st
 
 from trajlm.errors import DomainError
 from trajlm.evaluate import (
+    _as_binary,
     ablation_eval,
     completion_ratio_eval,
     f1,
     global_eval,
     per_agent_eval,
     pr_auc,
-    pr_curve,
     prefix_perplexity,
 )
 from trajlm.model import ModelConfig, init_model
@@ -36,6 +38,57 @@ def brute_force_pr(labels, scores):
         ap += (r - prev_r) * p
         prev_r = r
     return points, ap
+
+
+# The PR-curve implementation pr_auc replaced, kept verbatim as a bit-for-bit reference.
+
+@dataclass(frozen=True)
+class PRPoint:
+    threshold: float
+    precision: float
+    recall: float
+
+
+def pr_curve(labels: Sequence, scores: Sequence) -> list[PRPoint]:
+    """One point per distinct score, swept from the highest score down.
+
+    At each threshold tau, everything scoring >= tau is predicted anomalous;
+    tied scores enter together. Points come out ordered by increasing recall.
+    """
+    y = _as_binary(labels, "labels")
+    s = np.asarray(scores, dtype=np.float64)
+    if len(y) != len(s):
+        raise DomainError(f"length mismatch: {len(y)} labels vs {len(s)} scores")
+    n_pos = int(y.sum())
+    if n_pos == 0:
+        raise DomainError("precision-recall needs at least one positive label")
+    order = np.argsort(-s, kind="stable")
+    s_sorted = s[order]
+    y_sorted = y[order]
+    tp_cum = np.cumsum(y_sorted)
+    pred_cum = np.arange(1, len(s) + 1)
+    last_of_group = np.ones(len(s), dtype=bool)
+    last_of_group[:-1] = s_sorted[:-1] != s_sorted[1:]
+    points = [
+        PRPoint(
+            threshold=float(s_sorted[i]),
+            precision=float(tp_cum[i] / pred_cum[i]),
+            recall=float(tp_cum[i] / n_pos),
+        )
+        for i in np.flatnonzero(last_of_group)
+    ]
+    return points
+
+
+def reference_pr_auc(labels: Sequence, scores: Sequence) -> float:
+    """Average precision: sum of (R_k - R_{k-1}) * P_k over the descending sweep."""
+    points = pr_curve(labels, scores)
+    auc = 0.0
+    prev_recall = 0.0
+    for pt in points:
+        auc += (pt.recall - prev_recall) * pt.precision
+        prev_recall = pt.recall
+    return auc
 
 
 # --- F1 ----------------------------------------------------------------------
@@ -63,17 +116,26 @@ def test_f1_length_mismatch():
         f1([1, 0], [1])
 
 
-# --- PR curve / AUC ------------------------------------------------------------
+# --- PR-AUC --------------------------------------------------------------------
 
-def test_pr_curve_hand_case_frozen():
+def test_pr_auc_hand_case_frozen():
     labels, scores = [1, 0, 1, 0], [0.9, 0.8, 0.7, 0.1]
-    points = pr_curve(labels, scores)
-    expected = [(0.9, 1.0, 0.5), (0.8, 0.5, 0.5), (0.7, 2 / 3, 1.0), (0.1, 0.5, 1.0)]
-    assert [(p.threshold, p.precision, p.recall) for p in points] == pytest.approx(expected)
+    # steps (tau, P, R): (0.9, 1, 1/2), (0.8, 1/2, 1/2), (0.7, 2/3, 1), (0.1, 1/2, 1)
+    assert math.isclose(pr_auc(labels, scores), 1 / 2 * 1 + 1 / 2 * (2 / 3), rel_tol=1e-12)
     assert math.isclose(pr_auc(labels, scores), 5 / 6, rel_tol=1e-12)
-    oracle_points, oracle_ap = brute_force_pr(labels, scores)
-    assert [(p.threshold, p.precision, p.recall) for p in points] == pytest.approx(oracle_points)
+    _, oracle_ap = brute_force_pr(labels, scores)
     assert math.isclose(pr_auc(labels, scores), oracle_ap, rel_tol=1e-12)
+
+
+def test_pr_auc_equals_the_pr_curve_reference_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    for _ in range(3000):
+        n = int(rng.integers(1, 120))
+        labels = rng.integers(0, 2, size=n)
+        labels[int(rng.integers(0, n))] = 1
+        # k distinct values for n scores: small k gives long runs of tied scores
+        scores = rng.choice(rng.normal(size=int(rng.integers(1, n + 1))), size=n)
+        assert pr_auc(labels.tolist(), scores.tolist()) == reference_pr_auc(labels.tolist(), scores.tolist())
 
 
 def test_pr_auc_inverted_two_sample():
@@ -83,29 +145,17 @@ def test_pr_auc_inverted_two_sample():
 def test_pr_perfect_separation():
     labels = [1, 1, 0, 0]
     scores = [4.0, 3.0, 2.0, 1.0]
-    points = pr_curve(labels, scores)
-    assert any(p.recall == 1.0 and p.precision == 1.0 for p in points)
     assert pr_auc(labels, scores) == 1.0
 
 
 def test_pr_all_scores_equal_single_point():
-    points = pr_curve([1, 0, 0, 1], [2.0, 2.0, 2.0, 2.0])
-    assert len(points) == 1
-    assert points[0].precision == 0.5  # prevalence
-    assert points[0].recall == 1.0
+    # one tie group: a single step to recall 1 at precision 0.5, the prevalence
+    assert pr_auc([1, 0, 0, 1], [2.0, 2.0, 2.0, 2.0]) == 0.5
 
 
 def test_pr_needs_a_positive():
     with pytest.raises(DomainError):
-        pr_curve([0, 0], [1.0, 2.0])
-
-
-def test_pr_points_ordered_by_recall():
-    rng = np.random.default_rng(0)
-    labels = [1, 0, 1, 1, 0, 0, 1]
-    scores = list(rng.normal(size=7))
-    recalls = [p.recall for p in pr_curve(labels, scores)]
-    assert recalls == sorted(recalls)
+        pr_auc([0, 0], [1.0, 2.0])
 
 
 def test_pr_auc_matches_brute_force_random_instances():
@@ -246,7 +296,7 @@ def test_ablation_identical_corpora_identical_metrics():
     from trajlm.evaluate import EvalReport
 
     def pipeline(corpus):
-        return {"a": EvalReport(scope="agent:a", f1=0.5, pr_auc=0.6, tp=1, fp=1, fn=1, tn=1)}
+        return {"a": EvalReport(f1=0.5, pr_auc=0.6, tp=1, fp=1, fn=1, tn=1)}
 
     corpora = {"x": [Rec("1")], "y": [Rec("1")]}
     out = ablation_eval(corpora, pipeline)

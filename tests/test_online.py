@@ -3,7 +3,7 @@ import pytest
 
 from trajlm.errors import DomainError, SessionFullError
 from trajlm.model import ModelConfig, forward_batch, init_model
-from trajlm.online import Session, open_session, partial_verdict
+from trajlm.online import open_session, partial_verdict
 from trajlm.scoring import ThresholdTable, perplexity, token_log_probs
 from trajlm.vocab import EncodedTrajectory
 
@@ -116,7 +116,7 @@ def test_cached_call_past_max_seq_len_leaves_session_unchanged():
     for bad in ([5, 6, 7, 8], [5, 99]):  # past max_seq_len; valid length with an unknown id
         with pytest.raises(DomainError):
             s._advance(bad)
-        assert s.pushed_ids == [1, 3, 4]
+        assert len(s) == 3
         assert np.array_equal(s._last_logits, logits)
         for (k, v), (k0, v0) in zip(s._kv, buffers):
             assert np.array_equal(k, k0) and np.array_equal(v, v0)
@@ -139,12 +139,6 @@ def test_push_unknown_token(model):
     s = open_session(model, [1])
     with pytest.raises(DomainError):
         s.push(CFG.vocab_size)
-
-
-def test_push_requires_conditioning(model):
-    s = Session(model)
-    with pytest.raises(DomainError):
-        s.push(3)
 
 
 def test_sessions_are_deterministic(model):
