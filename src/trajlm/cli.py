@@ -5,10 +5,12 @@ seed lives in the config's [run] section and each component draws from its own
 stream derived as sha256(root_seed, component name); per-unit streams inside
 the generators split further by XORing the unit index. gen-data builds every
 file of a preset (pol_corpora, porto_corpora) before it creates the output
-directory, so a rejected config leaves nothing behind. Artifacts embed the
-config hash and tool version. Exit codes: 0 success, 1 usage/config error,
-2 data or model error. On glibc, main first asks the allocator to keep freed
-heap pages (_keep_freed_heap_pages), so training steps reuse their memory.
+directory, so a rejected config leaves nothing behind. Run values come from
+the config file alone (the code holds no fallback), and the threshold scope is
+the --scope flag. Artifacts embed the config hash and tool version. Exit codes:
+0 success, 1 usage/config error, 2 data or model error. On glibc, main first
+asks the allocator to keep freed heap pages (_keep_freed_heap_pages), so
+training steps reuse their memory.
 """
 
 from __future__ import annotations
@@ -73,18 +75,17 @@ class RunConfig:
 
     KEYS lists every section and key a getter reads; a config holding any
     other section or key is rejected, so a misspelt key is never silently
-    ignored.
+    ignored. Every key read is required: get has no fallback value.
     """
 
     KEYS = {
         "run": {"preset", "seed"},
         "world": {"n_agents", "n_days", "n_anomalous_agents", "anomalous_days", "alt_prob", "configurations"},
-        "grid": {"origin_x", "origin_y", "cell_size", "n_cols", "n_rows"},
+        "grid": {"n_cols", "n_rows"},
         "routes": {"n_od_pairs", "routes_per_pair", "noise"},
-        "anomaly": {"fraction", "ratio", "dist", "kinds"},
+        "anomaly": {"fraction", "ratio", "dist"},
         "model": {"d_model", "n_heads", "n_layers", "d_ff", "max_seq_len"},
         "train": {"epochs", "batch_size", "learning_rate"},
-        "score": {"scope"},
         "eval": {"ratios"},
     }
 
@@ -110,11 +111,9 @@ class RunConfig:
         with decoding(path, ConfigError):
             return cls(Path(path).read_text(encoding="utf-8"))
 
-    def get(self, section: str, key: str, cast=str, default=None):
+    def get(self, section: str, key: str, cast=str):
         if not self.parser.has_option(section, key):
-            if default is None:
-                raise ConfigError(f"config is missing [{section}] {key}")
-            return default
+            raise ConfigError(f"config is missing [{section}] {key}")
         raw = self.parser.get(section, key)
         try:
             return cast(raw)
@@ -123,34 +122,25 @@ class RunConfig:
 
     @property
     def seed(self) -> int:
-        return self.get("run", "seed", int, 0)
+        return self.get("run", "seed", int)
 
     def model_config(self, vocab_size: int) -> ModelConfig:
         return ModelConfig(
             vocab_size=vocab_size,
-            d_model=self.get("model", "d_model", int, 64),
-            n_heads=self.get("model", "n_heads", int, 4),
-            n_layers=self.get("model", "n_layers", int, 2),
-            d_ff=self.get("model", "d_ff", int, 256),
-            max_seq_len=self.get("model", "max_seq_len", int, 64),
+            d_model=self.get("model", "d_model", int),
+            n_heads=self.get("model", "n_heads", int),
+            n_layers=self.get("model", "n_layers", int),
+            d_ff=self.get("model", "d_ff", int),
+            max_seq_len=self.get("model", "max_seq_len", int),
             seed=derive_seed(self.seed, "model-init"),
         )
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(
-            n_epochs=self.get("train", "epochs", int, 50),
-            batch_size=self.get("train", "batch_size", int, 64),
-            learning_rate=self.get("train", "learning_rate", float, 3e-4),
+            n_epochs=self.get("train", "epochs", int),
+            batch_size=self.get("train", "batch_size", int),
+            learning_rate=self.get("train", "learning_rate", float),
             seed=derive_seed(self.seed, "train"),
-        )
-
-    def grid(self) -> GridSpec:
-        return GridSpec(
-            origin_x=self.get("grid", "origin_x", float, 0.0),
-            origin_y=self.get("grid", "origin_y", float, 0.0),
-            cell_size=self.get("grid", "cell_size", float, 100.0),
-            n_cols=self.get("grid", "n_cols", int, 24),
-            n_rows=self.get("grid", "n_rows", int, 24),
         )
 
     def world_config(self) -> WorldConfig:
@@ -160,7 +150,7 @@ class RunConfig:
                 n_days=self.get("world", "n_days", int),
                 n_anomalous_agents=self.get("world", "n_anomalous_agents", int),
                 anomalous_days=self.get("world", "anomalous_days", int),
-                alt_prob=self.get("world", "alt_prob", float, 0.35),
+                alt_prob=self.get("world", "alt_prob", float),
                 seed=derive_seed(self.seed, "world"),
             )
         except DomainError as e:
@@ -168,7 +158,7 @@ class RunConfig:
 
     def configurations(self) -> list[str]:
         """The location configurations gen-data writes a pol corpus for."""
-        names = [c.strip() for c in self.get("world", "configurations", str, "staypoint").split(",") if c.strip()]
+        names = [c.strip() for c in self.get("world", "configurations").split(",") if c.strip()]
         if not names or not set(names) <= set(LOCATION_CONFIGURATIONS):
             raise ConfigError(
                 f"[world] configurations must be one or more of {list(LOCATION_CONFIGURATIONS)}, got {names}"
@@ -176,8 +166,7 @@ class RunConfig:
         return names
 
     def ratios(self) -> list[float]:
-        ratios = self.get("eval", "ratios", lambda raw: [float(x) for x in raw.split(",") if x.strip()],
-                          [0.2, 0.4, 0.6, 0.8, 1.0])
+        ratios = self.get("eval", "ratios", lambda raw: [float(x) for x in raw.split(",") if x.strip()])
         if not ratios or not all(0.0 < r <= 1.0 for r in ratios):
             raise ConfigError(f"[eval] ratios must be one or more values in (0, 1], got {ratios}")
         return ratios
@@ -219,25 +208,25 @@ def porto_corpora(cfg: RunConfig) -> tuple[Corpora, Truth]:
     kind, and truth_<kind>.csv labels them. Checks every config value; writes nothing."""
     root = cfg.seed
     per_pair = cfg.get("routes", "routes_per_pair", int)
-    fraction = cfg.get("anomaly", "fraction", float, 0.05)
+    fraction = cfg.get("anomaly", "fraction", float)
     if not 0.0 <= fraction <= 1.0:
         raise ConfigError(f"[anomaly] fraction must be in [0, 1], got {fraction}")
-    ratio = cfg.get("anomaly", "ratio", float, 0.3)
-    dist = cfg.get("anomaly", "dist", int, 3)
-    kinds = [k.strip() for k in cfg.get("anomaly", "kinds", str, "random_shift,detour").split(",")]
+    ratio = cfg.get("anomaly", "ratio", float)
+    dist = cfg.get("anomaly", "dist", int)
+    injectors = {"random_shift": inject_random_shift, "detour": inject_detour}  # one eval corpus each
     try:
-        grid = cfg.grid()
+        # routes are lattice indices: the origin and cell size take no part
+        grid = GridSpec(0.0, 0.0, 1.0, cfg.get("grid", "n_cols", int), cfg.get("grid", "n_rows", int))
         routes = gen_route_corpus(
             grid,
             cfg.get("routes", "n_od_pairs", int),
             per_pair,
-            cfg.get("routes", "noise", float, 0.08),
+            cfg.get("routes", "noise", float),
             seed=derive_seed(root, "routes"),
         )
-        specs = [AnomalySpec(kind, ratio, dist) for kind in kinds]
+        specs = [AnomalySpec(kind, ratio, dist) for kind in injectors]
     except DomainError as e:
         raise ConfigError(f"config: {e}") from e
-    injectors = {"random_shift": inject_random_shift, "detour": inject_detour}
     ids = [f"od{r // per_pair:02d}_r{r % per_pair:03d}" for r in range(len(routes))]
     n_anom = round(fraction * len(routes))
     sel_rng = np.random.default_rng(derive_seed(root, "anomaly-select"))
@@ -364,15 +353,13 @@ def cmd_score(args) -> int:
         raise ConfigError("--thresholds is an input; write fitted thresholds with --thresholds-out")
     if args.thresholds_out and not args.fit_thresholds:
         raise ConfigError("--thresholds-out needs --fit-thresholds")
-    cfg = RunConfig.from_path(args.config) if args.config else None
-    config_hash = cfg.hash if cfg else "-"
-    scope = args.scope or (cfg.get("score", "scope", str, "global") if cfg else "global")
+    config_hash = RunConfig.from_path(args.config).hash if args.config else "-"
     vocab, model = _load_model(args.checkpoint, args.vocab)
     encoded = _load_encoded(args.corpus, vocab)
     if not encoded:
         raise DataError(f"{args.corpus}: no trajectories to score")
     table = None if args.fit_thresholds else dataio.read_thresholds(args.thresholds)
-    reports, table = score_corpus(model, encoded, scope, table)
+    reports, table = score_corpus(model, encoded, args.scope, table)
     if args.thresholds_out:
         dataio.write_thresholds(args.thresholds_out, table, config_hash)
         print(f"[score] fitted thresholds -> {args.thresholds_out}")
@@ -380,7 +367,7 @@ def cmd_score(args) -> int:
     if args.per_position:
         dataio.write_surprisals(args.per_position, reports, vocab, encoded, config_hash)
     n_anom = sum(1 for r in reports if r.verdict == "anomalous")
-    print(f"[score] {len(reports)} trajectories scored ({scope}); {n_anom} anomalous -> {args.out}")
+    print(f"[score] {len(reports)} trajectories scored ({args.scope}); {n_anom} anomalous -> {args.out}")
     return EXIT_OK
 
 
@@ -408,8 +395,7 @@ def cmd_stream(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = RunConfig.from_path(args.config) if args.config else None
-    config_hash = cfg.hash if cfg else "-"
+    config_hash = RunConfig.from_path(args.config).hash if args.config else "-"
     truth = dataio.truth_labels(dataio.read_truth(args.truth))
     reports = dataio.read_scores(args.scores)
     if args.per_agent:
@@ -526,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--scope", choices=["global", "per_agent"])
+    p.add_argument("--scope", choices=["global", "per_agent"], default="global")
     p.add_argument("--thresholds")
     p.add_argument("--fit-thresholds", action="store_true")
     p.add_argument("--thresholds-out")

@@ -84,8 +84,8 @@ def write_corpus(path, records: list[CorpusRecord], config_hash: str = "") -> No
 
 
 def read_corpus(path) -> list[CorpusRecord]:
-    """The records of a corpus file. Ids are unique within it, and agent and
-    weekday are strings when given; any other line is a DataError naming it."""
+    """The records of a corpus file: ids are unique strings, and agent and weekday
+    are strings when given; any other line is a DataError naming it."""
     records = []
     first_line: dict[str, int] = {}
     with decoding(path), open(path, "r", encoding="utf-8") as fh:
@@ -105,15 +105,15 @@ def read_corpus(path) -> list[CorpusRecord]:
                 continue
             try:
                 rec = CorpusRecord(
-                    traj_id=str(obj["id"]),
+                    traj_id=obj["id"],
                     tokens=[Token.parse(t) for t in obj["tokens"]],
                     agent=obj.get("agent"),
                     weekday=obj.get("weekday"),
                 )
             except (KeyError, TypeError, DomainError) as e:
                 raise DataError(f"{path}:{lineno}: bad corpus record: {e}") from e
-            for key, value in (("agent", rec.agent), ("weekday", rec.weekday)):
-                if value is not None and not isinstance(value, str):
+            for key, value in (("id", rec.traj_id), ("agent", rec.agent), ("weekday", rec.weekday)):
+                if not isinstance(value, str) and (key == "id" or value is not None):
                     raise DataError(f"{path}:{lineno}: corpus {key} must be a string, got {value!r}")
             if rec.traj_id in first_line:
                 raise DataError(
@@ -246,11 +246,14 @@ def write_thresholds(path, table: ThresholdTable, config_hash: str = "") -> None
 
 
 def read_thresholds(path) -> ThresholdTable:
+    """The thresholds table; a repeated global row or agent is a DataError naming its line."""
     table = ThresholdTable(global_threshold=None)
     for where, row in _csv_rows(path, THRESHOLDS_HEADER, "thresholds"):
         scope, agent, threshold, mean, std, count = row
         if scope not in ("global", "per_agent") or (scope == "per_agent" and not agent):
             raise DataError(f"{where}: thresholds scope must be global, or per_agent with an agent, got {row}")
+        if (None if scope == "global" else agent) in table.provenance:
+            raise DataError(f"{where}: repeated {scope} threshold {row}")
         try:
             value, prov = float(threshold), (float(mean), float(std), int(count))
         except ValueError as e:

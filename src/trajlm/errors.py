@@ -36,7 +36,7 @@ class CheckpointVocabError(CheckpointError):
 
 
 class SessionFullError(TrajLMError, RuntimeError):
-    """An incremental scoring session reached the model's maximum sequence length."""
+    """An incremental scoring session already holds max_seq_len + 1 tokens, the most it scores."""
 
 
 class DataError(TrajLMError, ValueError):

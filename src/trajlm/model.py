@@ -46,12 +46,12 @@ DTYPE = np.dtype(np.float64)
 @dataclass(frozen=True)
 class ModelConfig:
     vocab_size: int
-    d_model: int = 64
-    n_heads: int = 4
-    n_layers: int = 2
-    d_ff: int = 256
-    max_seq_len: int = 64
-    seed: int = 0
+    d_model: int
+    n_heads: int
+    n_layers: int
+    d_ff: int
+    max_seq_len: int
+    seed: int
 
     def __post_init__(self) -> None:
         if self.vocab_size < 4:
@@ -88,6 +88,9 @@ class ModelConfig:
             if not sep or key not in names:
                 raise ConfigError(f"bad model config line {line!r}")
             kwargs[key] = int(value)
+        missing = sorted(names - kwargs.keys())
+        if missing:
+            raise ConfigError(f"model config is missing {missing[0]}")
         return cls(**kwargs)
 
 

@@ -8,8 +8,10 @@ batch kernel, model.forward_batch, on the one new row with the session's
 key/value cache, so only one attention query row is computed per layer against
 the cached keys and values of the prefix; scoring a whole stream costs
 O(n^2 d) instead of the O(n^3 d) of re-running a full forward pass per prefix.
-The only difference from batch scoring is BLAS summation order, so per-token
-results match the batch scorer to 1e-9 relative.
+A session takes max_seq_len + 1 ids, as batch scoring does: the id at position
+max_seq_len is only ever a target, so it is scored and never fed. The only
+difference from batch scoring is BLAS summation order, so per-token results
+match the batch scorer to 1e-9 relative.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ class Session:
     The constructor feeds the conditioning tokens. The caches hold the
     post-projection key and value rows of every token fed, one
     (1, max_seq_len, d_model) buffer each per layer; pushes append one row per
-    layer and never touch earlier rows. len() counts the tokens fed.
+    layer and never touch earlier rows. len() counts the tokens taken, at most
+    max_seq_len + 1.
     """
 
     def __init__(self, model: Model, conditioning_ids: list[int]):
@@ -40,22 +43,23 @@ class Session:
         self.model = model
         self._kv = [(np.zeros(shape, dtype=DTYPE), np.zeros(shape, dtype=DTYPE))
                     for _ in range(cfg.n_layers)]
-        self._n_fed = 0
+        self._n_tokens = 0
         self.surprisal_sum = 0.0
         self.scored_count = 0
         self._advance([int(t) for t in conditioning_ids])
 
     def __len__(self) -> int:
-        return self._n_fed
+        return self._n_tokens
 
     @property
     def full(self) -> bool:
-        return self._n_fed >= self.model.config.max_seq_len
+        """True once the session holds max_seq_len + 1 ids and takes no more."""
+        return self._n_tokens > self.model.config.max_seq_len
 
     def cached_kv(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
         """Views of the key/value rows cached so far for one layer."""
         k, v = self._kv[layer]
-        return k[0, :self._n_fed], v[0, :self._n_fed]
+        return k[0, :self._n_tokens], v[0, :self._n_tokens]
 
     @property
     def running_perplexity(self) -> float:
@@ -69,26 +73,29 @@ class Session:
         forward_batch validates the ids and the length before it writes a cache
         row, so a rejected call leaves the session unchanged.
         """
-        logits, _ = forward_batch(self.model, [token_ids], kv=self._kv, pos=self._n_fed)
+        logits, _ = forward_batch(self.model, [token_ids], kv=self._kv, pos=self._n_tokens)
         self._last_logits = logits[0, -1]
-        self._n_fed += len(token_ids)
+        self._n_tokens += len(token_ids)
 
     def push(self, token_id: int) -> tuple[float, float]:
         """Score one arriving token; returns (its surprisal, running perplexity).
 
         The surprisal comes from the logits of the previous position, i.e.
-        -log P(token | every token fed so far). Raises SessionFullError with
-        the session unchanged when the model's context window is exhausted.
+        -log P(token | every token fed so far). The token at position
+        max_seq_len is scored without being fed. Raises SessionFullError with
+        the session unchanged once it holds max_seq_len + 1 tokens.
         """
+        max_seq_len = self.model.config.max_seq_len
         if self.full:
-            raise SessionFullError(
-                f"session already holds max_seq_len={self.model.config.max_seq_len} tokens"
-            )
+            raise SessionFullError(f"session already holds max_seq_len + 1 = {max_seq_len + 1} tokens")
         logp = log_softmax(self._last_logits)
         if not 0 <= token_id < self.model.config.vocab_size:
             raise DomainError(f"token id {token_id} out of range [0, {self.model.config.vocab_size})")
         s = float(-logp[token_id])
-        self._advance([token_id])
+        if self._n_tokens < max_seq_len:
+            self._advance([token_id])
+        else:
+            self._n_tokens += 1
         self.surprisal_sum += s
         self.scored_count += 1
         return s, self.running_perplexity

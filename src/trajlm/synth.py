@@ -78,8 +78,8 @@ class WorldConfig:
     n_days: int
     n_anomalous_agents: int
     anomalous_days: int
-    seed: int = 0
-    alt_prob: float = 0.35  # chance a variable slot uses its alternate venue
+    seed: int
+    alt_prob: float  # chance a variable slot uses its alternate venue
 
     def __post_init__(self) -> None:
         if self.n_anomalous_agents > self.n_agents:

@@ -34,10 +34,10 @@ class TrainingDivergedError(TrajLMError, RuntimeError):
 
 @dataclass
 class TrainConfig:
-    n_epochs: int = 50
-    batch_size: int = 64
-    learning_rate: float = 3e-4
-    seed: int = 0
+    n_epochs: int
+    batch_size: int
+    learning_rate: float
+    seed: int
 
     def __post_init__(self) -> None:
         if self.learning_rate <= 0:

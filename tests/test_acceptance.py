@@ -54,7 +54,8 @@ def _train_pol(records, d_model, d_ff, epochs, seed, max_seq_len=24):
 def pol_run():
     """Agent-conditioned world: 50 agents x 100 days, 5 anomalous x 14 days,
     trained on all data including the anomalous days."""
-    world = WorldConfig(n_agents=50, n_days=100, n_anomalous_agents=5, anomalous_days=14, seed=7)
+    world = WorldConfig(n_agents=50, n_days=100, n_anomalous_agents=5, anomalous_days=14, seed=7,
+                        alt_prob=0.35)
     corpus = gen_pol_corpus(world)
     records = pol_records(corpus, "staypoint")
     vocab, model, encoded = _train_pol(records, d_model=64, d_ff=128, epochs=30, seed=1)
@@ -406,6 +407,7 @@ n_agents = 4
 n_days = 8
 n_anomalous_agents = 1
 anomalous_days = 2
+alt_prob = 0.35
 configurations = staypoint
 
 [model]

@@ -1,8 +1,10 @@
 import ast
+import configparser
 from collections import defaultdict
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "trajlm"
+CONFIGS = SRC.parents[1] / "configs"
 
 
 def _uses(tree: ast.Module, module: str):
@@ -43,6 +45,20 @@ def test_config_schema_matches_reads():
     }
     assert reads
     assert reads == {(section, key) for section, keys in RunConfig.KEYS.items() for key in keys}
+
+
+def test_config_schema_is_the_shipped_presets():
+    """RunConfig.KEYS is exactly the keys that configs/pol.ini and configs/porto.ini
+    set between them: the code holds no run value of its own, so every key is
+    required, and a key no preset sets would be a value no run uses."""
+    from trajlm.cli import RunConfig
+
+    shipped = set()
+    for name in ("pol.ini", "porto.ini"):
+        parser = configparser.ConfigParser()
+        parser.read(CONFIGS / name, encoding="utf-8")
+        shipped |= {(section, key) for section in parser.sections() for key in parser[section]}
+    assert shipped == {(section, key) for section, keys in RunConfig.KEYS.items() for key in keys}
 
 
 def test_every_public_function_has_a_caller():

@@ -1,3 +1,4 @@
+import configparser
 import csv
 import ctypes
 import io
@@ -34,6 +35,7 @@ n_agents = 4
 n_days = 8
 n_anomalous_agents = 1
 anomalous_days = 2
+alt_prob = 0.35
 configurations = staypoint
 
 [model]
@@ -48,9 +50,6 @@ epochs = 2
 batch_size = 16
 learning_rate = 0.003
 
-[score]
-scope = per_agent
-
 [eval]
 ratios = 0.5,1.0
 """
@@ -61,9 +60,6 @@ preset = porto
 seed = 5
 
 [grid]
-origin_x = 0
-origin_y = 0
-cell_size = 100
 n_cols = 16
 n_rows = 16
 
@@ -76,7 +72,6 @@ noise = 0.1
 fraction = 0.125
 ratio = 0.3
 dist = 2
-kinds = random_shift,detour
 
 [model]
 d_model = 16
@@ -89,9 +84,6 @@ max_seq_len = 48
 epochs = 2
 batch_size = 8
 learning_rate = 0.003
-
-[score]
-scope = global
 
 [eval]
 ratios = 0.5,1.0
@@ -242,7 +234,7 @@ def test_score_fit_thresholds_and_eval_composability(pol_pipeline):
     assert run("score", "--config", p["config"], "--checkpoint", p["ckpt"], "--vocab", p["vocab"],
                "--corpus", p["corpus"], "--out", scores,
                "--fit-thresholds", "--thresholds-out", thresholds,
-               "--per-position", per_pos) == 0
+               "--per-position", per_pos, "--scope", "per_agent") == 0
     table = dataio.read_thresholds(thresholds)
     assert table.global_threshold is not None
     assert len(table.per_agent) == 4
@@ -445,8 +437,8 @@ GOOD_INPUTS = {
     ("gen-data", "run.ini", POL_TINY.replace("epochs = 2", "epochs = 2\nepoch = 1"), 1),
     ("gen-data", "run.ini", POL_TINY + "\n[training]\nepochs = 2\n", 1),
     ("train", "run.ini", POL_TINY.replace("max_seq_len = 16", "max_seq_len = 16\ndropout = 0.2"), 1),
-    ("gen-data", "run.ini", PORTO_TINY.replace("kinds = random_shift,detour", "kinds = skip_routine"), 1),
-    ("gen-data", "run.ini", PORTO_TINY.replace("kinds = random_shift,detour", "kinds = random_shift,"), 1),
+    ("gen-data", "run.ini", PORTO_TINY.replace("dist = 2", "dist = 2\nkinds = skip_routine"), 1),
+    ("gen-data", "run.ini", PORTO_TINY.replace("dist = 2", "dist = 2\nkinds = random_shift,"), 1),
     ("gen-data", "run.ini", PORTO_TINY.replace("fraction = 0.125", "fraction = 2"), 1),
     ("gen-data", "run.ini", PORTO_TINY.replace("fraction = 0.125", "fraction = -0.5"), 1),
     ("gen-data", "run.ini", PORTO_TINY.replace("ratio = 0.3", "ratio = 2"), 1),
@@ -454,7 +446,7 @@ GOOD_INPUTS = {
     ("gen-data", "run.ini", PORTO_TINY.replace("routes_per_pair = 8", "routes_per_pair = 0"), 1),
     ("gen-data", "run.ini", POL_TINY.replace("n_anomalous_agents = 1", "n_anomalous_agents = -1"), 1),
     ("gen-data", "run.ini", POL_TINY.replace("anomalous_days = 2", "anomalous_days = -2"), 1),
-    ("gen-data", "run.ini", POL_TINY.replace("configurations = staypoint", "configurations = staypoint\nalt_prob = 3"), 1),
+    ("gen-data", "run.ini", POL_TINY.replace("alt_prob = 0.35", "alt_prob = 3"), 1),
     ("gen-data", "run.ini", POL_TINY.replace("configurations = staypoint", "configurations = bogus"), 1),
     ("gen-data", "run.ini", POL_TINY.replace("configurations = staypoint", "configurations = ,"), 1),
     ("eval", "truth.csv", "id,label\nt1,Anomalous\n", 2),
@@ -463,6 +455,9 @@ GOOD_INPUTS = {
     ("build-vocab", "corpus.jsonl", GOOD_INPUTS["corpus.jsonl"] + '{"id": "t2", "agent": 5, "tokens": ["cell:3,4"]}\n'
      '{"id": "t3", "agent": "x", "tokens": ["cell:3,4"]}\n', 2),
     ("build-vocab", "corpus.jsonl", GOOD_INPUTS["corpus.jsonl"] + '{"id": "t2", "agent": "x", "weekday": 1, "tokens": []}\n', 2),
+    ("build-vocab", "corpus.jsonl", GOOD_INPUTS["corpus.jsonl"] + '{"id": null, "tokens": ["cell:3,4"]}\n', 2),
+    ("build-vocab", "corpus.jsonl", GOOD_INPUTS["corpus.jsonl"] + '{"id": [1], "tokens": ["cell:3,4"]}\n', 2),
+    ("build-vocab", "corpus.jsonl", GOOD_INPUTS["corpus.jsonl"] + '{"id": 5, "tokens": ["cell:3,4"]}\n', 2),
 ], ids=["truth-no-label", "truth-bad-ratio", "scores-bad-float", "scores-short-row",
         "thresholds-bad-float", "thresholds-short-row", "config-bad-ratio",
         "truth-not-utf8", "corpus-not-utf8", "config-not-utf8",
@@ -479,7 +474,8 @@ GOOD_INPUTS = {
         "config-pol-alt-prob-above-one", "config-pol-unknown-configuration",
         "config-pol-no-configuration",
         "truth-unknown-label", "scores-unknown-verdict",
-        "corpus-duplicate-id", "corpus-agent-not-string", "corpus-weekday-not-string"])
+        "corpus-duplicate-id", "corpus-agent-not-string", "corpus-weekday-not-string",
+        "corpus-id-null", "corpus-id-list", "corpus-id-number"])
 def test_bad_input_exits_with_one_line_error(pol_pipeline, capsys, command, name, text, code):
     p = pol_pipeline
     for file, good in GOOD_INPUTS.items():
@@ -522,6 +518,46 @@ def test_bad_input_exits_with_one_line_error(pol_pipeline, capsys, command, name
 def test_config_names_the_section_or_key_nothing_reads(text, named):
     with pytest.raises(ConfigError, match=re.escape(named)):
         RunConfig(text)
+
+
+def _preset_keys():
+    for preset in ("pol", "porto"):
+        parser = configparser.ConfigParser()
+        parser.read(CONFIGS / f"{preset}.ini", encoding="utf-8")
+        for section in parser.sections():
+            for key in parser[section]:
+                yield preset, section, key
+
+
+# The command that reads each section; gen-data reads [run] first.
+READER = {"run": "gen-data", "world": "gen-data", "grid": "gen-data", "routes": "gen-data",
+          "anomaly": "gen-data", "model": "train", "train": "train", "eval": "report"}
+
+
+@pytest.mark.parametrize("preset, section, key", list(_preset_keys()))
+def test_a_shipped_preset_without_one_key_exits_1_naming_it(tmp_path, capsys, preset, section, key):
+    """The code holds no fallback value: each key a shipped preset sets is
+    required by the command that reads it, which names it and writes nothing."""
+    parser = configparser.ConfigParser()
+    parser.read(CONFIGS / f"{preset}.ini", encoding="utf-8")
+    del parser[section][key]
+    config = tmp_path / "run.ini"
+    with open(config, "w", encoding="utf-8") as fh:
+        parser.write(fh)
+    corpus, vocab, out = tmp_path / "c.jsonl", tmp_path / "v.tsv", tmp_path / "out"
+    dataio.write_corpus(corpus, [dataio.CorpusRecord("t1", [Token("cell", "1,2"), Token("cell", "1,3")])])
+    assert run("build-vocab", "--inputs", corpus, "--out", vocab) == 0
+    argv = {
+        "gen-data": ["gen-data", "--out-dir", out],
+        "train": ["train", "--corpus", corpus, "--vocab", vocab, "--out", out, "--loss-log", tmp_path / "loss.csv"],
+        "report": ["report", "--kind", "completion", "--out-dir", out, "--checkpoint", tmp_path / "m.ckpt",
+                   "--vocab", vocab, "--corpus", corpus, "--thresholds", tmp_path / "thr.csv",
+                   "--truth", tmp_path / "truth.csv"],
+    }[READER[section]]
+    capsys.readouterr()
+    assert run(*argv, "--config", config) == 1
+    assert capsys.readouterr().err == f"error: config is missing [{section}] {key}\n"
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["c.jsonl", "run.ini", "v.tsv"]
 
 
 def test_score_threshold_flags_are_checked_before_loading(tmp_path, capsys):
@@ -674,6 +710,7 @@ def test_corrupt_checkpoint_exits_with_one_line_error(pol_pipeline, capsys):
         "param-name-not-utf8": data.replace(b"tok_emb", b"\xffok_emb", 1),
         "config-zero-heads": data.replace(b"n_heads=2", b"n_heads=0", 1),
         "config-zero-layers": data.replace(b"n_layers=1", b"n_layers=0", 1),
+        "config-missing-key": data.replace(b"vocab_size=", b"#ocab_size=", 1),  # a comment line now
     }
     for what, mutated in mutations.items():
         assert mutated != data, what

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from trajlm import dataio
@@ -81,6 +83,18 @@ def test_agent_named_global_keeps_its_own_threshold_provenance(tmp_path):
     path = tmp_path / "thresholds.csv"
     dataio.write_thresholds(path, table, "h")
     assert dataio.read_thresholds(path) == table
+
+
+@pytest.mark.parametrize("rows, where, message", [
+    (["global,,3.0,2.0,1.0,8", "global,,9.0,2.0,1.0,8"], 3, "repeated global threshold"),
+    (["per_agent,a,3.0,2.0,1.0,8", "global,,9.0,2.0,1.0,8", "per_agent,a,4.0,2.0,1.0,8"], 4,
+     "repeated per_agent threshold ['per_agent', 'a'"),
+], ids=["global", "per-agent"])
+def test_read_thresholds_names_a_repeated_row(tmp_path, rows, where, message):
+    path = tmp_path / "thresholds.csv"
+    path.write_text("\n".join([",".join(dataio.THRESHOLDS_HEADER), *rows]) + "\n")
+    with pytest.raises(dataio.DataError, match=re.escape(f"{path}:{where}: {message}")):
+        dataio.read_thresholds(path)
 
 
 def test_read_truth_names_a_duplicate_id(tmp_path):

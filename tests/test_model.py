@@ -36,7 +36,7 @@ def test_init_deterministic():
 
 def test_init_divisibility_error():
     with pytest.raises(ConfigError):
-        ModelConfig(vocab_size=20, d_model=8, n_heads=3)
+        ModelConfig(vocab_size=20, d_model=8, n_heads=3, n_layers=1, d_ff=8, max_seq_len=8, seed=0)
 
 
 def test_param_shapes_closed_form():
@@ -471,7 +471,7 @@ def test_train_zero_epochs_leaves_model_unchanged():
     cfg = ModelConfig(vocab_size=15, d_model=8, n_heads=2, n_layers=1, d_ff=16, max_seq_len=8, seed=0)
     m = init_model(cfg)
     before = {k: v.copy() for k, v in m.params.items()}
-    log = train(m, _toy_corpus(), TrainConfig(n_epochs=0))
+    log = train(m, _toy_corpus(), TrainConfig(n_epochs=0, batch_size=64, learning_rate=3e-4, seed=0))
     assert log == []
     assert all(np.array_equal(before[k], m.params[k]) for k in before)
 
@@ -490,7 +490,7 @@ def test_train_deterministic_given_seed():
     cfg = ModelConfig(vocab_size=15, d_model=8, n_heads=2, n_layers=1, d_ff=16, max_seq_len=8, seed=0)
     m1, m2 = init_model(cfg), init_model(cfg)
     corpus = _toy_corpus()
-    tc = TrainConfig(n_epochs=3, batch_size=3, seed=9)
+    tc = TrainConfig(n_epochs=3, batch_size=3, learning_rate=3e-4, seed=9)
     log1 = train(m1, corpus, tc)
     log2 = train(m2, corpus, tc)
     assert log1 == log2
@@ -500,16 +500,16 @@ def test_train_deterministic_given_seed():
 def test_train_rejects_overlong_sequences():
     cfg = ModelConfig(vocab_size=15, d_model=8, n_heads=2, n_layers=1, d_ff=16, max_seq_len=4, seed=0)
     with pytest.raises(DomainError, match="trajectory 't0' has 8 tokens"):
-        train(init_model(cfg), _toy_corpus(length=8), TrainConfig(n_epochs=1))
+        train(init_model(cfg), _toy_corpus(length=8), TrainConfig(n_epochs=1, batch_size=64, learning_rate=3e-4, seed=0))
     # the last id is only a target, so max_seq_len + 1 ids train
-    assert len(train(init_model(cfg), _toy_corpus(length=5), TrainConfig(n_epochs=1))) == 1
+    assert len(train(init_model(cfg), _toy_corpus(length=5), TrainConfig(n_epochs=1, batch_size=64, learning_rate=3e-4, seed=0))) == 1
 
 
 def test_train_config_validation():
     with pytest.raises(ConfigError):
-        TrainConfig(learning_rate=0.0)
+        TrainConfig(n_epochs=1, batch_size=64, learning_rate=0.0, seed=0)
     with pytest.raises(ConfigError):
-        TrainConfig(batch_size=0)
+        TrainConfig(n_epochs=1, batch_size=0, learning_rate=3e-4, seed=0)
 
 
 class _ReferenceAdam:
@@ -545,7 +545,7 @@ def _flat_bytes(arrays):
 def test_adam_step_matches_the_per_parameter_reference_bit_for_bit():
     m = init_model(PACK)
     ref_model = m.copy()
-    tc = TrainConfig(learning_rate=3e-3)
+    tc = TrainConfig(n_epochs=1, batch_size=64, learning_rate=3e-3, seed=0)
     opt, ref = AdamOptimizer(m, tc), _ReferenceAdam(ref_model, tc)
     arrays = list(m.params.values())
     batches = [_padded(_mixed_rows([9, 6, 4], seed=s), 9) for s in range(3)]

@@ -47,9 +47,9 @@ def test_open_session_validation(model):
 
 
 def test_push_matches_batch_scorer(model):
+    """Random lengths, then max_seq_len + 1 ids, the most that batch scoring takes."""
     rng = np.random.default_rng(3)
-    for _ in range(20):
-        n = int(rng.integers(4, CFG.max_seq_len))
+    for n in [*(int(n) for n in rng.integers(4, CFG.max_seq_len, size=20)), CFG.max_seq_len + 1]:
         ids = [int(x) for x in rng.integers(1, CFG.vocab_size, size=n)]
         enc = EncodedTrajectory(ids=ids, prefix_len=1)
         batch_lp = token_log_probs(model, [ids])[0]
@@ -126,12 +126,12 @@ def test_push_into_full_session_errors_without_mutation():
     cfg = ModelConfig(vocab_size=10, d_model=8, n_heads=2, n_layers=1, d_ff=16, max_seq_len=4, seed=0)
     m = init_model(cfg)
     s = open_session(m, [1])
-    for tok in (3, 4, 5):
+    for tok in (3, 4, 5, 6):  # the id at position max_seq_len is still scored
         s.push(tok)
     assert s.full
     before = (len(s), s.scored_count, s.surprisal_sum)
     with pytest.raises(SessionFullError):
-        s.push(6)
+        s.push(7)
     assert (len(s), s.scored_count, s.surprisal_sum) == before
 
 

@@ -20,7 +20,7 @@ GRID = GridSpec(0.0, 0.0, 100.0, 30, 30)
 
 
 def world(**kw):
-    base = dict(n_agents=3, n_days=8, n_anomalous_agents=1, anomalous_days=2, seed=13)
+    base = dict(n_agents=3, n_days=8, n_anomalous_agents=1, anomalous_days=2, seed=13, alt_prob=0.35)
     base.update(kw)
     return WorldConfig(**base)
 
