@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 from .errors import DataError, DomainError, decoding
@@ -209,16 +210,20 @@ def write_scores(path, reports: list[ScoreReport], config_hash: str = "") -> Non
 
 
 def read_scores(path) -> list[ScoreReport]:
+    """Score rows; a NaN perplexity or threshold, or a verdict other than the
+    one ScoreReport computes from them, is a DataError naming its line."""
     out = []
     for where, row in _csv_rows(path, SCORES_HEADER, "score"):
         try:
             perplexity, threshold = float(row[2]), float(row[3])
         except ValueError as e:
             raise DataError(f"{where}: bad score row {row}: {e}") from e
-        out.append(ScoreReport(
-            traj_id=row[0], agent=row[1] or None, perplexity=perplexity,
-            threshold=threshold, verdict=_label(where, row[4], "verdict"),
-        ))
+        if math.isnan(perplexity) or math.isnan(threshold):
+            raise DataError(f"{where}: score perplexity and threshold must be numbers, got {row}")
+        report = ScoreReport(traj_id=row[0], agent=row[1] or None, perplexity=perplexity, threshold=threshold)
+        if _label(where, row[4], "verdict") != report.verdict:
+            raise DataError(f"{where}: verdict {row[4]!r} contradicts its perplexity and threshold, {row}")
+        out.append(report)
     return out
 
 
@@ -237,31 +242,34 @@ def write_surprisals(path, reports: list[ScoreReport], vocab: Vocab,
 
 
 def write_thresholds(path, table: ThresholdTable, config_hash: str = "") -> None:
-    rows = []
-    if table.global_threshold is not None:
-        rows.append(["global", "", table.global_threshold, *table.provenance[None]])
-    for agent in sorted(table.per_agent):
-        rows.append(["per_agent", agent, table.per_agent[agent], *table.provenance[agent]])
+    scopes = [("global", None)] if None in table.fits else []
+    scopes += [("per_agent", agent) for agent in sorted(a for a in table.fits if a is not None)]
+    rows = ([scope, agent, table.threshold_for(scope, agent), *table.fits[agent]] for scope, agent in scopes)
     write_csv(path, THRESHOLDS_HEADER, rows, config_hash)
 
 
 def read_thresholds(path) -> ThresholdTable:
-    """The thresholds table; a repeated global row or agent is a DataError naming its line."""
-    table = ThresholdTable(global_threshold=None)
+    """The thresholds table. A row whose fit is not a finite mean, a finite std >= 0
+    and a count >= 2, whose threshold is not threshold_for of that fit, or that
+    repeats a scope or agent is a DataError naming its line."""
+    table = ThresholdTable()
     for where, row in _csv_rows(path, THRESHOLDS_HEADER, "thresholds"):
         scope, agent, threshold, mean, std, count = row
-        if scope not in ("global", "per_agent") or (scope == "per_agent" and not agent):
-            raise DataError(f"{where}: thresholds scope must be global, or per_agent with an agent, got {row}")
-        if (None if scope == "global" else agent) in table.provenance:
+        if scope not in ("global", "per_agent") or (scope == "per_agent") != bool(agent):
+            raise DataError(
+                f"{where}: thresholds scope must be global with no agent, or per_agent with an agent, got {row}"
+            )
+        if (agent or None) in table.fits:
             raise DataError(f"{where}: repeated {scope} threshold {row}")
         try:
-            value, prov = float(threshold), (float(mean), float(std), int(count))
+            value, mean, std, count = float(threshold), float(mean), float(std), int(count)
         except ValueError as e:
             raise DataError(f"{where}: bad thresholds row {row}: {e}") from e
-        if scope == "global":
-            table.global_threshold, table.provenance[None] = value, prov
-        else:
-            table.per_agent[agent], table.provenance[agent] = value, prov
+        if not (math.isfinite(mean) and math.isfinite(std) and std >= 0 and count >= 2):
+            raise DataError(f"{where}: a fit needs a finite mean, a finite std >= 0 and a count >= 2, got {row}")
+        table.fits[agent or None] = (mean, std, count)
+        if value != table.threshold_for(scope, agent):
+            raise DataError(f"{where}: threshold {threshold} is not its fit's mean plus std, {row}")
     return table
 
 

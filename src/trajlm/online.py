@@ -11,7 +11,8 @@ O(n^2 d) instead of the O(n^3 d) of re-running a full forward pass per prefix.
 A session takes max_seq_len + 1 ids, as batch scoring does: the id at position
 max_seq_len is only ever a target, so it is scored and never fed. The only
 difference from batch scoring is BLAS summation order, so per-token results
-match the batch scorer to 1e-9 relative.
+match the batch scorer to 1e-9 relative. partial_verdict judges the running
+perplexity through scoring.classify, the one verdict rule of batch scoring.
 """
 
 from __future__ import annotations
@@ -113,7 +114,6 @@ def partial_verdict(
     scope: str = "global",
     agent: str | None = None,
 ) -> ScoreReport:
-    """Classify the running perplexity of a partially observed trajectory."""
-    if session.scored_count < 1:
-        raise DomainError("cannot classify before any location has been scored")
+    """Classify the running perplexity of a partially observed trajectory;
+    before the first push, running_perplexity raises DomainError."""
     return classify(None, session.running_perplexity, table, scope=scope, agent=agent)

@@ -14,6 +14,10 @@ one row. No row is padded, so a trajectory's trace is the same bits in any chunk
 and `perplexity` and `score_corpus` agree bit for bit through the one formula,
 `SurprisalTrace.perplexity`. One trace per trajectory gives its perplexity,
 threshold fit, verdict and localization.
+
+A threshold table stores only its fits, from which `threshold_for` computes
+each cutoff; a report's verdict is likewise computed from its perplexity and
+threshold.
 """
 
 from __future__ import annotations
@@ -57,37 +61,42 @@ class ScoreReport:
     traj_id: str | None
     perplexity: float
     threshold: float
-    verdict: str
     agent: str | None = None
     surprisal: SurprisalTrace | None = None
+
+    @property
+    def verdict(self) -> str:
+        """anomalous iff the perplexity strictly exceeds the threshold, else normal."""
+        return "anomalous" if self.perplexity > self.threshold else "normal"
 
 
 @dataclass
 class ThresholdTable:
     """mean + population-std cutoffs fitted on training perplexities.
 
-    provenance holds each fit's (mean, std, count): keyed by agent for the
-    per-agent entries and by None for the global one, which no agent name equals.
+    fits holds each fit's (mean, std, count): keyed by agent for the per-agent
+    entries and by None for the global one, which no agent name equals.
     """
 
-    global_threshold: float | None
-    per_agent: dict[str, float] = field(default_factory=dict)
-    provenance: dict[str | None, tuple[float, float, int]] = field(default_factory=dict)
+    fits: dict[str | None, tuple[float, float, int]] = field(default_factory=dict)
 
     def threshold_for(self, scope: str, agent: str | None = None) -> float:
+        """Mean plus std of the fit that scope and agent select."""
         if scope == "global":
-            if self.global_threshold is None:
+            agent = None
+            if None not in self.fits:
                 raise DomainError("no global threshold available (fewer than 2 training samples)")
-            return self.global_threshold
-        if scope == "per_agent":
+        elif scope == "per_agent":
             if agent is None:
                 raise DomainError("per_agent scope requires an agent")
-            if agent not in self.per_agent:
+            if agent not in self.fits:
                 raise DomainError(
                     f"agent {agent!r} has no per-agent threshold; score with scope='global' instead"
                 )
-            return self.per_agent[agent]
-        raise DomainError(f"scope must be 'global' or 'per_agent', got {scope!r}")
+        else:
+            raise DomainError(f"scope must be 'global' or 'per_agent', got {scope!r}")
+        mean, std, _ = self.fits[agent]
+        return mean + std
 
 
 def token_log_probs(model: Model, ids) -> np.ndarray:
@@ -113,36 +122,24 @@ def perplexity(model: Model, traj: EncodedTrajectory) -> float:
 def compute_thresholds(
     ppls: "list[float] | np.ndarray",
     agents: "list[str | None] | None" = None,
-    group_by_agent: bool = False,
 ) -> ThresholdTable:
-    """Fit mean + population-std thresholds from training perplexities.
+    """Fit (mean, population std, count) of training perplexities.
 
-    The global entry uses all samples; with group_by_agent, each agent's entry
-    uses only that agent's samples. Entries with fewer than 2 samples are
-    omitted with a warning rather than fit from a degenerate estimate.
+    The global fit uses all samples; given agents, one per perplexity, each
+    agent's fit uses only that agent's samples. A fit with fewer than 2
+    samples is omitted with a warning rather than made from a degenerate estimate.
     """
     ppls = np.asarray(ppls, dtype=np.float64)
-    if group_by_agent and (agents is None or len(agents) != len(ppls)):
-        raise DomainError("group_by_agent requires one agent per perplexity")
-
-    def fit(values: np.ndarray, name: str) -> tuple[float, tuple[float, float, int]] | None:
+    if agents is not None and len(agents) != len(ppls):
+        raise DomainError("agents must give one agent per perplexity")
+    table = ThresholdTable()
+    for key in [None, *sorted({a for a in agents or () if a is not None})]:
+        values = ppls if key is None else ppls[[i for i, a in enumerate(agents) if a == key]]
         if len(values) < 2:
+            name = "global" if key is None else key
             warnings.warn(f"threshold entry {name!r} omitted: only {len(values)} sample(s)")
-            return None
-        mean = float(np.mean(values))
-        std = float(np.std(values))  # population std, no Bessel correction
-        return mean + std, (mean, std, len(values))
-
-    table = ThresholdTable(global_threshold=None)
-    fitted = fit(ppls, "global")
-    if fitted is not None:
-        table.global_threshold, table.provenance[None] = fitted
-    if group_by_agent:
-        for agent in sorted({a for a in agents if a is not None}):
-            vals = ppls[[i for i, a in enumerate(agents) if a == agent]]
-            fitted = fit(vals, agent)
-            if fitted is not None:
-                table.per_agent[agent], table.provenance[agent] = fitted
+        else:  # population std, no Bessel correction
+            table.fits[key] = (float(np.mean(values)), float(np.std(values)), len(values))
     return table
 
 
@@ -154,17 +151,9 @@ def classify(
     agent: str | None = None,
     trace: SurprisalTrace | None = None,
 ) -> ScoreReport:
-    """Verdict is anomalous iff perplexity strictly exceeds the selected threshold."""
-    threshold = table.threshold_for(scope, agent)
-    verdict = "anomalous" if ppl > threshold else "normal"
-    return ScoreReport(
-        traj_id=traj_id,
-        perplexity=ppl,
-        threshold=threshold,
-        verdict=verdict,
-        agent=agent,
-        surprisal=trace,
-    )
+    """The report of ppl against table.threshold_for(scope, agent); its verdict
+    is anomalous iff the perplexity strictly exceeds that threshold."""
+    return ScoreReport(traj_id, ppl, table.threshold_for(scope, agent), agent=agent, surprisal=trace)
 
 
 def score_corpus(model: Model, corpus: list[EncodedTrajectory], scope: str = "global",
@@ -192,7 +181,7 @@ def score_corpus(model: Model, corpus: list[EncodedTrajectory], scope: str = "gl
                 traces[i] = SurprisalTrace(-lp)
     ppls = [trace.perplexity for trace in traces]
     if table is None:
-        table = compute_thresholds(ppls, [t.agent for t in corpus], group_by_agent=scope == "per_agent")
+        table = compute_thresholds(ppls, [t.agent for t in corpus] if scope == "per_agent" else None)
     reports = [
         classify(t.traj_id, ppl, table, scope=scope, agent=t.agent, trace=trace)
         for t, ppl, trace in zip(corpus, ppls, traces)

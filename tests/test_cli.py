@@ -236,8 +236,8 @@ def test_score_fit_thresholds_and_eval_composability(pol_pipeline):
                "--fit-thresholds", "--thresholds-out", thresholds,
                "--per-position", per_pos, "--scope", "per_agent") == 0
     table = dataio.read_thresholds(thresholds)
-    assert table.global_threshold is not None
-    assert len(table.per_agent) == 4
+    assert None in table.fits
+    assert len(table.fits) == 5  # the global fit and one per agent
     reports = dataio.read_scores(scores)
     assert len(reports) == 32
     assert per_pos.read_text().count("\n") > 33  # at least one row per trajectory
@@ -458,6 +458,11 @@ GOOD_INPUTS = {
     ("build-vocab", "corpus.jsonl", GOOD_INPUTS["corpus.jsonl"] + '{"id": null, "tokens": ["cell:3,4"]}\n', 2),
     ("build-vocab", "corpus.jsonl", GOOD_INPUTS["corpus.jsonl"] + '{"id": [1], "tokens": ["cell:3,4"]}\n', 2),
     ("build-vocab", "corpus.jsonl", GOOD_INPUTS["corpus.jsonl"] + '{"id": 5, "tokens": ["cell:3,4"]}\n', 2),
+    ("eval", "scores.csv", SCORES_HEAD + "t1,,nan,3.0,normal\n", 2),
+    ("eval", "scores.csv", SCORES_HEAD + "t1,,2.0,nan,normal\n", 2),
+    ("eval", "scores.csv", SCORES_HEAD + "t1,,2.0,3.0,anomalous\n", 2),
+    ("eval", "scores.csv", SCORES_HEAD + "t1,,3.0,3.0,anomalous\n", 2),
+    ("eval", "scores.csv", SCORES_HEAD + "t1,,4.0,3.0,normal\n", 2),
 ], ids=["truth-no-label", "truth-bad-ratio", "scores-bad-float", "scores-short-row",
         "thresholds-bad-float", "thresholds-short-row", "config-bad-ratio",
         "truth-not-utf8", "corpus-not-utf8", "config-not-utf8",
@@ -475,7 +480,9 @@ GOOD_INPUTS = {
         "config-pol-no-configuration",
         "truth-unknown-label", "scores-unknown-verdict",
         "corpus-duplicate-id", "corpus-agent-not-string", "corpus-weekday-not-string",
-        "corpus-id-null", "corpus-id-list", "corpus-id-number"])
+        "corpus-id-null", "corpus-id-list", "corpus-id-number",
+        "scores-nan-perplexity", "scores-nan-threshold", "scores-anomalous-below-threshold",
+        "scores-anomalous-at-threshold", "scores-normal-above-threshold"])
 def test_bad_input_exits_with_one_line_error(pol_pipeline, capsys, command, name, text, code):
     p = pol_pipeline
     for file, good in GOOD_INPUTS.items():
@@ -571,6 +578,32 @@ def test_score_threshold_flags_are_checked_before_loading(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("row, message", [
+    ("global,,nan,1.0,2.0,-5", "a fit needs a finite mean"),
+    ("global,,inf,inf,1.0,8", "a fit needs a finite mean"),
+    ("per_agent,a,nan,2.0,nan,8", "a fit needs a finite mean"),
+    ("global,,1.0,2.0,-1.0,8", "a finite std >= 0"),
+    ("global,,2.0,2.0,0.0,1", "a count >= 2"),
+    ("global,,3.5,2.0,1.0,8", "threshold 3.5 is not its fit's mean plus std"),
+    ("global,,0.3,0.1,0.2,3", "threshold 0.3 is not its fit's mean plus std"),
+    ("per_agent,a,inf,2.0,1.0,8", "threshold inf is not its fit's mean plus std"),
+    ("global,a,3.0,2.0,1.0,8", "thresholds scope must be global with no agent"),
+], ids=["nan-mean", "inf-mean", "nan-std", "negative-std", "count-below-two", "threshold-not-the-sum",
+        "threshold-rounded", "threshold-inf", "global-names-an-agent"])
+def test_score_rejects_a_thresholds_row_that_is_not_a_fit(pol_pipeline, capsys, row, message):
+    """A thresholds row must be a fit compute_thresholds could make, with its
+    threshold exactly mean + std: anything else exits 2 naming the file and line."""
+    p = pol_pipeline
+    bad, out = p["tmp"] / "bad_thresholds.csv", p["tmp"] / "s.csv"
+    bad.write_text(THRESHOLDS_HEAD + row + "\n")
+    capsys.readouterr()
+    assert run("score", "--checkpoint", p["ckpt"], "--vocab", p["vocab"], "--corpus", p["corpus"],
+               "--out", out, "--thresholds", bad) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}:2: ") and err.count("\n") == 1 and message in err, err
+    assert not out.exists()
 
 
 def assert_score_fails(p, corpus, code, message, capsys):
@@ -727,8 +760,8 @@ def test_corrupt_checkpoint_exits_with_one_line_error(pol_pipeline, capsys):
 def test_eval_per_agent_quotes_agent_with_comma(tmp_path):
     scores, truth, out = tmp_path / "scores.csv", tmp_path / "truth.csv", tmp_path / "eval.csv"
     dataio.write_scores(scores, [
-        ScoreReport(traj_id="t1", agent="a,b", perplexity=5.0, threshold=3.0, verdict="anomalous"),
-        ScoreReport(traj_id="t2", agent="a,b", perplexity=2.0, threshold=3.0, verdict="normal"),
+        ScoreReport(traj_id="t1", agent="a,b", perplexity=5.0, threshold=3.0),
+        ScoreReport(traj_id="t2", agent="a,b", perplexity=2.0, threshold=3.0),
     ])
     dataio.write_truth(truth, [dataio.TruthRecord("t1", "anomalous"), dataio.TruthRecord("t2", "normal")])
     assert run("eval", "--scores", scores, "--truth", truth, "--out", out, "--per-agent") == 0

@@ -1,9 +1,14 @@
 import re
+import tempfile
+import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trajlm import dataio
-from trajlm.scoring import ScoreReport, ThresholdTable, compute_thresholds
+from trajlm.scoring import ScoreReport, ThresholdTable, classify, compute_thresholds
 from trajlm.vocab import Token
 
 TRUTH = [
@@ -12,14 +17,10 @@ TRUTH = [
     dataio.TruthRecord("a,1", "anomalous", "skip_routine", pos=4),
 ]
 SCORES = [
-    ScoreReport(traj_id="r1", agent=None, perplexity=12.5, threshold=9.75, verdict="anomalous"),
-    ScoreReport(traj_id="r2", agent="a,1", perplexity=1 / 3, threshold=9.75, verdict="normal"),
+    ScoreReport(traj_id="r1", agent=None, perplexity=12.5, threshold=9.75),
+    ScoreReport(traj_id="r2", agent="a,1", perplexity=1 / 3, threshold=9.75),
 ]
-TABLE = ThresholdTable(
-    global_threshold=9.75,
-    per_agent={"a,1": 4.5, "b": 0.1 + 0.2},
-    provenance={None: (8.0, 1.75, 30), "a,1": (4.0, 0.5, 10), "b": (0.25, 0.05, 3)},
-)
+TABLE = ThresholdTable({None: (8.0, 1.75, 30), "a,1": (4.0, 0.5, 10), "b": (0.1, 0.2, 3)})
 
 
 def test_write_csv_layout(tmp_path):
@@ -76,18 +77,17 @@ def test_read_corpus_ignores_a_label_key(tmp_path):
 
 
 def test_agent_named_global_keeps_its_own_threshold_provenance(tmp_path):
-    table = compute_thresholds([10.0, 12.0, 1.0, 2.0, 3.0], ["a", "a", "global", "global", "global"],
-                               group_by_agent=True)
-    assert table.provenance[None] == (5.6, pytest.approx(4.498888752), 5)
-    assert table.provenance["global"] == (2.0, pytest.approx(0.816496581), 3)
+    table = compute_thresholds([10.0, 12.0, 1.0, 2.0, 3.0], ["a", "a", "global", "global", "global"])
+    assert table.fits[None] == (5.6, pytest.approx(4.498888752), 5)
+    assert table.fits["global"] == (2.0, pytest.approx(0.816496581), 3)
     path = tmp_path / "thresholds.csv"
     dataio.write_thresholds(path, table, "h")
     assert dataio.read_thresholds(path) == table
 
 
 @pytest.mark.parametrize("rows, where, message", [
-    (["global,,3.0,2.0,1.0,8", "global,,9.0,2.0,1.0,8"], 3, "repeated global threshold"),
-    (["per_agent,a,3.0,2.0,1.0,8", "global,,9.0,2.0,1.0,8", "per_agent,a,4.0,2.0,1.0,8"], 4,
+    (["global,,3.0,2.0,1.0,8", "global,,9.0,5.0,4.0,8"], 3, "repeated global threshold"),
+    (["per_agent,a,3.0,2.0,1.0,8", "global,,9.0,5.0,4.0,8", "per_agent,a,4.0,3.0,1.0,8"], 4,
      "repeated per_agent threshold ['per_agent', 'a'"),
 ], ids=["global", "per-agent"])
 def test_read_thresholds_names_a_repeated_row(tmp_path, rows, where, message):
@@ -95,6 +95,33 @@ def test_read_thresholds_names_a_repeated_row(tmp_path, rows, where, message):
     path.write_text("\n".join([",".join(dataio.THRESHOLDS_HEADER), *rows]) + "\n")
     with pytest.raises(dataio.DataError, match=re.escape(f"{path}:{where}: {message}")):
         dataio.read_thresholds(path)
+
+
+AGENTS = st.one_of(st.sampled_from(["global", "a,b", 'say "hi"']), st.text(alphabet='ab,"', min_size=1, max_size=4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.floats(min_value=1e-3, max_value=1e6), AGENTS), min_size=2, max_size=24))
+def test_fitted_thresholds_and_their_verdicts_survive_the_files(samples):
+    ppls, agents = (list(column) for column in zip(*samples))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # an agent with one sample gets no fit
+        table = compute_thresholds(ppls, agents)
+    scopes = [("global" if key is None else "per_agent", key) for key in table.fits]
+    with tempfile.TemporaryDirectory() as tmp:
+        thresholds, scores = Path(tmp) / "thresholds.csv", Path(tmp) / "scores.csv"
+        dataio.write_thresholds(thresholds, table)
+        back = dataio.read_thresholds(thresholds)
+        assert back == table
+        for scope, key in scopes:
+            assert back.threshold_for(scope, key).hex() == table.threshold_for(scope, key).hex()
+        reports = [classify(f"t{i}", ppl, back, *(("per_agent", a) if a in back.fits else ("global", a)))
+                   for i, (ppl, a) in enumerate(samples)]
+        reports += [classify(f"at{i}", back.threshold_for(scope, key), back, scope, key)
+                    for i, (scope, key) in enumerate(scopes)]  # exactly at the threshold: normal
+        assert {r.verdict for r in reports[len(samples):]} == {"normal"}
+        dataio.write_scores(scores, reports)
+        assert [r.verdict for r in dataio.read_scores(scores)] == [r.verdict for r in reports]
 
 
 def test_read_truth_names_a_duplicate_id(tmp_path):

@@ -197,9 +197,7 @@ def test_pr_auc_invariant_under_monotone_transform():
 # --- per-agent evaluation -------------------------------------------------------
 
 def report(tid, agent, ppl, threshold):
-    return ScoreReport(traj_id=tid, agent=agent,
-                       perplexity=ppl, threshold=threshold,
-                       verdict="anomalous" if ppl > threshold else "normal")
+    return ScoreReport(traj_id=tid, agent=agent, perplexity=ppl, threshold=threshold)
 
 
 def test_per_agent_eval_excludes_agents_without_anomalies():

@@ -153,13 +153,13 @@ def test_sessions_are_deterministic(model):
 
 
 def test_partial_verdict(model):
-    table = ThresholdTable(global_threshold=1e9)
+    table = ThresholdTable({None: (1e9, 0.0, 2)})
     s = open_session(model, [1])
     with pytest.raises(DomainError):
         partial_verdict(s, table)
     s.push(3)
     assert partial_verdict(s, table).verdict == "normal"
-    tight = ThresholdTable(global_threshold=1.0)
+    tight = ThresholdTable({None: (1.0, 0.0, 2)})
     assert partial_verdict(s, tight).verdict == "anomalous"
 
 
@@ -168,8 +168,8 @@ def test_partial_verdict_monotone_at_every_prefix(model):
     s = open_session(model, ids[:1])
     for tok in ids[1:]:
         s.push(tok)
-        low = partial_verdict(s, ThresholdTable(global_threshold=1.0)).verdict
-        high = partial_verdict(s, ThresholdTable(global_threshold=1e9)).verdict
+        low = partial_verdict(s, ThresholdTable({None: (1.0, 0.0, 2)})).verdict
+        high = partial_verdict(s, ThresholdTable({None: (1e9, 0.0, 2)})).verdict
         assert not (low == "normal" and high == "anomalous")
 
 

@@ -124,44 +124,45 @@ def test_memorized_corpus_log_probs_near_zero():
 
 def test_compute_thresholds_closed_forms():
     table = compute_thresholds([1.0, 1.0, 1.0])
-    assert table.global_threshold == 1.0
+    assert table.threshold_for("global") == 1.0
     table = compute_thresholds([2.0, 4.0])
-    assert table.global_threshold == 4.0  # mean 3 + population std 1
-    assert table.provenance[None] == (3.0, 1.0, 2)
+    assert table.threshold_for("global") == 4.0  # mean 3 + population std 1
+    assert table.fits == {None: (3.0, 1.0, 2)}
 
 
 def test_compute_thresholds_population_std():
     vals = [1.0, 2.0, 3.0, 4.0]
     table = compute_thresholds(vals)
-    assert math.isclose(table.global_threshold, np.mean(vals) + np.std(vals), rel_tol=1e-12)
+    assert math.isclose(table.threshold_for("global"), np.mean(vals) + np.std(vals), rel_tol=1e-12)
 
 
 def test_compute_thresholds_small_group_omitted_with_warning():
     with pytest.warns(UserWarning):
-        table = compute_thresholds([1.0, 2.0, 3.0], ["a", "a", "b"], group_by_agent=True)
-    assert "a" in table.per_agent and "b" not in table.per_agent
+        table = compute_thresholds([1.0, 2.0, 3.0], ["a", "a", "b"])
+    assert "a" in table.fits and "b" not in table.fits
     with pytest.warns(UserWarning):
-        table = compute_thresholds([1.0], None, group_by_agent=False)
-    assert table.global_threshold is None
+        table = compute_thresholds([1.0])
+    assert table.fits == {}
 
 
 def test_two_scale_corpus_per_agent_vs_global():
     ppls = [0.9, 1.0, 1.1, 4.9, 5.0, 5.1]
     agents = ["a", "a", "a", "b", "b", "b"]
-    table = compute_thresholds(ppls, agents, group_by_agent=True)
-    assert table.per_agent["a"] < table.global_threshold < table.per_agent["b"]
+    table = compute_thresholds(ppls, agents)
+    th_a, th_b = (table.threshold_for("per_agent", a) for a in ("a", "b"))
+    assert th_a < table.threshold_for("global") < th_b
     # a trajectory of agent b scoring above its own threshold but below global
-    ppl = (table.per_agent["b"] + table.global_threshold) / 2 + 0.2
-    assert ppl > table.per_agent["b"]
+    ppl = (th_b + table.threshold_for("global")) / 2 + 0.2
+    assert ppl > th_b
     per_agent = classify("x", ppl, table, scope="per_agent", agent="b")
     assert per_agent.verdict == "anomalous"
 
 
 def test_classify_boundary_equality_is_normal():
     table = compute_thresholds([2.0, 4.0])
-    report = classify("x", table.global_threshold, table)
+    report = classify("x", table.threshold_for("global"), table)
     assert report.verdict == "normal"
-    assert classify("x", table.global_threshold + 1e-12, table).verdict == "anomalous"
+    assert classify("x", table.threshold_for("global") + 1e-12, table).verdict == "anomalous"
 
 
 def test_classify_monotone_in_threshold():
@@ -169,7 +170,7 @@ def test_classify_monotone_in_threshold():
 
     for ppl in (0.5, 1.5, 3.0):
         verdicts = [
-            classify("x", ppl, ThresholdTable(global_threshold=th)).verdict
+            classify("x", ppl, ThresholdTable({None: (th, 0.0, 2)})).verdict
             for th in (1.0, 2.0, 4.0)
         ]
         flips = [v == "anomalous" for v in verdicts]
@@ -177,7 +178,7 @@ def test_classify_monotone_in_threshold():
 
 
 def test_classify_missing_agent_directs_to_global():
-    table = compute_thresholds([1.0, 2.0], ["a", "a"], group_by_agent=True)
+    table = compute_thresholds([1.0, 2.0], ["a", "a"])
     with pytest.raises(DomainError) as exc:
         classify("x", 1.0, table, scope="per_agent", agent="ghost")
     assert "global" in str(exc.value)
@@ -191,7 +192,7 @@ def test_score_corpus_report_fields():
     assert returned is table
     assert report.traj_id == "r1"
     assert math.isclose(report.perplexity, 8.0, abs_tol=1e-6)
-    assert report.threshold == table.global_threshold
+    assert report.threshold == table.threshold_for("global")
     assert report.surprisal is not None
     assert report.surprisal.target_positions == [1, 2]
     assert math.isclose(
@@ -274,10 +275,10 @@ def test_score_corpus_fits_thresholds_on_its_own_perplexities():
     ppls = [perplexity(m, t) for t in corpus]
     agents = [t.agent for t in corpus]
     reports, table = score_corpus(m, corpus, scope="per_agent")
-    assert table == compute_thresholds(ppls, agents, group_by_agent=True)
-    assert sorted(table.per_agent) == ["a", "b"]
-    assert [r.threshold for r in reports] == [table.per_agent[a] for a in agents]
+    assert table == compute_thresholds(ppls, agents)
+    assert set(table.fits) == {None, "a", "b"}
+    assert [r.threshold for r in reports] == [table.threshold_for("per_agent", a) for a in agents]
     reports, table = score_corpus(m, corpus, scope="global")
-    assert table.per_agent == {} and set(table.provenance) == {None}
+    assert set(table.fits) == {None}
     assert table == compute_thresholds(ppls)
-    assert all(r.threshold == table.global_threshold for r in reports)
+    assert all(r.threshold == table.threshold_for("global") for r in reports)
