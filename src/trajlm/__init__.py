@@ -43,4 +43,4 @@ from .synth import (
 )
 from .training import TrainConfig, train
 from .vocab import EncodedTrajectory, Token, Vocab, bucket_duration, build_vocab, encode
-from .evaluate import EvalReport, ablation_eval, completion_ratio_eval, f1, per_agent_eval, pr_auc
+from .evaluate import EvalReport, completion_ratio_eval, f1, per_agent_eval, pr_auc

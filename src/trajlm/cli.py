@@ -29,7 +29,7 @@ import numpy as np
 from . import dataio
 from .checkpoint import read_checkpoint, write_checkpoint
 from .errors import ConfigError, DataError, DomainError, TrajLMError, decoding
-from .evaluate import ablation_eval, completion_ratio_eval, global_eval, per_agent_eval
+from .evaluate import completion_ratio_eval, global_eval, per_agent_eval
 from .grid import GridSpec
 from .model import ModelConfig, check_lengths, init_model
 from .online import open_session, partial_verdict
@@ -224,7 +224,7 @@ def porto_corpora(cfg: RunConfig) -> tuple[Corpora, Truth]:
             cfg.get("routes", "noise", float),
             seed=derive_seed(root, "routes"),
         )
-        specs = [AnomalySpec(kind, ratio, dist) for kind in injectors]
+        spec = AnomalySpec(ratio, dist)
     except DomainError as e:
         raise ConfigError(f"config: {e}") from e
     ids = [f"od{r // per_pair:02d}_r{r % per_pair:03d}" for r in range(len(routes))]
@@ -237,12 +237,11 @@ def porto_corpora(cfg: RunConfig) -> tuple[Corpora, Truth]:
 
     corpora = {"train.jsonl": [record(i, route) for i, route in enumerate(routes) if i not in selected]}
     truth = {}
-    for spec in specs:
-        kind = spec.kind
+    for kind, inject in injectors.items():
         records, labels = [], []
         for i, route in enumerate(routes):
             if i in selected:
-                cells = injectors[kind](route, spec, grid, seed=derive_seed(root, f"inject-{kind}-{i}"))
+                cells = inject(route, spec, grid, seed=derive_seed(root, f"inject-{kind}-{i}"))
                 labels.append(dataio.TruthRecord(ids[i], "anomalous", kind, ratio, dist))
             else:
                 cells = route
@@ -412,39 +411,46 @@ def cmd_eval(args) -> int:
 # Experiment reports (ablation, completion-ratio)
 # ---------------------------------------------------------------------------
 
-def _train_eval_pipeline(cfg: RunConfig, truth: dict[str, str]):
-    """Train/score/eval one tokenized corpus against truth; returns the per-agent table."""
-
-    def pipeline(records: list[dataio.CorpusRecord]):
-        vocab = build_vocab([dataio.full_tokens(r) for r in records])
-        model = init_model(cfg.model_config(len(vocab)), vocab_hash=vocab.hash())
-        encoded = [dataio.encode_record(r, vocab) for r in records]
-        train(model, encoded, cfg.train_config())
-        reports, _ = score_corpus(model, encoded, "per_agent")
-        return per_agent_eval(reports, truth)
-
-    return pipeline
+def _train_score_eval(cfg: RunConfig, records: list[dataio.CorpusRecord], truth: dict[str, str]):
+    """Train a fresh model on one configuration's corpus, score it per agent and
+    return the per-agent table of evaluate.per_agent_eval against truth."""
+    vocab = build_vocab([dataio.full_tokens(r) for r in records])
+    model = init_model(cfg.model_config(len(vocab)), vocab_hash=vocab.hash())
+    encoded = [dataio.encode_record(r, vocab) for r in records]
+    train(model, encoded, cfg.train_config())
+    reports, _ = score_corpus(model, encoded, "per_agent")
+    return per_agent_eval(reports, truth)
 
 
 def cmd_report(args) -> int:
+    """ablation: for each of ABLATION_CONFIGURATIONS, train, score and evaluate a
+    fresh model on that tokenization of one pol world, then write ablation.csv
+    (each configuration's mean per-agent F1 and PR-AUC) and one
+    ablation_<configuration>.csv of per-agent rows ending in that mean; a
+    configuration with no agent holding a true anomaly is a DomainError.
+    completion: F1 and PR-AUC per [eval] ratio of a scored corpus's prefixes,
+    written to completion.csv."""
     cfg = RunConfig.from_path(args.config)
     out_dir = Path(args.out_dir)  # made only once every input has been read and checked
     if args.kind == "ablation":
         corpora, truth = pol_corpora(cfg, ABLATION_CONFIGURATIONS)
         labels = {t.traj_id: t.label for t in truth["truth.csv"]}
-        result = ablation_eval(
-            {name: corpora[f"corpus_{name}.jsonl"] for name in ABLATION_CONFIGURATIONS},
-            _train_eval_pipeline(cfg, labels),
-        )
+        averages, tables = {}, {}
+        for name in ABLATION_CONFIGURATIONS:
+            per_agent = _train_score_eval(cfg, corpora[f"corpus_{name}.jsonl"], labels)
+            if not per_agent:
+                raise DomainError(f"configuration {name!r} produced no per-agent results")
+            averages[name] = [float(np.mean([r.f1 for r in per_agent.values()])),
+                              float(np.mean([r.pr_auc for r in per_agent.values()]))]
+            tables[name] = [[agent, rep.f1, rep.pr_auc] for agent, rep in per_agent.items()]
         out_dir.mkdir(parents=True, exist_ok=True)
         summary = out_dir / "ablation.csv"
-        rows = ([name, entry.average_f1, entry.average_pr_auc] for name, entry in result.items())
+        rows = ([name, *average] for name, average in averages.items())
         dataio.write_csv(summary, ["configuration", "average_f1", "average_pr_auc"], rows, cfg.hash)
-        for name, entry in result.items():
-            rows = [[agent, rep.f1, rep.pr_auc] for agent, rep in entry.per_agent.items()]
-            rows.append(["average", entry.average_f1, entry.average_pr_auc])
+        for name, rows in tables.items():
+            rows.append(["average", *averages[name]])
             dataio.write_csv(out_dir / f"ablation_{name}.csv", ["agent", "f1", "pr_auc"], rows, cfg.hash)
-        best = max(result, key=lambda name: result[name].average_f1)
+        best = max(averages, key=lambda name: averages[name][0])
         print(f"[report] ablation -> {summary} (best average F1: {best})")
     elif args.kind == "completion":
         if not (args.checkpoint and args.vocab and args.corpus and args.thresholds and args.truth):

@@ -9,6 +9,10 @@ ignore any other key, such as the answer key that earlier corpora carried. CSV
 artifacts start with a '#' comment line carrying the same provenance;
 `write_csv` writes all of them but the loss log, which training appends to
 one epoch at a time.
+
+`encode_record` frames a record: its agent and weekday fields head the ids, or
+SOT when it has neither, and EOT ends them; so `tokens` holds no special,
+agent_id or weekday token.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 
 from .errors import DataError, DomainError, decoding
 from .scoring import ScoreReport, ThresholdTable
-from .vocab import EncodedTrajectory, Token, Vocab, encode
+from .vocab import EOT, SOT, EncodedTrajectory, Token, Vocab, encode
 
 TOOL_VERSION = "0.1.0"
 
@@ -49,22 +53,28 @@ class TruthRecord:
     pos: int | None = None  # planted slot index, for localization checks
 
 
+# Token kinds a corpus record's tokens may not hold: encode_record adds the
+# specials, and the record's agent and weekday fields give the conditioning.
+FRAMING_KINDS = ("special", "agent_id", "weekday")
+
+
+def _head(rec: CorpusRecord) -> list[Token]:
+    """The conditioning tokens of a record: its agent, then its weekday, when given."""
+    fields = (("agent_id", rec.agent), ("weekday", rec.weekday))
+    return [Token(kind, value) for kind, value in fields if value is not None]
+
+
 def full_tokens(rec: CorpusRecord) -> list[Token]:
     """Conditioning tokens plus locations, in model order (no specials)."""
-    prefix: list[Token] = []
-    if rec.agent is not None:
-        prefix.append(Token("agent_id", rec.agent))
-    if rec.weekday is not None:
-        prefix.append(Token("weekday", rec.weekday))
-    return prefix + rec.tokens
+    return _head(rec) + rec.tokens
 
 
 def encode_record(rec: CorpusRecord, vocab: Vocab) -> EncodedTrajectory:
-    """Agent-conditioned records use [agent, weekday, ...] with no SOT; bare
-    location records get SOT framing. EOT is always appended."""
-    if rec.agent is not None:
-        return encode(full_tokens(rec), vocab, with_sot=False, traj_id=rec.traj_id, agent=rec.agent)
-    return encode(rec.tokens, vocab, with_sot=True, traj_id=rec.traj_id)
+    """The one framing of a record: [agent, weekday, ..., EOT] with the fields it
+    has, in that order, heading the ids; [SOT, ..., EOT] when it has neither.
+    The head is the trajectory's prefix_len."""
+    head = _head(rec) or [SOT]
+    return encode([*head, *rec.tokens, EOT], vocab, len(head), traj_id=rec.traj_id, agent=rec.agent)
 
 
 def provenance(config_hash: str = "") -> dict[str, str]:
@@ -85,8 +95,9 @@ def write_corpus(path, records: list[CorpusRecord], config_hash: str = "") -> No
 
 
 def read_corpus(path) -> list[CorpusRecord]:
-    """The records of a corpus file: ids are unique strings, and agent and weekday
-    are strings when given; any other line is a DataError naming it."""
+    """The records of a corpus file: ids are unique strings, agent and weekday
+    are strings when given, and tokens holds no FRAMING_KINDS token; any other
+    line is a DataError naming it."""
     records = []
     first_line: dict[str, int] = {}
     with decoding(path), open(path, "r", encoding="utf-8") as fh:
@@ -116,6 +127,10 @@ def read_corpus(path) -> list[CorpusRecord]:
             for key, value in (("id", rec.traj_id), ("agent", rec.agent), ("weekday", rec.weekday)):
                 if not isinstance(value, str) and (key == "id" or value is not None):
                     raise DataError(f"{path}:{lineno}: corpus {key} must be a string, got {value!r}")
+            for token in rec.tokens:
+                if token.kind in FRAMING_KINDS:
+                    raise DataError(f"{path}:{lineno}: tokens may not hold {str(token)!r}, "
+                                    "which the encoder or the agent and weekday fields supply")
             if rec.traj_id in first_line:
                 raise DataError(
                     f"{path}:{lineno}: duplicate id {rec.traj_id!r}, first on line {first_line[rec.traj_id]}"
@@ -210,10 +225,14 @@ def write_scores(path, reports: list[ScoreReport], config_hash: str = "") -> Non
 
 
 def read_scores(path) -> list[ScoreReport]:
-    """Score rows; a NaN perplexity or threshold, or a verdict other than the
-    one ScoreReport computes from them, is a DataError naming its line."""
+    """Score rows; a repeated id, a NaN perplexity or threshold, or a verdict other
+    than the one ScoreReport computes from them, is a DataError naming its line."""
     out = []
+    seen: set[str] = set()
     for where, row in _csv_rows(path, SCORES_HEADER, "score"):
+        if row[0] in seen:
+            raise DataError(f"{where}: duplicate id {row[0]!r}")
+        seen.add(row[0])
         try:
             perplexity, threshold = float(row[2]), float(row[3])
         except ValueError as e:

@@ -15,8 +15,8 @@ class ConfigError(TrajLMError, ValueError):
     """Invalid configuration value or combination."""
 
 
-class VocabError(TrajLMError, KeyError):
-    """Unknown token or out-of-range token id."""
+class VocabError(TrajLMError, LookupError):
+    """Unknown token or out-of-range token id; str() is the message itself."""
 
 
 class CheckpointError(TrajLMError, ValueError):

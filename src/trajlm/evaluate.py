@@ -1,16 +1,17 @@
-"""Detection metrics and experiment protocols.
+"""Detection metrics: global and per-agent F1 and PR-AUC, and the completion-ratio protocol.
 
 PR-AUC is computed as average precision (the step-wise sum over the
 descending-score sweep), never by trapezoidal interpolation, with the
 anomalous class as positive. F1 always scores the fixed mean+std threshold
-verdicts rather than the best threshold in hindsight.
+verdicts rather than the best threshold in hindsight. The location-configuration
+ablation is `trajlm report --kind ablation`'s own loop over per_agent_eval.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -168,44 +169,4 @@ def completion_ratio_eval(
             ]
         rep = global_eval(reports, truth)
         out[float(ratio)] = (rep.f1, rep.pr_auc)
-    return out
-
-
-@dataclass
-class AblationEntry:
-    per_agent: dict[str, EvalReport]
-    average_f1: float
-    average_pr_auc: float
-
-
-def ablation_eval(
-    corpora_by_config: dict[str, list],
-    pipeline: Callable[[list], dict[str, EvalReport]],
-) -> dict[str, AblationEntry]:
-    """Run one full train/score/eval cycle per location configuration.
-
-    Every configuration must tokenize the same underlying trajectories (same
-    ids); each entry carries the per-agent table plus the across-agents
-    average, mirroring a per-configuration summary row.
-    """
-    if not corpora_by_config:
-        raise DomainError("no configurations given")
-    id_sets = {
-        name: tuple(getattr(t, "traj_id", None) for t in corpus)
-        for name, corpus in corpora_by_config.items()
-    }
-    reference = next(iter(id_sets.values()))
-    for name, ids in id_sets.items():
-        if ids != reference:
-            raise DomainError(f"configuration {name!r} covers different trajectory ids")
-    out: dict[str, AblationEntry] = {}
-    for name in corpora_by_config:
-        per_agent = pipeline(corpora_by_config[name])
-        if not per_agent:
-            raise DomainError(f"configuration {name!r} produced no per-agent results")
-        out[name] = AblationEntry(
-            per_agent=per_agent,
-            average_f1=float(np.mean([r.f1 for r in per_agent.values()])),
-            average_pr_auc=float(np.mean([r.pr_auc for r in per_agent.values()])),
-        )
     return out

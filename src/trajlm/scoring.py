@@ -2,8 +2,8 @@
 
 A trajectory of ids [h, x1, ..., xn] is scored on every transition after the
 head: entry i of the log-prob vector is log P(ids[i+1] | ids[0..i]). The head
-token (agent id or SOT) only conditions and is never itself a prediction
-target. Perplexity is exp of the mean surprisal over those scored positions,
+token (the agent id, else the weekday, else SOT) only conditions and is never
+itself a prediction target. Perplexity is exp of the mean surprisal over those scored positions,
 so a perfectly predicted trajectory scores exactly 1.
 
 `token_log_probs` is the one scoring kernel: one forward call over a batch of

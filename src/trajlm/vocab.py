@@ -3,7 +3,9 @@
 Tokens are (kind, value) pairs; the three specials PAD/SOT/EOT always occupy
 ids 0/1/2, and the remaining ids are assigned deterministically by sorting on
 (kind, value). There is deliberately no UNK token: an unseen token during
-encoding is a data bug and raises.
+encoding is a data bug and raises. `encode` maps tokens to ids and frames
+nothing: `dataio.encode_record` chooses a record's head (its agent and weekday,
+or SOT) and appends EOT.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import DomainError, VocabError, decoding
+from .errors import DataError, DomainError, VocabError, decoding
 
 TOKEN_KINDS = ("activity", "agent_id", "cell", "duration_bucket", "special", "staypoint", "weekday")
 
@@ -106,17 +108,26 @@ class Vocab:
 
     @classmethod
     def load(cls, path) -> "Vocab":
+        """The vocabulary in a file written by save. A line that is not a valid
+        'kind<TAB>value' token is a DataError naming it; repeated tokens or
+        specials that are not PAD, SOT, EOT first are a DataError naming the file."""
         tokens = []
         with decoding(path), open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh):
+            for lineno, line in enumerate(fh, start=1):
                 line = line.rstrip("\n")
                 if not line:
                     continue
                 kind, sep, value = line.partition("\t")
                 if not sep:
-                    raise DomainError(f"{path}:{lineno + 1}: expected 'kind<TAB>value'")
-                tokens.append(Token(kind, value))
-        return cls(tokens)
+                    raise DataError(f"{path}:{lineno}: expected 'kind<TAB>value'")
+                try:
+                    tokens.append(Token(kind, value))
+                except DomainError as e:
+                    raise DataError(f"{path}:{lineno}: {e}") from e
+        try:
+            return cls(tokens)
+        except DomainError as e:
+            raise DataError(f"{path}: {e}") from e
 
 
 def build_vocab(corpus: Iterable[Sequence[Token]]) -> Vocab:
@@ -136,8 +147,8 @@ def build_vocab(corpus: Iterable[Sequence[Token]]) -> Vocab:
 class EncodedTrajectory:
     """Integer id sequence plus bookkeeping for scoring and evaluation.
 
-    prefix_len counts the conditioning tokens at the head of the sequence
-    (agent id / weekday tokens, or SOT), so location tokens start at
+    prefix_len counts the head of the sequence that conditions the rest (the
+    record's agent and weekday, or SOT), so location tokens start at
     ids[prefix_len]. Only ids[0] is never scored: every later id is a
     prediction target, conditioning tokens included, so the batch trace,
     sessions and completion prefixes all score pol's weekday as
@@ -163,27 +174,17 @@ class EncodedTrajectory:
 def encode(
     tokens: Sequence[Token],
     vocab: Vocab,
-    with_sot: bool = False,
+    prefix_len: int,
     traj_id: str | None = None,
     agent: str | None = None,
 ) -> EncodedTrajectory:
-    """Encode tokens to ids, optionally after SOT, always followed by EOT.
+    """The ids of tokens, whose first prefix_len tokens are the conditioning head.
 
+    The tokens are encoded as given: the caller supplies the head and EOT.
     Raises VocabError naming the first unknown token; there is no UNK fallback.
     """
-    ids: list[int] = [SOT_ID] if with_sot else []
-    prefix_len = 1 if with_sot else 0
-    in_prefix = True
-    for t in tokens:
-        ids.append(vocab.id(t))
-        if in_prefix and t.kind in ("agent_id", "weekday"):
-            prefix_len += 1
-        else:
-            in_prefix = False
-    ids.append(EOT_ID)
-    # The sequence head conditions everything else and is itself never scored,
-    # so even a bare location sequence has a conditioning prefix of one.
-    return EncodedTrajectory(ids=ids, prefix_len=max(prefix_len, 1), traj_id=traj_id, agent=agent)
+    return EncodedTrajectory(ids=[vocab.id(t) for t in tokens], prefix_len=prefix_len,
+                             traj_id=traj_id, agent=agent)
 
 
 def bucket_duration(seconds: float) -> Token:

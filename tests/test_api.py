@@ -78,3 +78,17 @@ def test_every_public_function_has_a_caller():
     assert defined
     uncalled = [f"{module}.{name}" for module, name, i in defined if not used[module, name] - {(module, i)}]
     assert uncalled == []
+
+
+def test_only_encode_record_frames_a_record():
+    """Outside vocab.py, which defines them, vocab.encode, SOT and SOT_ID are used
+    in src/ only by dataio.encode_record: a record's head (its agent and weekday,
+    or SOT) and its EOT are chosen in that one place."""
+    users = set()
+    for path in sorted(SRC.glob("*.py")):
+        module = path.stem
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for i, owner, name in _uses(tree, module):
+            if owner == "vocab" and name in ("encode", "SOT", "SOT_ID") and module != "vocab":
+                users.add(f"{module}.{getattr(tree.body[i], 'name', i)}")
+    assert users == {"dataio.encode_record"}

@@ -108,6 +108,11 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def read_rows(path):
+    """The CSV rows of an artifact after its '#' provenance line, header first."""
+    return list(csv.reader(l for l in path.read_text().splitlines() if not l.startswith("#")))
+
+
 TRUTH, SCORES, THRESHOLDS = dataio.TRUTH_HEADER, dataio.SCORES_HEADER, dataio.THRESHOLDS_HEADER
 
 
@@ -346,13 +351,24 @@ def test_report_ablation_row_count(pol_config, tmp_path):
     assert RunConfig(POL_TINY).configurations() == ["staypoint"]
     out = tmp_path / "rep"
     assert run("report", "--kind", "ablation", "--config", pol_config, "--out-dir", out) == 0
-    rows = [l for l in (out / "ablation.csv").read_text().splitlines() if not l.startswith("#")]
-    assert len(rows) == 3 + 1  # one per configuration plus the header
-    for name in ("staypoint", "gps", "duration"):
-        detail = out / f"ablation_{name}.csv"
-        assert detail.exists()
-        assert [l for l in detail.read_text().splitlines() if not l.startswith("#")][-1].startswith("average,")
+    rows = read_rows(out / "ablation.csv")
+    assert [row[0] for row in rows] == ["configuration", "staypoint", "gps", "duration"]
+    for name, *average in rows[1:]:
+        header, *agents, last = read_rows(out / f"ablation_{name}.csv")
+        assert header == ["agent", "f1", "pr_auc"] and agents
+        assert last == ["average", *average]  # the summary row is the file's average row
+        means = [float(np.mean([float(row[col]) for row in agents])) for col in (1, 2)]
+        assert [float(v) for v in average] == means  # the mean of its agent rows
     assert_one_csv_format(out, {"ablation.csv": None, "ablation_gps.csv": None})
+
+
+def test_report_ablation_without_an_anomalous_agent_names_the_configuration(tmp_path, capsys):
+    config, out = tmp_path / "none.ini", tmp_path / "rep"
+    config.write_text(POL_TINY.replace("n_anomalous_agents = 1", "n_anomalous_agents = 0"))
+    capsys.readouterr()
+    assert run("report", "--kind", "ablation", "--config", config, "--out-dir", out) == 2
+    assert capsys.readouterr().err == "error: configuration 'staypoint' produced no per-agent results\n"
+    assert not out.exists()
 
 
 @pytest.fixture
@@ -406,6 +422,10 @@ GOOD_INPUTS = {
     "run.ini": POL_TINY,
     "corpus.jsonl": '{"id": "t1", "tokens": ["cell:1,2"]}\n',
 }
+
+# The line a case's data error names, where it is not line 2: a repeated id is
+# named on its second row.
+ERROR_LINE = {"scores-duplicate-id": 3}
 
 
 @pytest.mark.parametrize("command, name, text, code", [
@@ -463,6 +483,12 @@ GOOD_INPUTS = {
     ("eval", "scores.csv", SCORES_HEAD + "t1,,2.0,3.0,anomalous\n", 2),
     ("eval", "scores.csv", SCORES_HEAD + "t1,,3.0,3.0,anomalous\n", 2),
     ("eval", "scores.csv", SCORES_HEAD + "t1,,4.0,3.0,normal\n", 2),
+    ("eval", "scores.csv", SCORES_HEAD + "t1,,5.0,3.0,anomalous\nt1,,2.0,3.0,normal\n", 2),
+    ("score", "corpus.jsonl", GOOD_INPUTS["corpus.jsonl"] + '{"id": "t2", "tokens": ["cell:1,2", "special:EOT", "cell:1,2"]}\n', 2),
+    ("score", "corpus.jsonl", GOOD_INPUTS["corpus.jsonl"] + '{"id": "t2", "tokens": ["special:PAD"]}\n', 2),
+    ("score", "corpus.jsonl", GOOD_INPUTS["corpus.jsonl"] + '{"id": "t2", "agent": "x", "tokens": ["agent_id:x", "cell:1,2"]}\n', 2),
+    ("build-vocab", "corpus.jsonl", GOOD_INPUTS["corpus.jsonl"] + '{"id": "t2", "tokens": ["special:SOT", "cell:1,2"]}\n', 2),
+    ("build-vocab", "corpus.jsonl", GOOD_INPUTS["corpus.jsonl"] + '{"id": "t2", "tokens": ["weekday:Monday", "cell:1,2"]}\n', 2),
 ], ids=["truth-no-label", "truth-bad-ratio", "scores-bad-float", "scores-short-row",
         "thresholds-bad-float", "thresholds-short-row", "config-bad-ratio",
         "truth-not-utf8", "corpus-not-utf8", "config-not-utf8",
@@ -482,8 +508,10 @@ GOOD_INPUTS = {
         "corpus-duplicate-id", "corpus-agent-not-string", "corpus-weekday-not-string",
         "corpus-id-null", "corpus-id-list", "corpus-id-number",
         "scores-nan-perplexity", "scores-nan-threshold", "scores-anomalous-below-threshold",
-        "scores-anomalous-at-threshold", "scores-normal-above-threshold"])
-def test_bad_input_exits_with_one_line_error(pol_pipeline, capsys, command, name, text, code):
+        "scores-anomalous-at-threshold", "scores-normal-above-threshold", "scores-duplicate-id",
+        "score-corpus-eot-inside-tokens", "score-corpus-pad-token", "score-corpus-agent-token",
+        "corpus-sot-token", "corpus-weekday-token"])
+def test_bad_input_exits_with_one_line_error(pol_pipeline, capsys, request, command, name, text, code):
     p = pol_pipeline
     for file, good in GOOD_INPUTS.items():
         content = text if file == name else good
@@ -494,6 +522,9 @@ def test_bad_input_exits_with_one_line_error(pol_pipeline, capsys, command, name
                 "--out", p["tmp"] / "eval.csv"]
     elif command == "build-vocab":
         argv = ["build-vocab", "--inputs", path["corpus.jsonl"], "--out", p["tmp"] / "vocab_out.tsv"]
+    elif command == "score":
+        argv = ["score", "--checkpoint", p["ckpt"], "--vocab", p["vocab"], "--corpus", path["corpus.jsonl"],
+                "--out", p["tmp"] / "score_out.csv", "--fit-thresholds"]
     elif command == "train":
         argv = ["train", "--config", path["run.ini"], "--corpus", p["corpus"], "--vocab", p["vocab"],
                 "--out", p["tmp"] / "train_out.ckpt"]
@@ -510,8 +541,8 @@ def test_bad_input_exits_with_one_line_error(pol_pipeline, capsys, command, name
     if isinstance(text, bytes):
         assert f"{name}: not UTF-8 text" in err
     elif code == 2:
-        assert f"{name}:2:" in err
-    written = [p["tmp"] / out for out in ("eval.csv", "vocab_out.tsv", "train_out.ckpt")]
+        assert f"{name}:{ERROR_LINE.get(request.node.callspec.id, 2)}:" in err
+    written = [p["tmp"] / out for out in ("eval.csv", "vocab_out.tsv", "train_out.ckpt", "score_out.csv")]
     assert not [f for f in written if f.exists()]
     assert not (p["tmp"] / "gen").exists() and not (p["tmp"] / "rep").exists()
 
@@ -730,6 +761,59 @@ def test_vocab_hash_mismatch_is_a_model_error(pol_pipeline, tmp_path):
     code = run("score", "--checkpoint", p["ckpt"], "--vocab", other, "--corpus", p["corpus"],
                "--out", tmp_path / "s.csv", "--fit-thresholds")
     assert code == 2
+
+
+VOCAB_SPECIALS = "special\tPAD\nspecial\tSOT\nspecial\tEOT\n"
+
+
+@pytest.mark.parametrize("text, where, message", [
+    (VOCAB_SPECIALS + "bogus\tx\n", ":4", "unknown token kind 'bogus'"),
+    (VOCAB_SPECIALS + "weekday\tFunday\n", ":4", "weekday must be one of"),
+    (VOCAB_SPECIALS + "staypoint\tx\nstaypoint x\n", ":5", "expected 'kind<TAB>value'"),
+    (VOCAB_SPECIALS + "staypoint\tx\nstaypoint\tx\n", "", "vocab contains duplicate tokens"),
+    ("special\tSOT\nspecial\tPAD\nspecial\tEOT\n", "", "vocab must start with PAD, SOT, EOT"),
+], ids=["unknown-kind", "bad-value", "no-tab", "duplicate-token", "specials-out-of-order"])
+def test_score_names_the_vocab_file_it_cannot_load(pol_pipeline, capsys, text, where, message):
+    p = pol_pipeline
+    bad, out = p["tmp"] / "bad_vocab.tsv", p["tmp"] / "s.csv"
+    bad.write_text(text)
+    capsys.readouterr()
+    assert run("score", "--checkpoint", p["ckpt"], "--vocab", bad, "--corpus", p["corpus"],
+               "--out", out, "--fit-thresholds") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}{where}: {message}") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("conditioning, stdin", [
+    ("staypoint:nowhere", ""),
+    ("weekday:Monday", "staypoint:nowhere\n"),
+], ids=["conditioning", "event"])
+def test_stream_names_an_unknown_token_in_one_plain_line(pol_pipeline, monkeypatch, capsys, conditioning, stdin):
+    p = pol_pipeline
+    thresholds = p["tmp"] / "thr.csv"
+    assert run("score", "--checkpoint", p["ckpt"], "--vocab", p["vocab"], "--corpus", p["corpus"],
+               "--out", p["tmp"] / "s.csv", "--fit-thresholds", "--thresholds-out", thresholds) == 0
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    capsys.readouterr()
+    assert run("stream", "--checkpoint", p["ckpt"], "--vocab", p["vocab"], "--thresholds", thresholds,
+               "--conditioning", conditioning) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: token 'staypoint:nowhere' is not in the vocabulary\n"
+
+
+def test_a_weekday_without_an_agent_heads_the_ids(tmp_path):
+    """The record's fields give its head even without an agent: build-vocab puts the
+    weekday in the vocabulary, and the encoder puts it first, with no SOT."""
+    corpus, vocab_path = tmp_path / "c.jsonl", tmp_path / "v.tsv"
+    corpus.write_text('{"id": "t1", "weekday": "Monday", "tokens": ["staypoint:work", "staypoint:home"]}\n')
+    assert run("build-vocab", "--inputs", corpus, "--out", vocab_path) == 0
+    vocab = Vocab.load(vocab_path)
+    enc = dataio.encode_record(dataio.read_corpus(corpus)[0], vocab)
+    assert [str(vocab.token(i)) for i in enc.ids] == [
+        "weekday:Monday", "staypoint:work", "staypoint:home", "special:EOT"]
+    assert enc.prefix_len == 1
 
 
 def test_corrupt_checkpoint_exits_with_one_line_error(pol_pipeline, capsys):

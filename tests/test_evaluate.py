@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from trajlm.errors import DomainError
 from trajlm.evaluate import (
     _as_binary,
-    ablation_eval,
     completion_ratio_eval,
     f1,
     global_eval,
@@ -283,31 +282,49 @@ def test_prefix_perplexity_uses_ceil(ratio_setup):
         prefix_perplexity(model, t, 0.0)
 
 
-# --- ablation harness -------------------------------------------------------------
+# --- ablation -----------------------------------------------------------------------
 
-class Rec:
-    def __init__(self, traj_id):
-        self.traj_id = traj_id
+ABLATION_TINY = """\
+[run]
+seed = 3
+
+[world]
+n_agents = 4
+n_days = 8
+n_anomalous_agents = 1
+anomalous_days = 2
+alt_prob = 0.35
+configurations = staypoint
+
+[model]
+d_model = 16
+n_heads = 2
+n_layers = 1
+d_ff = 32
+max_seq_len = 16
+
+[train]
+epochs = 2
+batch_size = 16
+learning_rate = 0.003
+"""
 
 
 def test_ablation_identical_corpora_identical_metrics():
-    from trajlm.evaluate import EvalReport
+    """report --kind ablation trains, scores and evaluates each configuration's
+    corpus the same way, so two configurations with identical corpora get
+    identical per-agent tables: a difference between configurations comes from
+    the tokenization alone."""
+    from trajlm.cli import RunConfig, _train_score_eval, pol_corpora
 
-    def pipeline(corpus):
-        return {"a": EvalReport(f1=0.5, pr_auc=0.6, tp=1, fp=1, fn=1, tn=1)}
-
-    corpora = {"x": [Rec("1")], "y": [Rec("1")]}
-    out = ablation_eval(corpora, pipeline)
-    assert out["x"].average_f1 == out["y"].average_f1 == 0.5
-    assert out["x"].average_pr_auc == 0.6
-
-
-def test_ablation_mismatched_ids_error():
-    def pipeline(corpus):
-        raise AssertionError("should not run")
-
-    with pytest.raises(DomainError):
-        ablation_eval({"x": [Rec("1")], "y": [Rec("2")]}, pipeline)
+    cfg = RunConfig(ABLATION_TINY)
+    corpora, truth = pol_corpora(cfg, ["staypoint", "gps"])
+    labels = {t.traj_id: t.label for t in truth["truth.csv"]}
+    records = corpora["corpus_staypoint.jsonl"]
+    x = _train_score_eval(cfg, records, labels)
+    y = _train_score_eval(cfg, list(records), labels)
+    assert x and x == y
+    assert _train_score_eval(cfg, corpora["corpus_gps.jsonl"], labels).keys() == x.keys()
 
 
 def test_global_eval_counts():

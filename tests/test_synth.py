@@ -138,13 +138,11 @@ def test_route_corpus_rejects_empty_corpus():
 
 def test_anomaly_spec_validation():
     with pytest.raises(DomainError):
-        AnomalySpec("random_shift", 0.0, 3)
+        AnomalySpec(0.0, 3)
     with pytest.raises(DomainError):
-        AnomalySpec("detour", 0.3, 0)
-    with pytest.raises(DomainError):
-        AnomalySpec("wiggle", 0.3, 1)
+        AnomalySpec(0.3, 0)
     with pytest.raises(TypeError):  # dist has no default: 0 would be rejected anyway
-        AnomalySpec("detour", 0.3)
+        AnomalySpec(0.3)
 
 
 def straight_east(n, row=10):
@@ -153,14 +151,14 @@ def straight_east(n, row=10):
 
 def test_random_shift_zero_positions_is_identity():
     t = straight_east(12)
-    out = inject_random_shift(t, AnomalySpec("random_shift", 0.04, 3), GRID, seed=1)
+    out = inject_random_shift(t, AnomalySpec(0.04, 3), GRID, seed=1)
     assert round_half_up(0.04 * 10) == 0
     assert out == t
 
 
 def test_random_shift_exact_positions_and_distance():
     t = straight_east(12)  # interior 10, ratio 0.3 -> exactly 3 shifted
-    spec = AnomalySpec("random_shift", 0.3, 3)
+    spec = AnomalySpec(0.3, 3)
     out = inject_random_shift(t, spec, GRID, seed=2)
     moved = [i for i, (a, b) in enumerate(zip(t, out)) if a != b]
     assert len(moved) == 3
@@ -173,7 +171,7 @@ def test_random_shift_exact_positions_and_distance():
 
 def test_random_shift_deterministic_and_short_input():
     t = straight_east(12)
-    spec = AnomalySpec("random_shift", 0.3, 3)
+    spec = AnomalySpec(0.3, 3)
     assert inject_random_shift(t, spec, GRID, 7) == inject_random_shift(t, spec, GRID, 7)
     with pytest.raises(DomainError):
         inject_random_shift(straight_east(2), spec, GRID, 1)
@@ -182,13 +180,13 @@ def test_random_shift_deterministic_and_short_input():
 def test_detour_empty_window_warns_identity():
     t = straight_east(6)
     with pytest.warns(UserWarning):
-        out = inject_detour(t, AnomalySpec("detour", 0.05, 3), GRID, seed=1)
+        out = inject_detour(t, AnomalySpec(0.05, 3), GRID, seed=1)
     assert out == t
 
 
 def test_detour_window_translated_perpendicular():
     t = straight_east(10)  # interior 8, ratio 0.4 -> window of 3
-    spec = AnomalySpec("detour", 0.4, 3)
+    spec = AnomalySpec(0.4, 3)
     out = inject_detour(t, spec, GRID, seed=5)
     assert len(out) == len(t)
     assert out[0] == t[0] and out[-1] == t[-1]
@@ -204,7 +202,7 @@ def test_detour_window_translated_perpendicular():
 
 def test_detour_deterministic_and_short_input():
     t = straight_east(10)
-    spec = AnomalySpec("detour", 0.4, 3)
+    spec = AnomalySpec(0.4, 3)
     assert inject_detour(t, spec, GRID, 3) == inject_detour(t, spec, GRID, 3)
     with pytest.raises(DomainError):
         inject_detour(straight_east(4), spec, GRID, 3)
@@ -212,7 +210,7 @@ def test_detour_deterministic_and_short_input():
 
 def test_detour_prefers_unclamped_side():
     t = [CellId(c, 0) for c in range(10)]  # hugging the row-0 edge
-    out = inject_detour(t, AnomalySpec("detour", 0.4, 3), GRID, seed=5)
+    out = inject_detour(t, AnomalySpec(0.4, 3), GRID, seed=5)
     moved = [i for i, (a, b) in enumerate(zip(t, out)) if a != b]
     assert moved and all(out[i].row == 3 for i in moved)
 
@@ -222,8 +220,7 @@ def test_injectors_preserve_endpoints_property():
     for trial in range(20):
         n = int(rng.integers(6, 30))
         t = straight_east(n, row=15)
-        for spec in (AnomalySpec("random_shift", 0.3, 3), AnomalySpec("detour", 0.3, 2)):
-            inject = inject_random_shift if spec.kind == "random_shift" else inject_detour
+        for inject, spec in ((inject_random_shift, AnomalySpec(0.3, 3)), (inject_detour, AnomalySpec(0.3, 2))):
             out = inject(t, spec, GRID, seed=trial)
             assert len(out) == len(t)
             assert out[0] == t[0] and out[-1] == t[-1]

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from trajlm.dataio import CorpusRecord, encode_record, full_tokens
 from trajlm.errors import DomainError, VocabError
 from trajlm.vocab import (
     EOT_ID,
@@ -63,9 +64,9 @@ def test_token_validation():
 
 
 def test_encode_pol_layout_prefix():
-    tokens = [Token("agent_id", "agent_7"), Token("weekday", "Monday"), sp("work")]
-    vocab = build_vocab([tokens])
-    enc = encode(tokens, vocab, with_sot=False)
+    rec = CorpusRecord("t1", [sp("work")], agent="agent_7", weekday="Monday")
+    vocab = build_vocab([full_tokens(rec)])
+    enc = encode_record(rec, vocab)
     assert enc.prefix_len == 2
     assert enc.ids[-1] == EOT_ID
     assert len(enc.ids) == 4
@@ -74,7 +75,7 @@ def test_encode_pol_layout_prefix():
 def test_encode_sot_layout_prefix():
     tokens = [Token("cell", "1,2"), Token("cell", "2,2")]
     vocab = build_vocab([tokens])
-    enc = encode(tokens, vocab, with_sot=True)
+    enc = encode_record(CorpusRecord("t1", tokens), vocab)
     assert enc.prefix_len == 1
     assert enc.ids[0] == SOT_ID
     assert enc.ids[-1] == EOT_ID
@@ -83,8 +84,8 @@ def test_encode_sot_layout_prefix():
 def test_encode_unknown_token_is_an_error():
     vocab = build_vocab([[sp("work")]])
     with pytest.raises(VocabError) as exc:
-        encode([sp("beach")], vocab)
-    assert "beach" in str(exc.value)
+        encode([sp("beach")], vocab, 1)
+    assert str(exc.value) == "token 'staypoint:beach' is not in the vocabulary"
 
 
 def test_decode_pad_and_range():
@@ -96,14 +97,15 @@ def test_decode_pad_and_range():
 
 @given(st.lists(st.sampled_from(["work", "home", "gym", "park"]), min_size=1, max_size=8),
        st.booleans())
-def test_encode_decode_round_trip(names, with_sot):
+def test_encode_decode_round_trip(names, with_agent):
     tokens = [sp(n) for n in names]
-    vocab = build_vocab([tokens])
-    enc = encode(tokens, vocab, with_sot=with_sot)
+    agent = "a" if with_agent else None
+    vocab = build_vocab([[Token("agent_id", "a"), *tokens]])
+    enc = encode_record(CorpusRecord("t1", tokens, agent=agent), vocab)
     decoded = [vocab.token(i) for i in enc.ids]
+    assert decoded[0] == (Token("agent_id", "a") if with_agent else Token("special", "SOT"))
     assert decoded[-1] == Token("special", "EOT")
-    core = decoded[1 if with_sot else 0 : -1]
-    assert core == tokens
+    assert decoded[1:-1] == tokens
 
 
 def test_special_ids_stable_across_rebuilds():
@@ -136,6 +138,6 @@ def test_bucket_duration_examples():
 
 def test_encoded_trajectory_invariants():
     vocab = build_vocab([[sp("work")]])
-    enc = encode([sp("work")], vocab, with_sot=True)
+    enc = encode_record(CorpusRecord("t1", [sp("work")]), vocab)
     assert 0 < enc.prefix_len < len(enc.ids)
     assert PAD_ID not in enc.ids
