@@ -215,8 +215,8 @@ def porto_corpora(cfg: RunConfig) -> tuple[Corpora, Truth]:
     dist = cfg.get("anomaly", "dist", int)
     injectors = {"random_shift": inject_random_shift, "detour": inject_detour}  # one eval corpus each
     try:
-        # routes are lattice indices: the origin and cell size take no part
-        grid = GridSpec(0.0, 0.0, 1.0, cfg.get("grid", "n_cols", int), cfg.get("grid", "n_rows", int))
+        # routes are lattice indices: the cell size takes no part
+        grid = GridSpec(1.0, cfg.get("grid", "n_cols", int), cfg.get("grid", "n_rows", int))
         routes = gen_route_corpus(
             grid,
             cfg.get("routes", "n_od_pairs", int),
@@ -288,10 +288,6 @@ def cmd_build_vocab(args) -> int:
     return EXIT_OK
 
 
-def _load_encoded(path, vocab: Vocab):
-    return [dataio.encode_record(r, vocab) for r in dataio.read_corpus(path)]
-
-
 def _load_model(checkpoint, vocab_path):
     """The vocabulary and the checkpoint, which must have been trained against it."""
     vocab = Vocab.load(vocab_path)
@@ -301,11 +297,10 @@ def _load_model(checkpoint, vocab_path):
 def cmd_train(args) -> int:
     cfg = RunConfig.from_path(args.config)
     vocab = Vocab.load(args.vocab)
-    encoded = _load_encoded(args.corpus, vocab)
+    encoded = dataio.read_encoded(args.corpus, vocab)
     if not encoded:
         raise DataError(f"{args.corpus}: no trajectories to train on")
-    loss_path = Path(args.loss_log) if args.loss_log else None
-    start_epoch = 0
+    rows = []  # the loss log's (epoch, loss) rows, a resumed log's first
     if args.resume:
         model = read_checkpoint(args.out, expected_vocab_hash=vocab.hash())
         wanted = cfg.model_config(len(vocab))
@@ -313,32 +308,20 @@ def cmd_train(args) -> int:
             ours, theirs = getattr(wanted, f.name), getattr(model.config, f.name)
             if f.name != "seed" and ours != theirs:
                 raise ConfigError(f"--resume: config [model] {f.name} = {ours}, but the checkpoint has {theirs}")
-        if loss_path is not None and loss_path.exists():
-            with decoding(loss_path):
-                lines = loss_path.read_text(encoding="utf-8").splitlines()
-            start_epoch = sum(1 for line in lines if line and not line.startswith(("#", "epoch")))
+        if args.loss_log and Path(args.loss_log).exists():
+            rows = dataio.read_loss_log(args.loss_log)
     else:
         model = init_model(cfg.model_config(len(vocab)), vocab_hash=vocab.hash())
-    check_lengths(model, encoded)  # before the loss log is opened, so a rejected corpus writes nothing
+    check_lengths(model, encoded)  # before the loss log is written, so a rejected corpus writes nothing
     tc = cfg.train_config()
-    mode = "a" if args.resume and loss_path is not None and loss_path.exists() else "w"
-    log_fh = None
-    if loss_path is not None:
-        log_fh = open(loss_path, mode, encoding="utf-8")
-        if mode == "w":
-            log_fh.write(dataio.provenance_comment(cfg.hash))
-            log_fh.write("epoch,loss\n")
 
     def log_fn(epoch: int, loss: float) -> None:
-        if log_fh is not None:
-            log_fh.write(f"{start_epoch + epoch},{loss!r}\n")
-            log_fh.flush()
+        rows.append((len(rows), loss))
+        dataio.write_csv(args.loss_log, dataio.LOSS_HEADER, rows, cfg.hash)
 
-    try:
-        losses = train(model, encoded, tc, log_fn=log_fn)
-    finally:
-        if log_fh is not None:
-            log_fh.close()
+    if args.loss_log:
+        dataio.write_csv(args.loss_log, dataio.LOSS_HEADER, rows, cfg.hash)
+    losses = train(model, encoded, tc, log_fn=log_fn if args.loss_log else None)
     write_checkpoint(model, args.out, metadata=dataio.provenance(cfg.hash))
     final = losses[-1] if losses else float("nan")
     print(f"[train] {len(encoded)} trajectories, {tc.n_epochs} epochs, final loss {final:.4f} -> {args.out}")
@@ -354,7 +337,7 @@ def cmd_score(args) -> int:
         raise ConfigError("--thresholds-out needs --fit-thresholds")
     config_hash = RunConfig.from_path(args.config).hash if args.config else "-"
     vocab, model = _load_model(args.checkpoint, args.vocab)
-    encoded = _load_encoded(args.corpus, vocab)
+    encoded = dataio.read_encoded(args.corpus, vocab)
     if not encoded:
         raise DataError(f"{args.corpus}: no trajectories to score")
     table = None if args.fit_thresholds else dataio.read_thresholds(args.thresholds)
@@ -371,25 +354,27 @@ def cmd_score(args) -> int:
 
 
 def cmd_stream(args) -> int:
+    """Score the record --conditioning heads, as batch scoring does, one stdin token at a time."""
     vocab, model = _load_model(args.checkpoint, args.vocab)
     table = dataio.read_thresholds(args.thresholds)
-    tokens = [Token.parse(t.strip()) for t in args.conditioning.split(",") if t.strip()]
-    agent = None
-    for tok in tokens:
-        if tok.kind == "agent_id":
-            agent = tok.value
-    table.threshold_for(args.scope, agent)  # a missing threshold fails before stdin is read
-    session = open_session(model, [vocab.id(tok) for tok in tokens])
+    record = dataio.stream_record(args.conditioning or "")
+    table.threshold_for(args.scope, record.agent)  # a missing threshold fails before stdin is read
+    ids = dataio.encode_record(record, vocab).ids
+    session = open_session(model, ids[:1])
     writer = csv.writer(sys.stdout, lineterminator="\n")
-    for line in sys.stdin:
-        text = line.strip()
-        if not text:
-            continue
-        token = Token.parse(text)
-        s, ppl = session.push(vocab.id(token))
-        verdict = partial_verdict(session, table, scope=args.scope, agent=agent).verdict
-        writer.writerow([len(session) - 1, token, s, ppl, verdict])
+
+    def push(token_id: int) -> None:
+        s, ppl = session.push(token_id)
+        verdict = partial_verdict(session, table, scope=args.scope, agent=record.agent).verdict
+        writer.writerow([len(session) - 1, vocab.token(token_id), s, ppl, verdict])
         sys.stdout.flush()
+
+    for token_id in ids[1:-1]:
+        push(token_id)
+    for lineno, line in enumerate(sys.stdin, start=1):
+        if line.strip():
+            push(vocab.id(dataio.record_tokens([line.strip()], "<stdin>", lineno)[0]))
+    push(ids[-1])
     return EXIT_OK
 
 
@@ -430,6 +415,12 @@ def cmd_report(args) -> int:
     configuration with no agent holding a true anomaly is a DomainError.
     completion: F1 and PR-AUC per [eval] ratio of a scored corpus's prefixes,
     written to completion.csv."""
+    inputs = {"--checkpoint": args.checkpoint, "--vocab": args.vocab, "--corpus": args.corpus,
+              "--thresholds": args.thresholds, "--truth": args.truth}
+    if args.kind == "ablation" and any(inputs.values()):
+        raise ConfigError(f"the ablation report generates its data and takes none of {'/'.join(inputs)}")
+    if args.kind == "completion" and not all(inputs.values()):
+        raise ConfigError(f"completion report needs {'/'.join(inputs)}")
     cfg = RunConfig.from_path(args.config)
     out_dir = Path(args.out_dir)  # made only once every input has been read and checked
     if args.kind == "ablation":
@@ -452,14 +443,10 @@ def cmd_report(args) -> int:
             dataio.write_csv(out_dir / f"ablation_{name}.csv", ["agent", "f1", "pr_auc"], rows, cfg.hash)
         best = max(averages, key=lambda name: averages[name][0])
         print(f"[report] ablation -> {summary} (best average F1: {best})")
-    elif args.kind == "completion":
-        if not (args.checkpoint and args.vocab and args.corpus and args.thresholds and args.truth):
-            raise ConfigError(
-                "completion report needs --checkpoint/--vocab/--corpus/--thresholds/--truth"
-            )
+    else:
         ratios = cfg.ratios()
         vocab, model = _load_model(args.checkpoint, args.vocab)
-        encoded = _load_encoded(args.corpus, vocab)
+        encoded = dataio.read_encoded(args.corpus, vocab)
         table = dataio.read_thresholds(args.thresholds)
         truth = dataio.truth_labels(dataio.read_truth(args.truth))
         result = completion_ratio_eval(model, encoded, truth, ratios, table)
@@ -468,8 +455,6 @@ def cmd_report(args) -> int:
         rows = ([ratio, *result[ratio]] for ratio in sorted(result))
         dataio.write_csv(out, ["ratio", "f1", "pr_auc"], rows, cfg.hash)
         print(f"[report] completion -> {out}")
-    else:
-        raise ConfigError(f"unknown report kind {args.kind!r}")
     return EXIT_OK
 
 
@@ -529,7 +514,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--thresholds", required=True)
-    p.add_argument("--conditioning", required=True, help="comma list of kind:value tokens")
+    p.add_argument("--conditioning", help="the record's head, scored after its first token: "
+                   "agent_id:<agent>, then weekday:<day>, each optional; SOT when not given")
     p.add_argument("--scope", choices=["global", "per_agent"], default="global")
     p.set_defaults(fn=cmd_stream)
 

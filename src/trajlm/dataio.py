@@ -7,8 +7,7 @@ ground truth, which lives only in the truth CSV. An optional first record
 {"_meta": {...}} carries the config hash and tool version; readers skip it, and
 ignore any other key, such as the answer key that earlier corpora carried. CSV
 artifacts start with a '#' comment line carrying the same provenance;
-`write_csv` writes all of them but the loss log, which training appends to
-one epoch at a time.
+`write_csv` writes all of them, the loss log included.
 
 `encode_record` frames a record: its agent and weekday fields head the ids, or
 SOT when it has neither, and EOT ends them; so `tokens` holds no special,
@@ -23,7 +22,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .errors import DataError, DomainError, decoding
+from .errors import DataError, DomainError, VocabError, decoding
 from .scoring import ScoreReport, ThresholdTable
 from .vocab import EOT, SOT, EncodedTrajectory, Token, Vocab, encode
 
@@ -32,6 +31,7 @@ TOOL_VERSION = "0.1.0"
 TRUTH_HEADER = ["id", "label", "kind", "ratio", "dist", "pos"]
 SCORES_HEADER = ["id", "agent", "perplexity", "threshold", "verdict"]
 THRESHOLDS_HEADER = ["scope", "agent", "threshold", "mean", "std", "count"]
+LOSS_HEADER = ["epoch", "loss"]
 LABELS = ("normal", "anomalous")  # the truth labels, and the verdicts of a scores file
 
 
@@ -77,6 +77,31 @@ def encode_record(rec: CorpusRecord, vocab: Vocab) -> EncodedTrajectory:
     return encode([*head, *rec.tokens, EOT], vocab, len(head), traj_id=rec.traj_id, agent=rec.agent)
 
 
+def record_tokens(texts, path, lineno: int) -> list[Token]:
+    """The tokens of 'kind:value' texts, as a record's `tokens` may hold them: none of
+    FRAMING_KINDS. Any other text is a DataError naming path:lineno."""
+    try:
+        tokens = [Token.parse(t) for t in texts]
+    except DomainError as e:
+        raise DataError(f"{path}:{lineno}: {e}") from e
+    for token in tokens:
+        if token.kind in FRAMING_KINDS:
+            raise DataError(f"{path}:{lineno}: tokens may not hold {str(token)!r}, "
+                            "which the encoder or the agent and weekday fields supply")
+    return tokens
+
+
+def stream_record(conditioning: str) -> CorpusRecord:
+    """The tokenless record `trajlm stream` scores, headed by conditioning: comma-separated
+    agent_id and weekday tokens, as encode_record orders them; any other list is a DataError."""
+    head = [Token.parse(t.strip()) for t in conditioning.split(",") if t.strip()]
+    fields = {t.kind: t.value for t in head}
+    rec = CorpusRecord("<stdin>", [], fields.get("agent_id"), fields.get("weekday"))
+    if _head(rec) != head:
+        raise DataError(f"--conditioning must be agent_id:<agent>, then weekday:<day>, got {conditioning!r}")
+    return rec
+
+
 def provenance(config_hash: str = "") -> dict[str, str]:
     return {"config_hash": config_hash, "tool_version": TOOL_VERSION}
 
@@ -118,19 +143,15 @@ def read_corpus(path) -> list[CorpusRecord]:
             try:
                 rec = CorpusRecord(
                     traj_id=obj["id"],
-                    tokens=[Token.parse(t) for t in obj["tokens"]],
+                    tokens=record_tokens(obj["tokens"], path, lineno),
                     agent=obj.get("agent"),
                     weekday=obj.get("weekday"),
                 )
-            except (KeyError, TypeError, DomainError) as e:
+            except (KeyError, TypeError) as e:
                 raise DataError(f"{path}:{lineno}: bad corpus record: {e}") from e
             for key, value in (("id", rec.traj_id), ("agent", rec.agent), ("weekday", rec.weekday)):
                 if not isinstance(value, str) and (key == "id" or value is not None):
                     raise DataError(f"{path}:{lineno}: corpus {key} must be a string, got {value!r}")
-            for token in rec.tokens:
-                if token.kind in FRAMING_KINDS:
-                    raise DataError(f"{path}:{lineno}: tokens may not hold {str(token)!r}, "
-                                    "which the encoder or the agent and weekday fields supply")
             if rec.traj_id in first_line:
                 raise DataError(
                     f"{path}:{lineno}: duplicate id {rec.traj_id!r}, first on line {first_line[rec.traj_id]}"
@@ -138,6 +159,17 @@ def read_corpus(path) -> list[CorpusRecord]:
             first_line[rec.traj_id] = lineno
             records.append(rec)
     return records
+
+
+def read_encoded(path, vocab: Vocab) -> list[EncodedTrajectory]:
+    """The corpus at path, framed by encode_record; an unknown token is a DataError naming file and trajectory."""
+    encoded = []
+    for rec in read_corpus(path):
+        try:
+            encoded.append(encode_record(rec, vocab))
+        except VocabError as e:
+            raise DataError(f"{path}: trajectory {rec.traj_id!r}: {e}") from e
+    return encoded
 
 
 def provenance_comment(config_hash: str) -> str:
@@ -217,6 +249,19 @@ def read_truth(path) -> dict[str, TruthRecord]:
 
 def truth_labels(truth: dict[str, TruthRecord]) -> dict[str, str]:
     return {k: v.label for k, v in truth.items()}
+
+
+def read_loss_log(path) -> list[tuple[int, float]]:
+    """The (epoch, loss) rows of a loss log, epochs counting from 0; any other row is a DataError naming its line."""
+    rows = []
+    for where, (epoch, loss) in _csv_rows(path, LOSS_HEADER, "loss log"):
+        if epoch != str(len(rows)):
+            raise DataError(f"{where}: loss log epoch {epoch!r} should be {len(rows)}")
+        try:
+            rows.append((len(rows), float(loss)))
+        except ValueError as e:
+            raise DataError(f"{where}: bad loss {loss!r}: {e}") from e
+    return rows
 
 
 def write_scores(path, reports: list[ScoreReport], config_hash: str = "") -> None:

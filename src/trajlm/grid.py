@@ -1,9 +1,9 @@
 """Planar grid: points to cells, and cell shifts for anomaly injection.
 
-Coordinates are projected meters; mapping from latitude/longitude is the
-caller's concern. Cells are indexed (col, row) from the grid origin, and a
-point on a cell edge belongs to the cell given by plain floor arithmetic
-(lower/left inclusive).
+Coordinates are projected meters with the grid's corner at (0, 0); mapping
+from latitude/longitude is the caller's concern. Cells are indexed (col, row)
+from that corner, and a point on a cell edge belongs to the cell given by
+plain floor arithmetic (lower/left inclusive).
 """
 
 from __future__ import annotations
@@ -27,10 +27,8 @@ class ShiftResult(NamedTuple):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Regular square grid: origin in meters, cell size in meters, col/row counts."""
+    """Regular square grid from (0, 0): cell size in meters, col/row counts."""
 
-    origin_x: float
-    origin_y: float
     cell_size: float
     n_cols: int
     n_rows: int
@@ -43,29 +41,23 @@ class GridSpec:
 
     @property
     def max_x(self) -> float:
-        return self.origin_x + self.n_cols * self.cell_size
+        return self.n_cols * self.cell_size
 
     @property
     def max_y(self) -> float:
-        return self.origin_y + self.n_rows * self.cell_size
+        return self.n_rows * self.cell_size
 
     def contains_point(self, x: float, y: float) -> bool:
-        return self.origin_x <= x < self.max_x and self.origin_y <= y < self.max_y
+        return 0.0 <= x < self.max_x and 0.0 <= y < self.max_y
 
 
 
 def to_cell(p: tuple[float, float], g: GridSpec) -> CellId:
-    """Map a point in meters to its grid cell by floor division from the origin."""
+    """Map a point in meters to its grid cell by floor division."""
     x, y = p[0], p[1]
     if not g.contains_point(x, y):
-        raise DomainError(
-            f"point ({x}, {y}) outside grid bounds "
-            f"[{g.origin_x}, {g.max_x}) x [{g.origin_y}, {g.max_y})"
-        )
-    return CellId(
-        int(math.floor((x - g.origin_x) / g.cell_size)),
-        int(math.floor((y - g.origin_y) / g.cell_size)),
-    )
+        raise DomainError(f"point ({x}, {y}) outside grid bounds [0.0, {g.max_x}) x [0.0, {g.max_y})")
+    return CellId(int(math.floor(x / g.cell_size)), int(math.floor(y / g.cell_size)))
 
 
 def shift_cell(c: CellId, dist: int, direction: tuple[int, int], g: GridSpec) -> ShiftResult:

@@ -1,8 +1,8 @@
 """Incremental trajectory scoring with per-layer key/value caches.
 
-A session is opened from its conditioning tokens (agent/weekday prefix or SOT),
-which fill the caches in one cached call and are not scored; there is no
-session without them. After that it consumes one token at a time. Each push
+A session is opened from one or more ids, which fill the caches in one cached
+call and are not scored. Opened on a record's ids[:1], the one id batch scoring
+leaves unscored, it then consumes the rest one token at a time. Each push
 scores the token against the logits of the previous position, then runs the
 batch kernel, model.forward_batch, on the one new row with the session's
 key/value cache, so only one attention query row is computed per layer against
@@ -103,8 +103,8 @@ class Session:
 
 
 def open_session(model: Model, conditioning_ids: list[int]) -> Session:
-    """A session whose caches hold the conditioning tokens (agent/weekday
-    prefix or SOT); the first push is scored against the distribution they induce."""
+    """A session whose caches hold conditioning_ids, unscored; opened on a record's
+    ids[:1], pushing the rest scores them as batch scoring does."""
     return Session(model, conditioning_ids)
 
 

@@ -42,7 +42,7 @@ VENUE_DWELL_HOURS = {
     **{v: 2.4 for v in WEEKEND_VENUES},
 }
 
-POL_GRID = GridSpec(origin_x=0.0, origin_y=0.0, cell_size=100.0, n_cols=32, n_rows=32)
+POL_GRID = GridSpec(cell_size=100.0, n_cols=32, n_rows=32)
 DWELL_NOISE_H = 0.25  # std-dev of dwell-time jitter, hours
 GPS_NOISE_M = 25.0    # std-dev of per-visit GPS jitter, meters
 
@@ -189,10 +189,7 @@ def _place_venues(rng: np.random.Generator) -> dict[str, tuple[float, float]]:
     venues = {}
     for name, f in zip(STAYPOINT_CATALOG, flat):
         col, row = int(f % g.n_cols), int(f // g.n_cols)
-        venues[name] = (
-            g.origin_x + (col + rng.random()) * g.cell_size,
-            g.origin_y + (row + rng.random()) * g.cell_size,
-        )
+        venues[name] = ((col + rng.random()) * g.cell_size, (row + rng.random()) * g.cell_size)
     return venues
 
 
@@ -251,8 +248,8 @@ def gen_pol_corpus(cfg: WorldConfig) -> PolCorpus:
                 dwell_h = max(0.2, base_dwell + rng.normal(0.0, DWELL_NOISE_H))
                 vx, vy = venues[name]
                 g = POL_GRID
-                x = min(max(vx + rng.normal(0.0, GPS_NOISE_M), g.origin_x), np.nextafter(g.max_x, -np.inf))
-                y = min(max(vy + rng.normal(0.0, GPS_NOISE_M), g.origin_y), np.nextafter(g.max_y, -np.inf))
+                x = min(max(vx + rng.normal(0.0, GPS_NOISE_M), 0.0), np.nextafter(g.max_x, -np.inf))
+                y = min(max(vy + rng.normal(0.0, GPS_NOISE_M), 0.0), np.nextafter(g.max_y, -np.inf))
                 visits.append(Visit(staypoint=name, x=float(x), y=float(y), dwell_s=dwell_h * 3600.0))
             trajectories.append(
                 PolTrajectory(

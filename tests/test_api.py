@@ -92,3 +92,34 @@ def test_only_encode_record_frames_a_record():
             if owner == "vocab" and name in ("encode", "SOT", "SOT_ID") and module != "vocab":
                 users.add(f"{module}.{getattr(tree.body[i], 'name', i)}")
     assert users == {"dataio.encode_record"}
+
+
+def test_only_dataio_parses_token_text():
+    """Outside vocab.py, which defines it, only dataio calls Token.parse: the rule of
+    which tokens a corpus record or a stream may hold lives in that one module."""
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "parse"
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id == "Token"):
+                callers.add(path.stem)
+    assert callers - {"vocab"} == {"dataio"}
+
+
+def _calls_by_function(node, scope=()):
+    """Yield (dotted name of the enclosing def or class, called name) for each call under node."""
+    for child in ast.iter_child_nodes(node):
+        inner = (*scope, child.name) if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else scope
+        if isinstance(child, ast.Call):
+            func = child.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            yield ".".join(inner), name
+        yield from _calls_by_function(child, inner)
+
+
+def test_cli_opens_only_its_config():
+    """cli.py reads and writes every file through dataio, vocab or checkpoint: it calls
+    no open, read_text or write_text except where RunConfig.from_path reads the config."""
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    openers = {scope for scope, name in _calls_by_function(tree) if name in ("open", "read_text", "write_text")}
+    assert openers == {"RunConfig.from_path"}

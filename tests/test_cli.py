@@ -213,6 +213,22 @@ def test_train_resume_continues_loss_log(pol_pipeline):
     assert [int(r.split(",")[0]) for r in rows] == [0, 1, 2, 3]
 
 
+@pytest.mark.parametrize("row", ["garbage", "5,0.25", "2,lots"],
+                         ids=["one-field", "epoch-gap", "loss-not-a-number"])
+def test_train_resume_rejects_a_malformed_loss_log(pol_pipeline, capsys, row):
+    """A resumed log is read as a CSV artifact: a row that is not the next epoch and
+    its loss exits 2 naming its line, and leaves the log and the checkpoint as they were."""
+    p = pol_pipeline
+    p["loss"].write_text(p["loss"].read_text() + row + "\n")
+    before, log = p["ckpt"].read_bytes(), p["loss"].read_bytes()
+    capsys.readouterr()
+    assert run("train", "--config", p["config"], "--corpus", p["corpus"], "--vocab", p["vocab"],
+               "--out", p["ckpt"], "--loss-log", p["loss"], "--resume") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {p['loss']}:5: ") and err.count("\n") == 1, err
+    assert p["ckpt"].read_bytes() == before and p["loss"].read_bytes() == log
+
+
 def test_train_resume_rejects_another_architecture(pol_pipeline, capsys):
     p = pol_pipeline
     wider = p["tmp"] / "wider.ini"
@@ -282,24 +298,34 @@ def test_eval_reads_only_a_scores_file(pol_pipeline, capsys):
     assert flags == {"--help", "--truth", "--out", "--scores", "--config", "--per-agent"}
 
 
-def assert_stream_matches_batch(p, thresholds, monkeypatch, capsys):
-    """Stream the first corpus record after its head token through `trajlm stream`: one
-    5-field CSV row per pushed token, naming that token, with the batch scorer's surprisal."""
-    vocab = Vocab.load(p["vocab"])
-    enc = dataio.encode_record(dataio.read_corpus(p["corpus"])[0], vocab)
+def assert_stream_matches_batch(p, thresholds, monkeypatch, capsys) -> list[str]:
+    """Stream the first corpus record through `trajlm stream`, its agent and weekday
+    fields as --conditioning and its tokens on stdin, and return that head. Each id
+    after the first gives one 5-field CSV row, whose pos and token are those of the
+    record's surprisals.csv row and whose surprisal is the batch scorer's; the last
+    running perplexity is the record's scores.csv perplexity."""
+    scores, surprisals = p["tmp"] / "stream_scores.csv", p["tmp"] / "stream_surprisals.csv"
+    assert run("score", "--checkpoint", p["ckpt"], "--vocab", p["vocab"], "--corpus", p["corpus"],
+               "--thresholds", thresholds, "--out", scores, "--per-position", surprisals) == 0
+    record = dataio.read_corpus(p["corpus"])[0]
+    enc = dataio.encode_record(record, Vocab.load(p["vocab"]))
     batch = token_log_probs(read_checkpoint(p["ckpt"]), [enc.ids])[0]
-    head, *tokens = [str(vocab.token(i)) for i in enc.ids]
-    monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(tokens) + "\n"))
+    head = [f"{kind}:{value}" for kind, value in (("agent_id", record.agent), ("weekday", record.weekday))
+            if value is not None]
+    monkeypatch.setattr(sys, "stdin", io.StringIO("".join(f"{t}\n" for t in record.tokens)))
     capsys.readouterr()
-    assert run("stream", "--checkpoint", p["ckpt"], "--vocab", p["vocab"],
-               "--thresholds", thresholds, "--conditioning", head) == 0
+    assert run("stream", "--checkpoint", p["ckpt"], "--vocab", p["vocab"], "--thresholds", thresholds,
+               *(["--conditioning", ",".join(head)] if head else [])) == 0
     rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
-    assert len(rows) == len(batch) == len(tokens)
     assert all(len(row) == 5 for row in rows)
-    assert [row[1] for row in rows] == tokens
+    assert [row[:2] for row in rows] == [row[1:3] for row in read_rows(surprisals)[1:] if row[0] == record.traj_id]
+    assert len(rows) == len(batch) == len(enc.ids) - 1
     for row, lp in zip(rows, batch):
         assert abs(float(row[2]) + lp) <= 1e-9 * abs(lp)
+    [ppl] = [float(row[2]) for row in read_rows(scores)[1:] if row[0] == record.traj_id]
+    assert abs(float(rows[-1][3]) - ppl) <= 1e-9 * ppl
     assert rows[-1][4] in ("normal", "anomalous")
+    return head
 
 
 def test_stream_matches_batch_scorer(pol_pipeline, monkeypatch, capsys):
@@ -308,12 +334,42 @@ def test_stream_matches_batch_scorer(pol_pipeline, monkeypatch, capsys):
     run("score", "--config", p["config"], "--checkpoint", p["ckpt"], "--vocab", p["vocab"],
         "--corpus", p["corpus"], "--out", p["tmp"] / "s.csv",
         "--fit-thresholds", "--thresholds-out", thresholds)
-    assert_stream_matches_batch(p, thresholds, monkeypatch, capsys)
+    head = assert_stream_matches_batch(p, thresholds, monkeypatch, capsys)
+    assert [t.split(":")[0] for t in head] == ["agent_id", "weekday"]
 
 
 def test_stream_writes_porto_cell_as_one_field(porto_pipeline, monkeypatch, capsys):
     p = porto_pipeline
-    assert_stream_matches_batch(p, p["thresholds"], monkeypatch, capsys)
+    assert assert_stream_matches_batch(p, p["thresholds"], monkeypatch, capsys) == []
+
+
+@pytest.mark.parametrize("conditioning, stdin, message", [
+    ("{agent}", "special:PAD\n", "<stdin>:1: tokens may not hold 'special:PAD'"),
+    ("{agent}", "\nspecial:SOT\n", "<stdin>:2: tokens may not hold 'special:SOT'"),
+    ("{agent}", "weekday:Monday\n", "<stdin>:1: tokens may not hold 'weekday:Monday'"),
+    ("{agent}", "{agent}\n", "<stdin>:1: tokens may not hold 'agent_id:"),
+    ("{agent}", "nokind:x\n", "<stdin>:1: unknown token kind 'nokind'"),
+    ("weekday:Monday,{agent}", "", "--conditioning must be agent_id:<agent>, then weekday:<day>"),
+    ("{agent},{agent}", "", "--conditioning must be agent_id:<agent>, then weekday:<day>"),
+    ("special:SOT,{agent},staypoint:work", "", "--conditioning must be agent_id:<agent>, then weekday:<day>"),
+], ids=["pad-event", "sot-event", "weekday-event", "agent-event", "malformed-event", "reversed-head",
+        "repeated-head", "sot-and-location-head"])
+def test_stream_reads_a_record_the_corpus_reader_would_take(pol_pipeline, monkeypatch, capsys,
+                                                             conditioning, stdin, message):
+    """A stdin token passes the rule of a corpus record's tokens, and --conditioning is
+    a record's head as encode_record writes it; anything else exits 2 with one line."""
+    p = pol_pipeline
+    thresholds = p["tmp"] / "thr.csv"
+    assert run("score", "--checkpoint", p["ckpt"], "--vocab", p["vocab"], "--corpus", p["corpus"],
+               "--out", p["tmp"] / "s.csv", "--fit-thresholds", "--thresholds-out", thresholds) == 0
+    agent = f"agent_id:{dataio.read_corpus(p['corpus'])[0].agent}"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin.format(agent=agent)))
+    capsys.readouterr()
+    assert run("stream", "--checkpoint", p["ckpt"], "--vocab", p["vocab"], "--thresholds", thresholds,
+               "--conditioning", conditioning.format(agent=agent)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("drop", ["agent token", "agent threshold"])
@@ -360,6 +416,18 @@ def test_report_ablation_row_count(pol_config, tmp_path):
         means = [float(np.mean([float(row[col]) for row in agents])) for col in (1, 2)]
         assert [float(v) for v in average] == means  # the mean of its agent rows
     assert_one_csv_format(out, {"ablation.csv": None, "ablation_gps.csv": None})
+
+
+@pytest.mark.parametrize("flag", ["--checkpoint", "--vocab", "--corpus", "--thresholds", "--truth"])
+def test_report_ablation_rejects_an_input_flag(pol_config, tmp_path, capsys, flag):
+    """The ablation generates its world: an input flag is a usage error, not ignored."""
+    out = tmp_path / "rep"
+    capsys.readouterr()
+    assert run("report", "--kind", "ablation", "--config", pol_config, "--out-dir", out,
+               flag, tmp_path / "nonexistent") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the ablation report") and err.count("\n") == 1, err
+    assert not out.exists()
 
 
 def test_report_ablation_without_an_anomalous_agent_names_the_configuration(tmp_path, capsys):
@@ -684,6 +752,27 @@ def test_score_rejects_an_empty_corpus(pol_pipeline, capsys):
     assert_score_fails(p, corpus, 2, f"error: {corpus}: no trajectories to score", capsys)
 
 
+@pytest.mark.parametrize("command", ["score", "train", "report"])
+def test_an_unknown_corpus_token_names_the_file_and_trajectory(pol_pipeline, capsys, command):
+    p = pol_pipeline
+    corpus, out = p["tmp"] / "nowhere.jsonl", p["tmp"] / "out"
+    corpus.write_text('{"id": "t1", "tokens": ["staypoint:nowhere"]}\n')
+    thresholds = p["tmp"] / "thr.csv"
+    assert run("score", "--checkpoint", p["ckpt"], "--vocab", p["vocab"], "--corpus", p["corpus"],
+               "--out", p["tmp"] / "s.csv", "--fit-thresholds", "--thresholds-out", thresholds) == 0
+    argv = {
+        "score": ["score", "--checkpoint", p["ckpt"], "--out", out, "--fit-thresholds"],
+        "train": ["train", "--config", p["config"], "--out", out, "--loss-log", p["tmp"] / "out_loss.csv"],
+        "report": ["report", "--kind", "completion", "--config", p["config"], "--out-dir", out,
+                   "--checkpoint", p["ckpt"], "--thresholds", thresholds, "--truth", p["data"] / "truth.csv"],
+    }[command]
+    capsys.readouterr()
+    assert run(*argv, "--vocab", p["vocab"], "--corpus", corpus) == 2
+    assert capsys.readouterr().err == (
+        f"error: {corpus}: trajectory 't1': token 'staypoint:nowhere' is not in the vocabulary\n")
+    assert not out.exists() and not (p["tmp"] / "out_loss.csv").exists()
+
+
 def _corpus_with_last_tokens(p, source, name, tokens):
     """A copy of corpus source whose last record has the given location tokens."""
     lines = source.read_text().splitlines()
@@ -785,11 +874,12 @@ def test_score_names_the_vocab_file_it_cannot_load(pol_pipeline, capsys, text, w
     assert not out.exists()
 
 
-@pytest.mark.parametrize("conditioning, stdin", [
-    ("staypoint:nowhere", ""),
-    ("weekday:Monday", "staypoint:nowhere\n"),
+@pytest.mark.parametrize("conditioning, stdin, token", [
+    ("agent_id:nobody", "", "agent_id:nobody"),
+    ("weekday:Monday", "staypoint:nowhere\n", "staypoint:nowhere"),
 ], ids=["conditioning", "event"])
-def test_stream_names_an_unknown_token_in_one_plain_line(pol_pipeline, monkeypatch, capsys, conditioning, stdin):
+def test_stream_names_an_unknown_token_in_one_plain_line(pol_pipeline, monkeypatch, capsys, conditioning, stdin,
+                                                          token):
     p = pol_pipeline
     thresholds = p["tmp"] / "thr.csv"
     assert run("score", "--checkpoint", p["ckpt"], "--vocab", p["vocab"], "--corpus", p["corpus"],
@@ -800,7 +890,7 @@ def test_stream_names_an_unknown_token_in_one_plain_line(pol_pipeline, monkeypat
                "--conditioning", conditioning) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "error: token 'staypoint:nowhere' is not in the vocabulary\n"
+    assert err == f"error: token {token!r} is not in the vocabulary\n"
 
 
 def test_a_weekday_without_an_agent_heads_the_ids(tmp_path):

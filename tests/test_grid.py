@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from trajlm.errors import DomainError
 from trajlm.grid import CellId, GridSpec, shift_cell, to_cell
 
-G100 = GridSpec(origin_x=0.0, origin_y=0.0, cell_size=100.0, n_cols=20, n_rows=20)
+G100 = GridSpec(cell_size=100.0, n_cols=20, n_rows=20)
 
 
 def test_to_cell_origin():
@@ -28,15 +28,15 @@ def test_to_cell_out_of_bounds_names_point_and_bounds():
 
 @given(st.integers(0, 19), st.integers(0, 19))
 def test_to_cell_maps_cell_centres_back(col, row):
-    centre = (G100.origin_x + (col + 0.5) * G100.cell_size, G100.origin_y + (row + 0.5) * G100.cell_size)
+    centre = ((col + 0.5) * G100.cell_size, (row + 0.5) * G100.cell_size)
     assert to_cell(centre, G100) == CellId(col, row)
 
 
 def test_gridspec_validation():
     with pytest.raises(DomainError):
-        GridSpec(0, 0, 0.0, 4, 4)
+        GridSpec(0.0, 4, 4)
     with pytest.raises(DomainError):
-        GridSpec(0, 0, 10.0, 0, 4)
+        GridSpec(10.0, 0, 4)
 
 
 def test_shift_cell_zero_distance():

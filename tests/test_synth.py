@@ -16,7 +16,7 @@ from trajlm.synth import (
     round_half_up,
 )
 
-GRID = GridSpec(0.0, 0.0, 100.0, 30, 30)
+GRID = GridSpec(100.0, 30, 30)
 
 
 def world(**kw):
@@ -126,7 +126,7 @@ def test_route_corpus_determinism_and_bad_pairs():
 def test_route_corpus_rejects_grid_too_small_for_od_pairs():
     # the farthest pair of a 2x3 grid is 3 cells apart; OD pairs need 4
     with pytest.raises(DomainError):
-        gen_route_corpus(GridSpec(0, 0, 100, 2, 3), 1, 1, 0.0, 1)
+        gen_route_corpus(GridSpec(100, 2, 3), 1, 1, 0.0, 1)
 
 
 def test_route_corpus_rejects_empty_corpus():
