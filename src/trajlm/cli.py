@@ -169,6 +169,8 @@ class RunConfig:
         ratios = self.get("eval", "ratios", lambda raw: [float(x) for x in raw.split(",") if x.strip()])
         if not ratios or not all(0.0 < r <= 1.0 for r in ratios):
             raise ConfigError(f"[eval] ratios must be one or more values in (0, 1], got {ratios}")
+        if len(set(ratios)) < len(ratios):
+            raise ConfigError(f"[eval] ratios must not repeat a value, got {ratios}")
         return ratios
 
 
@@ -514,8 +516,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--thresholds", required=True)
-    p.add_argument("--conditioning", help="the record's head, scored after its first token: "
-                   "agent_id:<agent>, then weekday:<day>, each optional; SOT when not given")
+    p.add_argument("--conditioning", help="the record's head, scored after its first token, as one "
+                   "CSV row: agent_id:<agent>, then weekday:<day>, each optional; SOT when not given")
     p.add_argument("--scope", choices=["global", "per_agent"], default="global")
     p.set_defaults(fn=cmd_stream)
 

@@ -92,9 +92,14 @@ def record_tokens(texts, path, lineno: int) -> list[Token]:
 
 
 def stream_record(conditioning: str) -> CorpusRecord:
-    """The tokenless record `trajlm stream` scores, headed by conditioning: comma-separated
-    agent_id and weekday tokens, as encode_record orders them; any other list is a DataError."""
-    head = [Token.parse(t.strip()) for t in conditioning.split(",") if t.strip()]
+    """The tokenless record `trajlm stream` scores, headed by conditioning: one CSV row of
+    agent_id and weekday tokens, as encode_record orders them, so a token holding a comma
+    is quoted as in scores.csv; any other row is a DataError."""
+    try:
+        row = next(csv.reader([conditioning], strict=True, skipinitialspace=True), [])
+    except csv.Error as e:
+        raise DataError(f"--conditioning must be one CSV row, got {conditioning!r}: {e}") from e
+    head = [Token.parse(t.strip()) for t in row if t.strip()]
     fields = {t.kind: t.value for t in head}
     rec = CorpusRecord("<stdin>", [], fields.get("agent_id"), fields.get("weekday"))
     if _head(rec) != head:

@@ -3,7 +3,10 @@
 PR-AUC is computed as average precision (the step-wise sum over the
 descending-score sweep), never by trapezoidal interpolation, with the
 anomalous class as positive. F1 always scores the fixed mean+std threshold
-verdicts rather than the best threshold in hindsight. The location-configuration
+verdicts rather than the best threshold in hindsight. The completion-ratio
+protocol scores ratio 1.0 as batch scoring does and reads every partial cut of
+the corpus from one walk of its prefix tree, in sessions that fork where
+prefixes part, so each distinct prefix is pushed once. The location-configuration
 ablation is `trajlm report --kind ablation`'s own loop over per_agent_eval.
 """
 
@@ -18,7 +21,7 @@ import numpy as np
 from .errors import DomainError
 from .model import Model, check_lengths
 from .online import open_session
-from .scoring import ScoreReport, ThresholdTable, classify, perplexity, score_corpus
+from .scoring import ScoreReport, ThresholdTable, classify, score_corpus
 from .vocab import EncodedTrajectory
 
 
@@ -123,23 +126,56 @@ def global_eval(reports: list[ScoreReport], truth: dict[str, str]) -> EvalReport
     )
 
 
-def prefix_perplexity(model: Model, traj: EncodedTrajectory, ratio: float) -> float:
-    """Perplexity of the first ceil(ratio * n_locations) locations.
+def prefix_perplexity(
+    model: Model, corpus: list[EncodedTrajectory], ratios: Sequence[float]
+) -> list[list[float]]:
+    """Perplexity of each trajectory's first ceil(ratio * n_locations) locations,
+    as one list per ratio in corpus order.
 
-    The conditioning prefix is always kept; at ratio 1.0 this routes through
-    the batch scorer and is exactly the full-trajectory perplexity, while
-    partial ratios stream through an incremental session.
+    The conditioning prefix is always kept, and the perplexity is a session's
+    opened on ids[:1] and pushed the rest of the cut. The cuts share their
+    work: the corpus's prefixes up to each trajectory's longest cut form a
+    tree, one root per first id, which one depth-first walk with an explicit
+    stack visits once. Each root opens a session and each edge is one push, so
+    every distinct prefix is pushed once. At a node with two or more children
+    every child but the last takes a fork of the node's session, and the last
+    continues it. A perplexity is read at the node where its cut ends, so it
+    equals that of a fresh session pushed the cut, bit for bit.
     """
-    if not 0.0 < ratio <= 1.0:
-        raise DomainError(f"ratio must be in (0, 1], got {ratio}")
-    if ratio == 1.0:
-        return perplexity(model, traj)
-    n_loc = len(traj.ids) - traj.prefix_len
-    cut = traj.prefix_len + math.ceil(ratio * n_loc)
-    session = open_session(model, traj.ids[:1])
-    for token_id in traj.ids[1:cut]:
-        session.push(int(token_id))
-    return session.running_perplexity
+    for ratio in ratios:
+        if not 0.0 < ratio <= 1.0:
+            raise DomainError(f"ratio must be in (0, 1], got {ratio}")
+    # node = (children by token id, the (ratio index, trajectory index) pairs read there);
+    # the children of tree are the roots, one per first id
+    tree: tuple[dict, list] = ({}, [])
+    for i, traj in enumerate(corpus):
+        n_loc = len(traj.ids) - traj.prefix_len
+        reads: dict[int, list[int]] = {}
+        for j, ratio in enumerate(ratios):
+            reads.setdefault(traj.prefix_len + math.ceil(ratio * n_loc), []).append(j)
+        node = tree
+        for depth in range(1, max(reads, default=0) + 1):
+            node = node[0].setdefault(traj.ids[depth - 1], ({}, []))
+            node[1].extend((j, i) for j in reads.get(depth, ()))
+    out = [[math.nan] * len(corpus) for _ in ratios]
+    stack: list[tuple] = []  # (token id, node, the parent's session, whether to fork it)
+
+    def expand(node, session) -> None:
+        """Stack the children of node, the last bottom-most, so it takes session after the forks."""
+        children = reversed(node[0].items())
+        stack.extend((tok, child, session, k > 0) for k, (tok, child) in enumerate(children))
+
+    for head, root in tree[0].items():
+        expand(root, open_session(model, [head]))
+        while stack:
+            token_id, node, session, fork = stack.pop()
+            if fork:
+                session = session.fork()
+            session.push(token_id)
+            for j, i in node[1]:
+                out[j][i] = session.running_perplexity
+            expand(node, session)
+    return out
 
 
 def completion_ratio_eval(
@@ -153,19 +189,21 @@ def completion_ratio_eval(
     against the global threshold.
 
     Ratio 1.0 is one score_corpus call, the same chunks `trajlm score` makes on
-    this corpus, so it equals batch scoring bit for bit; partial ratios go
-    through prefix_perplexity. check_lengths runs before the first ratio, so an
+    this corpus, so it equals batch scoring bit for bit; every partial ratio
+    comes from one prefix_perplexity call. check_lengths runs first, so an
     over-long trajectory is named before any session fills up.
     """
     check_lengths(model, corpus)
+    partial = [ratio for ratio in ratios if ratio != 1.0]
+    ppls = dict(zip(partial, prefix_perplexity(model, corpus, partial)))
     out: dict[float, tuple[float, float]] = {}
     for ratio in ratios:
         if ratio == 1.0:
             reports, _ = score_corpus(model, corpus, table=table)
         else:
             reports = [
-                classify(traj.traj_id, prefix_perplexity(model, traj, ratio), table, agent=traj.agent)
-                for traj in corpus
+                classify(traj.traj_id, ppl, table, agent=traj.agent)
+                for traj, ppl in zip(corpus, ppls[ratio])
             ]
         rep = global_eval(reports, truth)
         out[float(ratio)] = (rep.f1, rep.pr_auc)

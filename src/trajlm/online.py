@@ -13,10 +13,14 @@ max_seq_len is only ever a target, so it is scored and never fed. The only
 difference from batch scoring is BLAS summation order, so per-token results
 match the batch scorer to 1e-9 relative. partial_verdict judges the running
 perplexity through scoring.classify, the one verdict rule of batch scoring.
+Session.fork copies a session's state, so prefixes that continue differently
+share the work of their common part: the fork and the original then score as
+two sessions that were each fed the whole prefix, bit for bit.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -67,6 +71,18 @@ class Session:
         if self.scored_count == 0:
             raise DomainError("no scored positions yet")
         return math.exp(self.surprisal_sum / self.scored_count)
+
+    def fork(self) -> Session:
+        """An independent session in this one's state: copies of the cache rows
+        filled so far, the surprisal sum and count and the last logits. A push
+        to either session leaves the other unchanged."""
+        n = self._n_tokens
+        twin = copy.copy(self)
+        twin._kv = [(np.zeros_like(k), np.zeros_like(v)) for k, v in self._kv]
+        for (k, v), (k2, v2) in zip(self._kv, twin._kv):
+            k2[:, :n], v2[:, :n] = k[:, :n], v[:, :n]
+        twin._last_logits = self._last_logits.copy()
+        return twin
 
     def _advance(self, token_ids: list[int]) -> None:
         """Feed tokens through the network in one cached call, extending each layer's cache.

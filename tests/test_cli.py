@@ -298,9 +298,16 @@ def test_eval_reads_only_a_scores_file(pol_pipeline, capsys):
     assert flags == {"--help", "--truth", "--out", "--scores", "--config", "--per-agent"}
 
 
+def csv_row(fields) -> str:
+    """fields as one CSV row, quoted as the artifacts quote them, without its newline."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="").writerow(fields)
+    return out.getvalue()
+
+
 def assert_stream_matches_batch(p, thresholds, monkeypatch, capsys) -> list[str]:
     """Stream the first corpus record through `trajlm stream`, its agent and weekday
-    fields as --conditioning and its tokens on stdin, and return that head. Each id
+    fields as the CSV row --conditioning and its tokens on stdin, and return that head. Each id
     after the first gives one 5-field CSV row, whose pos and token are those of the
     record's surprisals.csv row and whose surprisal is the batch scorer's; the last
     running perplexity is the record's scores.csv perplexity."""
@@ -315,7 +322,7 @@ def assert_stream_matches_batch(p, thresholds, monkeypatch, capsys) -> list[str]
     monkeypatch.setattr(sys, "stdin", io.StringIO("".join(f"{t}\n" for t in record.tokens)))
     capsys.readouterr()
     assert run("stream", "--checkpoint", p["ckpt"], "--vocab", p["vocab"], "--thresholds", thresholds,
-               *(["--conditioning", ",".join(head)] if head else [])) == 0
+               *(["--conditioning", csv_row(head)] if head else [])) == 0
     rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
     assert all(len(row) == 5 for row in rows)
     assert [row[:2] for row in rows] == [row[1:3] for row in read_rows(surprisals)[1:] if row[0] == record.traj_id]
@@ -338,6 +345,27 @@ def test_stream_matches_batch_scorer(pol_pipeline, monkeypatch, capsys):
     assert [t.split(":")[0] for t in head] == ["agent_id", "weekday"]
 
 
+def test_stream_takes_a_quoted_agent_holding_a_comma(pol_pipeline, monkeypatch, capsys):
+    """--conditioning is one CSV row, so an agent named "a,b" is streamed as its
+    corpus record is scored, from the quoted row '"agent_id:a,b",weekday:<day>'."""
+    p = dict(pol_pipeline)
+    records = dataio.read_corpus(p["corpus"])
+    renamed = records[0].agent
+    for rec in records:
+        if rec.agent == renamed:
+            rec.agent = "a,b"
+    p["corpus"], p["vocab"], p["ckpt"] = p["tmp"] / "comma.jsonl", p["tmp"] / "comma.tsv", p["tmp"] / "comma.ckpt"
+    dataio.write_corpus(p["corpus"], records)
+    thresholds = p["tmp"] / "comma_thr.csv"
+    assert run("build-vocab", "--inputs", p["corpus"], "--out", p["vocab"]) == 0
+    assert run("train", "--config", p["config"], "--corpus", p["corpus"], "--vocab", p["vocab"],
+               "--out", p["ckpt"]) == 0
+    assert run("score", "--checkpoint", p["ckpt"], "--vocab", p["vocab"], "--corpus", p["corpus"],
+               "--out", p["tmp"] / "s.csv", "--fit-thresholds", "--thresholds-out", thresholds) == 0
+    head = assert_stream_matches_batch(p, thresholds, monkeypatch, capsys)
+    assert head[0] == "agent_id:a,b" and csv_row(head).startswith('"agent_id:a,b",weekday:')
+
+
 def test_stream_writes_porto_cell_as_one_field(porto_pipeline, monkeypatch, capsys):
     p = porto_pipeline
     assert assert_stream_matches_batch(p, p["thresholds"], monkeypatch, capsys) == []
@@ -352,8 +380,10 @@ def test_stream_writes_porto_cell_as_one_field(porto_pipeline, monkeypatch, caps
     ("weekday:Monday,{agent}", "", "--conditioning must be agent_id:<agent>, then weekday:<day>"),
     ("{agent},{agent}", "", "--conditioning must be agent_id:<agent>, then weekday:<day>"),
     ("special:SOT,{agent},staypoint:work", "", "--conditioning must be agent_id:<agent>, then weekday:<day>"),
+    ('"{agent},weekday:Monday', "", "--conditioning must be one CSV row"),
+    ('"{agent}"x,weekday:Monday', "", "--conditioning must be one CSV row"),
 ], ids=["pad-event", "sot-event", "weekday-event", "agent-event", "malformed-event", "reversed-head",
-        "repeated-head", "sot-and-location-head"])
+        "repeated-head", "sot-and-location-head", "unclosed-quote-head", "text-after-quote-head"])
 def test_stream_reads_a_record_the_corpus_reader_would_take(pol_pipeline, monkeypatch, capsys,
                                                              conditioning, stdin, message):
     """A stdin token passes the rule of a corpus record's tokens, and --conditioning is
@@ -522,6 +552,7 @@ ERROR_LINE = {"scores-duplicate-id": 3}
     ("report", "run.ini", POL_TINY.replace("ratios = 0.5,1.0", "ratios = 1.5"), 1),
     ("report", "run.ini", POL_TINY.replace("ratios = 0.5,1.0", "ratios = 0"), 1),
     ("report", "run.ini", POL_TINY.replace("ratios = 0.5,1.0", "ratios = ,"), 1),
+    ("report", "run.ini", POL_TINY.replace("ratios = 0.5,1.0", "ratios = 0.5,0.5,1.0"), 1),
     ("gen-data", "run.ini", POL_TINY.replace("epochs = 2", "epochs = 2\nepoch = 1"), 1),
     ("gen-data", "run.ini", POL_TINY + "\n[training]\nepochs = 2\n", 1),
     ("train", "run.ini", POL_TINY.replace("max_seq_len = 16", "max_seq_len = 16\ndropout = 0.2"), 1),
@@ -564,7 +595,7 @@ ERROR_LINE = {"scores-duplicate-id": 3}
         "thresholds-unknown-scope", "thresholds-per-agent-no-agent",
         "config-zero-heads", "config-negative-heads", "config-zero-d-model", "config-negative-d-model",
         "config-zero-d-ff", "config-zero-layers", "config-negative-layers",
-        "config-ratio-above-one", "config-ratio-zero", "config-no-ratios",
+        "config-ratio-above-one", "config-ratio-zero", "config-no-ratios", "config-repeated-ratio",
         "config-unknown-key", "config-unknown-section", "config-removed-key",
         "config-porto-kind-not-injectable", "config-porto-kind-empty",
         "config-porto-fraction-above-one", "config-porto-fraction-negative",
@@ -624,6 +655,15 @@ def test_bad_input_exits_with_one_line_error(pol_pipeline, capsys, request, comm
 def test_config_names_the_section_or_key_nothing_reads(text, named):
     with pytest.raises(ConfigError, match=re.escape(named)):
         RunConfig(text)
+
+
+def test_config_rejects_a_repeated_ratio():
+    """completion.csv has one row per ratio: a ratio given twice, in any spelling, is a
+    config error naming [eval] ratios, not a second row."""
+    assert RunConfig(POL_TINY).ratios() == [0.5, 1.0]
+    for ratios in ("0.5,0.5,1.0", "0.5,1.0,0.50"):
+        with pytest.raises(ConfigError, match=re.escape("[eval] ratios must not repeat a value")):
+            RunConfig(POL_TINY.replace("ratios = 0.5,1.0", f"ratios = {ratios}")).ratios()
 
 
 def _preset_keys():

@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trajlm import evaluate
 from trajlm.errors import DomainError
 from trajlm.evaluate import (
     _as_binary,
@@ -18,6 +20,7 @@ from trajlm.evaluate import (
     prefix_perplexity,
 )
 from trajlm.model import ModelConfig, init_model
+from trajlm.online import Session, open_session
 from trajlm.scoring import ScoreReport, classify, compute_thresholds, perplexity
 from trajlm.vocab import EncodedTrajectory
 
@@ -259,8 +262,9 @@ def test_completion_ratio_one_reproduces_batch_bit_for_bit(ratio_setup):
     ppls = [perplexity(model, t) for t in corpus]
     verdicts = [classify(t.traj_id, p, table).verdict for t, p in zip(corpus, ppls)]
     assert result[1.0] == (f1(labels, verdicts), pr_auc(labels, ppls))
-    for t in corpus:
-        assert prefix_perplexity(model, t, 1.0) == perplexity(model, t)
+    [session_ppls] = prefix_perplexity(model, corpus, [1.0])  # the session path, to 1e-9
+    for ppl, batch in zip(session_ppls, ppls):
+        assert abs(ppl - batch) <= 1e-9 * batch
 
 
 def test_completion_ratio_table_shape(ratio_setup):
@@ -275,11 +279,73 @@ def test_prefix_perplexity_uses_ceil(ratio_setup):
     t = corpus[0]
     n_loc = len(t.ids) - t.prefix_len
     # smallest ratio still scores ceil(r * n_loc) >= 1 location
-    ppl = prefix_perplexity(model, t, 0.01)
+    [[ppl]] = prefix_perplexity(model, [t], [0.01])
     sub = EncodedTrajectory(ids=t.ids[: t.prefix_len + 1], prefix_len=t.prefix_len)
     assert abs(ppl - perplexity(model, sub)) / ppl < 1e-9
     with pytest.raises(DomainError):
-        prefix_perplexity(model, t, 0.0)
+        prefix_perplexity(model, [t], [0.0])
+
+
+def fresh_prefix_perplexity(model, traj, ratio):
+    """One fresh session per trajectory and ratio, opened on ids[:1] and pushed the cut."""
+    cut = traj.prefix_len + math.ceil(ratio * (len(traj.ids) - traj.prefix_len))
+    session = open_session(model, traj.ids[:1])
+    for token_id in traj.ids[1:cut]:
+        session.push(token_id)
+    return session.running_perplexity
+
+
+def test_prefix_tree_walk_equals_a_fresh_session_per_cut_bit_for_bit(monkeypatch):
+    """Routes that share prefixes, repeated routes, two heads (SOT, and an agent and
+    weekday pair) and one-location cuts: the one walk reads every cut's perplexity
+    as a fresh session would, bit for bit, opening one session per head and pushing
+    each distinct prefix once."""
+    cfg = ModelConfig(vocab_size=12, d_model=16, n_heads=2, n_layers=2, d_ff=32, max_seq_len=24, seed=3)
+    model = init_model(cfg)
+    rng = np.random.default_rng(0)
+    corpus = [EncodedTrajectory(ids=[1, 2], prefix_len=1, traj_id="only-eot")]
+    for i in range(40):
+        head = [1] if i % 2 else [9, 10]
+        body = [int(x) for x in rng.integers(3, 6, size=int(rng.integers(1, 18)))]
+        corpus.append(EncodedTrajectory(ids=head + body + [2], prefix_len=len(head), traj_id=f"t{i}"))
+    corpus += corpus[1:6]  # repeated trajectories share their whole path
+    ratios = [0.01, 0.3, 0.5, 0.8, 1.0]
+    calls = {"open": 0, "push": 0}
+    real_open, real_push = open_session, Session.push
+
+    def counted_open(*args):
+        calls["open"] += 1
+        return real_open(*args)
+
+    def counted_push(self, token_id):
+        calls["push"] += 1
+        return real_push(self, token_id)
+
+    monkeypatch.setattr(evaluate, "open_session", counted_open)
+    monkeypatch.setattr(Session, "push", counted_push)
+    got = prefix_perplexity(model, corpus, ratios)
+    monkeypatch.undo()
+    assert got == [[fresh_prefix_perplexity(model, t, r) for t in corpus] for r in ratios]
+    prefixes = set()
+    for t in corpus:
+        n_loc = len(t.ids) - t.prefix_len
+        cut = t.prefix_len + math.ceil(max(ratios) * n_loc)
+        prefixes.update(tuple(t.ids[:k]) for k in range(2, cut + 1))
+    assert calls == {"open": 2, "push": len(prefixes)}
+
+
+def test_prefix_tree_walk_takes_a_path_longer_than_the_recursion_limit():
+    """The walk keeps its own stack, so a route longer than Python's recursion limit
+    is walked, and its fork deep in the path scores as fresh sessions do."""
+    cfg = ModelConfig(vocab_size=6, d_model=4, n_heads=1, n_layers=1, d_ff=4, max_seq_len=1100, seed=1)
+    model = init_model(cfg)
+    shared = [1] + [3 + i % 3 for i in range(1050)]
+    corpus = [EncodedTrajectory(ids=shared + [3] * 49 + [2], prefix_len=1, traj_id="a"),
+              EncodedTrajectory(ids=shared + [4] * 49 + [2], prefix_len=1, traj_id="b")]
+    assert len(corpus[0].ids) == cfg.max_seq_len + 1 > sys.getrecursionlimit()
+    ratios = [0.5, 1.0]
+    got = prefix_perplexity(model, corpus, ratios)
+    assert got == [[fresh_prefix_perplexity(model, t, r) for t in corpus] for r in ratios]
 
 
 # --- ablation -----------------------------------------------------------------------

@@ -178,3 +178,31 @@ def test_running_perplexity_identity(model):
     s = open_session(model, ids[:1])
     surprisals = [s.push(tok)[0] for tok in ids[1:]]
     assert np.isclose(s.running_perplexity, np.exp(np.mean(surprisals)), rtol=1e-12)
+
+
+def test_fork_and_its_original_diverge_each_as_a_fresh_session(model):
+    """A fork holds copies of its original's state. Pushed different continuations in
+    turn, each scores its own bit for bit as a fresh session pushed its whole prefix."""
+    prefix, ours, theirs = [1, 3, 4, 5], [6, 7, 8], [9, 10, 11]
+
+    def fresh(ids):
+        s = open_session(model, ids[:1])
+        return s, [s.push(tok) for tok in ids[1:]]
+
+    original = open_session(model, prefix[:1])
+    for tok in prefix[1:]:
+        original.push(tok)
+    fork = original.fork()
+    got = {"ours": [], "theirs": []}
+    for a, b in zip(ours, theirs):
+        got["ours"].append(original.push(a))
+        got["theirs"].append(fork.push(b))
+    for session, name, rest in ((original, "ours", ours), (fork, "theirs", theirs)):
+        ref, pushes = fresh(prefix + rest)
+        assert got[name] == pushes[len(prefix) - 1:]
+        assert (len(session), session.scored_count, session.surprisal_sum) == \
+            (len(ref), ref.scored_count, ref.surprisal_sum)
+        assert np.array_equal(session._last_logits, ref._last_logits)
+        for layer in range(CFG.n_layers):
+            assert np.array_equal(session.cached_kv(layer)[0], ref.cached_kv(layer)[0])
+            assert np.array_equal(session.cached_kv(layer)[1], ref.cached_kv(layer)[1])
