@@ -28,7 +28,6 @@ from .scoring import (
     ThresholdTable,
     classify,
     compute_thresholds,
-    perplexity,
     score_corpus,
     surprisal,
     token_log_probs,

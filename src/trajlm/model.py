@@ -9,9 +9,14 @@ verified against finite differences. Parameters and activations are float64
 (DTYPE) and no layer is stochastic, so training and scoring are deterministic.
 
 forward_batch is the only implementation of the block. Training, batch
-scoring and online sessions all run it: a session passes its per-layer
-key/value cache and feeds one new row per call, so its results differ from a
-batch forward only by BLAS summation order.
+scoring and online sessions all run it: sessions pass their per-layer
+key/value cache and feed one new row per session, so their results differ
+from a batch forward only by BLAS summation order. Rows of many sessions at
+different positions run in one call with a per-row position vector: the
+position-wise layers run on the stacked (n, 1, d_model) rows, where numpy's
+stacked matmul makes the same BLAS call per row as for a lone row, and
+attention runs once per group of rows at the same position, so every row is
+bit-identical to a one-row call on its own cache.
 
 Training computes only the positions whose targets are scored. backward
 passes forward_batch a `keep` mask (True where the target is not PAD; a
@@ -217,6 +222,20 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(b, t, h * dh)
 
 
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int, scale: np.ndarray,
+            hidden: np.ndarray | None = None) -> tuple[np.ndarray, tuple]:
+    """Scaled dot-product attention of (n, t_q, d) queries over (n, t_k, d) keys and
+    values, head by head, with the keys marked in hidden masked out; returns the
+    merged (n, t_q, d) context and the (qh, kh, vh, attn) that backward reads."""
+    qh, kh, vh = _split_heads(q, n_heads), _split_heads(k, n_heads), _split_heads(v, n_heads)
+    scores = qh @ kh.transpose(0, 1, 3, 2)
+    scores /= scale
+    if hidden is not None:
+        np.copyto(scores, -np.inf, where=hidden)
+    attn = softmax(scores, axis=-1)
+    return _merge_heads(attn @ vh), (qh, kh, vh, attn)
+
+
 def _scatter(rows: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """Packed (N, d) rows back into a zeroed (n_seq, t, d) layout at the True entries of keep."""
     out = np.zeros(keep.shape + rows.shape[1:], dtype=rows.dtype)
@@ -228,8 +247,8 @@ def forward_batch(
     model: Model,
     ids: np.ndarray,
     collect: bool = False,
-    kv: list[tuple[np.ndarray, np.ndarray]] | None = None,
-    pos: int = 0,
+    kv: list | None = None,
+    pos: int | np.ndarray = 0,
     keep: np.ndarray | None = None,
 ) -> tuple[np.ndarray, dict | None]:
     """Run the network over an (n_seq, t_new) id batch at positions [pos, pos + t_new).
@@ -242,6 +261,15 @@ def forward_batch(
     the projections of the tokens fed before. The call writes the new rows
     [pos, pos + t_new) and attends over rows [0, pos + t_new). Without kv the
     batch is a whole sequence and pos is 0.
+
+    pos may instead be an (n_seq,) int vector for a one-column call, and kv
+    then holds one cache per row, kv[r] being the per-layer (keys, values)
+    pairs of (1, max_seq_len, d_model) buffers that a one-row call takes. Row r
+    gets pos_emb row pos[r], writes its key and value at position pos[r] of
+    kv[r] and attends over that cache's keys [0, pos[r]]. Position-wise layers
+    run on the stacked rows and attention runs once per group of rows at the
+    same position, so each row's logits are bit-identical to those of a
+    one-row call with int pos on kv[r]. Such a call collects no activations.
 
     keep is an optional (n_seq, t_new) bool mask that is a prefix of each row
     (no True after a False), and cannot be combined with kv. With it only the
@@ -257,7 +285,18 @@ def forward_batch(
     if ids.ndim != 2:
         raise DomainError(f"expected (n_seq, seq_len) ids, got shape {ids.shape}")
     n_seq, t_new = ids.shape
-    end = pos + t_new
+    per_row = np.ndim(pos) > 0
+    if per_row:
+        pos = np.asarray(pos)
+        if kv is None or t_new != 1 or collect or keep is not None:
+            raise DomainError("per-row positions take a kv cache and one id column, and collect nothing")
+        if pos.shape != (n_seq,) or len(kv) != n_seq:
+            raise DomainError(f"per-row positions need {n_seq} positions and {n_seq} caches")
+        if pos.min() < 0:
+            raise DomainError("positions must be >= 0")
+        end = int(pos.max()) + 1
+    else:
+        end = pos + t_new
     if end > cfg.max_seq_len:
         raise DomainError(f"sequence length {end} exceeds max_seq_len {cfg.max_seq_len}")
     if ids.min() < 0 or ids.max() >= cfg.vocab_size:
@@ -273,7 +312,12 @@ def forward_batch(
 
     cache: dict | None = {"layers": []} if collect else None
 
-    if keep is None:
+    if per_row:
+        x = p["tok_emb"][ids] + p["pos_emb"][pos][:, None]
+        groups: dict[int, list[int]] = {}  # position -> the rows there
+        for r, at in enumerate(pos.tolist()):
+            groups.setdefault(at, []).append(r)
+    elif keep is None:
         x = p["tok_emb"][ids] + p["pos_emb"][pos:end]
     else:
         x = p["tok_emb"][ids[keep]] + p["pos_emb"][pos + np.nonzero(keep)[1]]
@@ -287,24 +331,27 @@ def forward_batch(
         q = a @ p[f"{pre}.attn.wq"]
         k = a @ p[f"{pre}.attn.wk"]
         v = a @ p[f"{pre}.attn.wv"]
-        if keep is not None:
-            q, k, v = _scatter(q, keep), _scatter(k, keep), _scatter(v, keep)
-        qh = _split_heads(q, cfg.n_heads)
-        if kv is not None:
-            k_buf, v_buf = kv[i]
-            k_buf[:, pos:end] = k
-            v_buf[:, pos:end] = v
-            k, v = k_buf[:, :end], v_buf[:, :end]
-        kh = _split_heads(k, cfg.n_heads)
-        vh = _split_heads(v, cfg.n_heads)
-        scores = qh @ kh.transpose(0, 1, 3, 2)
-        scores /= scale
-        if hidden is not None:
-            np.copyto(scores, -np.inf, where=hidden)
-        attn = softmax(scores, axis=-1)
-        ctx = _merge_heads(attn @ vh)
-        if keep is not None:
-            ctx = ctx[keep]
+        if per_row:
+            ctx = np.empty_like(q)
+            for at, rows in groups.items():
+                caches = [kv[r][i] for r in rows]
+                for r, (k_buf, v_buf) in zip(rows, caches):
+                    k_buf[0, at] = k[r, 0]
+                    v_buf[0, at] = v[r, 0]
+                keys = np.concatenate([k_buf[:, :at + 1] for k_buf, _ in caches])
+                values = np.concatenate([v_buf[:, :at + 1] for _, v_buf in caches])
+                ctx[rows] = _attend(q[rows], keys, values, cfg.n_heads, scale)[0]
+        else:
+            if keep is not None:
+                q, k, v = _scatter(q, keep), _scatter(k, keep), _scatter(v, keep)
+            if kv is not None:
+                k_buf, v_buf = kv[i]
+                k_buf[:, pos:end] = k
+                v_buf[:, pos:end] = v
+                k, v = k_buf[:, :end], v_buf[:, :end]
+            ctx, (qh, kh, vh, attn) = _attend(q, k, v, cfg.n_heads, scale, hidden)
+            if keep is not None:
+                ctx = ctx[keep]
         x_mid = x + ctx @ p[f"{pre}.attn.wo"]
         f, ln2_cache = layernorm(x_mid, p[f"{pre}.ln2.g"], p[f"{pre}.ln2.b"])
         pre_act = f @ p[f"{pre}.ffn.w1"] + p[f"{pre}.ffn.b1"]

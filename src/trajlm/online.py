@@ -1,18 +1,31 @@
 """Incremental trajectory scoring with per-layer key/value caches.
 
-A session is opened from one or more ids, which fill the caches in one cached
-call and are not scored. Opened on a record's ids[:1], the one id batch scoring
-leaves unscored, it then consumes the rest one token at a time. Each push
-scores the token against the logits of the previous position, then runs the
-batch kernel, model.forward_batch, on the one new row with the session's
-key/value cache, so only one attention query row is computed per layer against
-the cached keys and values of the prefix; scoring a whole stream costs
-O(n^2 d) instead of the O(n^3 d) of re-running a full forward pass per prefix.
-A session takes max_seq_len + 1 ids, as batch scoring does: the id at position
-max_seq_len is only ever a target, so it is scored and never fed. The only
-difference from batch scoring is BLAS summation order, so per-token results
-match the batch scorer to 1e-9 relative. partial_verdict judges the running
-perplexity through scoring.classify, the one verdict rule of batch scoring.
+A session is opened from one or more ids, which fill its cache and are not
+scored. Opened on a record's ids[:1], the one id batch scoring leaves
+unscored, it then consumes the rest one token at a time. Each push scores the
+token against the logits of the previous position; the token's own forward
+row runs the batch kernel, model.forward_batch, against the session's cached
+keys and values, so only one attention query row is computed per layer and
+scoring a whole stream costs O(n^2 d) instead of the O(n^3 d) of re-running a
+full forward pass per prefix. A session takes max_seq_len + 1 ids, as batch
+scoring does: the id at position max_seq_len is only ever a target, so it is
+scored and never fed. The only difference from batch scoring is BLAS
+summation order, so per-token results match the batch scorer to 1e-9
+relative. partial_verdict judges the running perplexity through
+scoring.classify, the one verdict rule of batch scoring.
+
+The sessions of one model share a pool, and each session is a slot in it. A
+push, and an open on one id, queues its forward row instead of running it.
+The first call that needs a queued session's new logits (that session's next
+push, its fork or cached_kv) runs every queued row of the pool in one
+forward_batch call, each row at its own position, cache slot and key range.
+Every row is bit-identical to what a lone session computes, and a queue of
+one row is a lone session's one-row call. The push that flushes carries the
+latency of the whole batch. A dropped session frees its slot, and its queued
+row is never computed. A pool is not thread-safe, so the sessions of one
+model must not be pushed from different threads, and the model must not
+change while sessions are open.
+
 Session.fork copies a session's state, so prefixes that continue differently
 share the work of their common part: the fork and the original then score as
 two sessions that were each fed the whole prefix, bit for bit.
@@ -22,6 +35,7 @@ from __future__ import annotations
 
 import copy
 import math
+import weakref
 
 import numpy as np
 
@@ -30,28 +44,107 @@ from .model import DTYPE, Model, forward_batch, log_softmax
 from .scoring import ScoreReport, ThresholdTable, classify
 
 
+class _Pool:
+    """The key/value cache slots of one model's sessions, and the rows queued for them.
+
+    A slot holds, per layer, (1, max_seq_len, d_model) key and value buffers,
+    the cache a one-row forward_batch call takes, and the logits of the last
+    position computed. The queue maps a slot to the (token id, position) of
+    its one pending row. A released slot keeps its buffers for the next
+    session, so the pool holds as many slots as sessions were ever open at
+    once; a session writes every cache row before it reads it.
+    """
+
+    def __init__(self, model: Model):
+        self.model = model
+        self.caches: list[list[tuple[np.ndarray, np.ndarray]]] = []
+        self.logits: list[np.ndarray | None] = []
+        self.queue: dict[int, tuple[int, int]] = {}
+        self._free: list[int] = []
+
+    def acquire(self) -> int:
+        if self._free:
+            return self._free.pop()
+        cfg = self.model.config
+        shape = (1, cfg.max_seq_len, cfg.d_model)
+        self.caches.append([(np.empty(shape, dtype=DTYPE), np.empty(shape, dtype=DTYPE))
+                            for _ in range(cfg.n_layers)])
+        self.logits.append(None)
+        return len(self.caches) - 1
+
+    def release(self, slot: int) -> None:
+        self.queue.pop(slot, None)
+        self.logits[slot] = None
+        self._free.append(slot)
+
+    def clone(self, slot: int, n_rows: int) -> int:
+        """A new slot holding copies of slot's first n_rows cache rows, and its logits."""
+        twin = self.acquire()
+        for (k, v), (k2, v2) in zip(self.caches[slot], self.caches[twin]):
+            k2[:, :n_rows], v2[:, :n_rows] = k[:, :n_rows], v[:, :n_rows]
+        self.logits[twin] = self.logits[slot]
+        return twin
+
+    def run(self, slot: int, ids: list[int], pos: int) -> None:
+        """Feed ids to one slot now, in one cached call at positions [pos, pos + len(ids)).
+
+        forward_batch validates the ids and the length before it writes a cache
+        row, so a rejected call leaves the slot unchanged.
+        """
+        logits, _ = forward_batch(self.model, [ids], kv=self.caches[slot], pos=pos)
+        self.logits[slot] = logits[0, -1]
+
+    def ready(self, slot: int) -> None:
+        """Compute slot's queued row, if it has one, with every other queued row."""
+        if slot not in self.queue:
+            return
+        if len(self.queue) == 1:
+            token_id, pos = self.queue[slot]
+            self.run(slot, [token_id], pos)
+        else:
+            ids, pos = np.array(list(self.queue.values())).T
+            logits, _ = forward_batch(self.model, ids[:, None], kv=[self.caches[s] for s in self.queue], pos=pos)
+            for s, row in zip(self.queue, logits):
+                self.logits[s] = row[-1]
+        self.queue.clear()
+
+
+# One pool per live model object; a pool holds its model, so the id is not reused while it lives.
+_POOLS: weakref.WeakValueDictionary[int, _Pool] = weakref.WeakValueDictionary()
+
+
+def _pool_of(model: Model) -> _Pool:
+    pool = _POOLS.get(id(model))
+    if pool is None:
+        pool = _POOLS[id(model)] = _Pool(model)
+    return pool
+
+
 class Session:
     """Single-owner incremental scorer over one immutable model.
 
-    The constructor feeds the conditioning tokens. The caches hold the
-    post-projection key and value rows of every token fed, one
-    (1, max_seq_len, d_model) buffer each per layer; pushes append one row per
-    layer and never touch earlier rows. len() counts the tokens taken, at most
-    max_seq_len + 1.
+    The constructor feeds the conditioning tokens. The session is a slot in
+    its model's pool, whose caches hold the post-projection key and value rows
+    of every token fed; pushes append one row per layer and never touch
+    earlier rows. len() counts the tokens taken, at most max_seq_len + 1.
     """
 
     def __init__(self, model: Model, conditioning_ids: list[int]):
-        if len(conditioning_ids) == 0:
+        ids = [int(t) for t in conditioning_ids]
+        if len(ids) == 0:
             raise DomainError("conditioning must contain at least one token")
-        cfg = model.config
-        shape = (1, cfg.max_seq_len, cfg.d_model)
         self.model = model
-        self._kv = [(np.zeros(shape, dtype=DTYPE), np.zeros(shape, dtype=DTYPE))
-                    for _ in range(cfg.n_layers)]
-        self._n_tokens = 0
+        self._pool = _pool_of(model)
+        self._slot = self._pool.acquire()
+        weakref.finalize(self, self._pool.release, self._slot)
+        if len(ids) == 1:
+            _check_id(model, ids[0])
+            self._pool.queue[self._slot] = (ids[0], 0)
+        else:
+            self._pool.run(self._slot, ids, 0)
+        self._n_tokens = len(ids)
         self.surprisal_sum = 0.0
         self.scored_count = 0
-        self._advance([int(t) for t in conditioning_ids])
 
     def __len__(self) -> int:
         return self._n_tokens
@@ -63,7 +156,8 @@ class Session:
 
     def cached_kv(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
         """Views of the key/value rows cached so far for one layer."""
-        k, v = self._kv[layer]
+        self._pool.ready(self._slot)
+        k, v = self._pool.caches[self._slot][layer]
         return k[0, :self._n_tokens], v[0, :self._n_tokens]
 
     @property
@@ -76,46 +170,38 @@ class Session:
         """An independent session in this one's state: copies of the cache rows
         filled so far, the surprisal sum and count and the last logits. A push
         to either session leaves the other unchanged."""
-        n = self._n_tokens
+        self._pool.ready(self._slot)
         twin = copy.copy(self)
-        twin._kv = [(np.zeros_like(k), np.zeros_like(v)) for k, v in self._kv]
-        for (k, v), (k2, v2) in zip(self._kv, twin._kv):
-            k2[:, :n], v2[:, :n] = k[:, :n], v[:, :n]
-        twin._last_logits = self._last_logits.copy()
+        twin._slot = self._pool.clone(self._slot, self._n_tokens)
+        weakref.finalize(twin, self._pool.release, twin._slot)
         return twin
-
-    def _advance(self, token_ids: list[int]) -> None:
-        """Feed tokens through the network in one cached call, extending each layer's cache.
-
-        forward_batch validates the ids and the length before it writes a cache
-        row, so a rejected call leaves the session unchanged.
-        """
-        logits, _ = forward_batch(self.model, [token_ids], kv=self._kv, pos=self._n_tokens)
-        self._last_logits = logits[0, -1]
-        self._n_tokens += len(token_ids)
 
     def push(self, token_id: int) -> tuple[float, float]:
         """Score one arriving token; returns (its surprisal, running perplexity).
 
         The surprisal comes from the logits of the previous position, i.e.
         -log P(token | every token fed so far). The token at position
-        max_seq_len is scored without being fed. Raises SessionFullError with
-        the session unchanged once it holds max_seq_len + 1 tokens.
+        max_seq_len is scored without being fed. Raises SessionFullError, or
+        DomainError for an unknown id, with the session and the pool's queue
+        unchanged.
         """
         max_seq_len = self.model.config.max_seq_len
         if self.full:
             raise SessionFullError(f"session already holds max_seq_len + 1 = {max_seq_len + 1} tokens")
-        logp = log_softmax(self._last_logits)
-        if not 0 <= token_id < self.model.config.vocab_size:
-            raise DomainError(f"token id {token_id} out of range [0, {self.model.config.vocab_size})")
-        s = float(-logp[token_id])
+        _check_id(self.model, token_id)
+        self._pool.ready(self._slot)
+        s = float(-log_softmax(self._pool.logits[self._slot])[token_id])
         if self._n_tokens < max_seq_len:
-            self._advance([token_id])
-        else:
-            self._n_tokens += 1
+            self._pool.queue[self._slot] = (int(token_id), self._n_tokens)
+        self._n_tokens += 1
         self.surprisal_sum += s
         self.scored_count += 1
         return s, self.running_perplexity
+
+
+def _check_id(model: Model, token_id: int) -> None:
+    if not 0 <= token_id < model.config.vocab_size:
+        raise DomainError(f"token id {token_id} out of range [0, {model.config.vocab_size})")
 
 
 def open_session(model: Model, conditioning_ids: list[int]) -> Session:

@@ -9,10 +9,10 @@ so a perfectly predicted trajectory scores exactly 1.
 `token_log_probs` is the one scoring kernel: one forward call over a batch of
 equal-length id rows. `score_corpus` is the batch entry point. It groups the
 corpus by length and makes one forward call per exact-length chunk of at most
-CHUNK_TOKENS positions; `surprisal` and `perplexity` call the same kernel with
-one row. No row is padded, so a trajectory's trace is the same bits in any chunk,
-and `perplexity` and `score_corpus` agree bit for bit through the one formula,
-`SurprisalTrace.perplexity`. One trace per trajectory gives its perplexity,
+CHUNK_TOKENS positions; `surprisal` calls the same kernel with one row. No row
+is padded, so a trajectory's trace is the same bits in any chunk, and a
+`surprisal(...).perplexity` equals `score_corpus`'s bit for bit through the one
+formula, `SurprisalTrace.perplexity`. One trace per trajectory gives its perplexity,
 threshold fit, verdict and localization.
 
 A threshold table stores only its fits, from which `threshold_for` computes
@@ -112,11 +112,6 @@ def token_log_probs(model: Model, ids) -> np.ndarray:
 def surprisal(model: Model, traj: EncodedTrajectory) -> SurprisalTrace:
     """Negated log-probabilities with the sequence position of each scored token."""
     return SurprisalTrace(-token_log_probs(model, [traj.ids])[0])
-
-
-def perplexity(model: Model, traj: EncodedTrajectory) -> float:
-    """exp(mean surprisal) over the trajectory's scored transitions."""
-    return surprisal(model, traj).perplexity
 
 
 def compute_thresholds(

@@ -21,7 +21,6 @@ from trajlm.online import open_session
 from trajlm.scoring import (
     classify,
     compute_thresholds,
-    perplexity,
     score_corpus,
     surprisal,
     token_log_probs,
@@ -74,7 +73,7 @@ def route_run():
     model = init_model(cfg.model_config(len(vocab)), vocab.hash())
     enc_train = [dataio.encode_record(r, vocab) for r in corpora["train.jsonl"]]
     train(model, enc_train, cfg.train_config())
-    table = compute_thresholds([perplexity(model, t) for t in enc_train])
+    table = compute_thresholds([surprisal(model, t).perplexity for t in enc_train])
     kinds = ("random_shift", "detour")
     enc_eval = {kind: [dataio.encode_record(r, vocab) for r in corpora[f"eval_{kind}.jsonl"]] for kind in kinds}
     labels = {kind: {t.traj_id: t.label for t in truth[f"truth_{kind}.csv"]} for kind in kinds}
@@ -179,7 +178,7 @@ def test_c03_perplexity_identities():
     for _ in range(25):
         n = int(rng.integers(2, 20))
         ids = [int(x) for x in rng.integers(1, 37, size=n)]
-        worst = max(worst, abs(perplexity(uniform, EncodedTrajectory(ids=ids, prefix_len=1)) - 37.0))
+        worst = max(worst, abs(surprisal(uniform, EncodedTrajectory(ids=ids, prefix_len=1)).perplexity - 37.0))
     # memorized 20-trajectory corpus reaches the near-1 perplexity floor
     rng = np.random.default_rng(9)
     corpus = [
@@ -190,7 +189,7 @@ def test_c03_perplexity_identities():
     mcfg = ModelConfig(vocab_size=35, d_model=32, n_heads=4, n_layers=2, d_ff=64, max_seq_len=12, seed=0)
     model = init_model(mcfg)
     train(model, corpus, TrainConfig(n_epochs=250, batch_size=20, learning_rate=3e-3, seed=1))
-    ppl = np.mean([perplexity(model, t) for t in corpus])
+    ppl = np.mean([surprisal(model, t).perplexity for t in corpus])
     elapsed = time.time() - t0
     ok = worst < 1e-6 and ppl < 1.1 and elapsed < 120
     report_line(3, "perplexity identities", ok,
@@ -218,7 +217,7 @@ def test_c04_online_batch_equivalence():
         session = open_session(model, ids[:1])
         inc = np.array([session.push(tok)[0] for tok in ids[1:]])
         worst_tok = max(worst_tok, float(np.max(np.abs(inc + batch_lp) / np.abs(batch_lp))))
-        batch_ppl = perplexity(model, enc)
+        batch_ppl = surprisal(model, enc).perplexity
         worst_ppl = max(worst_ppl, abs(session.running_perplexity - batch_ppl) / batch_ppl)
     ok = worst_tok < 1e-9 and worst_ppl < 1e-9
     report_line(4, "online/batch equivalence", ok,
@@ -315,7 +314,7 @@ def test_c08_global_detection(route_run):
     aucs = {}
     for kind, encoded in route_run["enc_eval"].items():
         labels = [route_run["truth"][kind][t.traj_id] for t in encoded]
-        scores = [perplexity(route_run["model"], t) for t in encoded]
+        scores = [surprisal(route_run["model"], t).perplexity for t in encoded]
         aucs[kind] = pr_auc(labels, scores)
     ok = aucs["random_shift"] >= 0.9 and aucs["detour"] >= 0.8
     report_line(8, "global detection", ok,
@@ -359,7 +358,7 @@ def test_c10_completion_ratio_trend(route_run):
     result = completion_ratio_eval(model, encoded, truth, [0.2, 1.0], table)
     # batch evaluation computed independently; ratio 1.0 must match bit for bit
     labels = [truth[t.traj_id] for t in encoded]
-    ppls = [perplexity(model, t) for t in encoded]
+    ppls = [surprisal(model, t).perplexity for t in encoded]
     verdicts = [classify(t.traj_id, p, table).verdict for t, p in zip(encoded, ppls)]
     batch = (f1(labels, verdicts), pr_auc(labels, ppls))
     monotone = result[1.0][1] >= result[0.2][1]

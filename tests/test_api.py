@@ -5,6 +5,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "trajlm"
 CONFIGS = SRC.parents[1] / "configs"
+BENCH = SRC.parents[1] / "bench"
 
 
 def _uses(tree: ast.Module, module: str):
@@ -12,7 +13,8 @@ def _uses(tree: ast.Module, module: str):
 
     A bare name counts for its own module and for a module it is imported from
     (`from .grid import to_cell`); `dataio.write_csv` counts for `dataio`.
-    Import statements themselves are not uses.
+    Only loads count: import statements, assignments and annotated fields
+    (`perplexity: float`) are not uses.
     """
     origin = {}
     for node in tree.body:
@@ -21,6 +23,8 @@ def _uses(tree: ast.Module, module: str):
                 origin[alias.asname or alias.name] = (node.module, alias.name)
     for i, node in enumerate(tree.body):
         for sub in ast.walk(node):
+            if not isinstance(getattr(sub, "ctx", None), ast.Load):
+                continue
             if isinstance(sub, ast.Name):
                 yield (i, *origin.get(sub.id, (module, sub.id)))
             elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name):
@@ -62,15 +66,16 @@ def test_config_schema_is_the_shipped_presets():
 
 
 def test_every_public_function_has_a_caller():
-    """Every module-level public def/class is used somewhere in src/ outside its own
-    definition; re-exports in __init__.py do not count."""
+    """Every module-level public def/class is read somewhere in src/ or bench/ outside
+    its own definition; re-exports in __init__.py do not count. The benchmark is a
+    caller: its stream check scores with scoring.surprisal."""
     defined = []
     used = defaultdict(set)
-    for path in sorted(SRC.glob("*.py")):
-        module = path.stem
+    for path in sorted(SRC.glob("*.py")) + sorted(BENCH.glob("*.py")):
+        module = path.stem if path.parent == SRC else f"bench.{path.stem}"
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for i, node in enumerate(tree.body):
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            if path.parent == SRC and isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
                 defined.append((module, node.name, i))
         if module != "__init__":
             for i, owner, name in _uses(tree, module):

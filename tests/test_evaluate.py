@@ -21,7 +21,7 @@ from trajlm.evaluate import (
 )
 from trajlm.model import ModelConfig, init_model
 from trajlm.online import Session, open_session
-from trajlm.scoring import ScoreReport, classify, compute_thresholds, perplexity
+from trajlm.scoring import ScoreReport, classify, compute_thresholds, surprisal
 from trajlm.vocab import EncodedTrajectory
 
 
@@ -251,7 +251,7 @@ def ratio_setup():
         ids = [1] + [int(x) for x in rng.integers(3, 20, size=n)] + [2]
         corpus.append(EncodedTrajectory(ids=ids, prefix_len=1, traj_id=f"t{i}"))
         truth[f"t{i}"] = "anomalous" if i % 4 == 0 else "normal"
-    table = compute_thresholds([perplexity(model, t) for t in corpus])
+    table = compute_thresholds([surprisal(model, t).perplexity for t in corpus])
     return model, corpus, truth, table
 
 
@@ -259,7 +259,7 @@ def test_completion_ratio_one_reproduces_batch_bit_for_bit(ratio_setup):
     model, corpus, truth, table = ratio_setup
     result = completion_ratio_eval(model, corpus, truth, [1.0], table)
     labels = [truth[t.traj_id] for t in corpus]
-    ppls = [perplexity(model, t) for t in corpus]
+    ppls = [surprisal(model, t).perplexity for t in corpus]
     verdicts = [classify(t.traj_id, p, table).verdict for t, p in zip(corpus, ppls)]
     assert result[1.0] == (f1(labels, verdicts), pr_auc(labels, ppls))
     [session_ppls] = prefix_perplexity(model, corpus, [1.0])  # the session path, to 1e-9
@@ -281,7 +281,7 @@ def test_prefix_perplexity_uses_ceil(ratio_setup):
     # smallest ratio still scores ceil(r * n_loc) >= 1 location
     [[ppl]] = prefix_perplexity(model, [t], [0.01])
     sub = EncodedTrajectory(ids=t.ids[: t.prefix_len + 1], prefix_len=t.prefix_len)
-    assert abs(ppl - perplexity(model, sub)) / ppl < 1e-9
+    assert abs(ppl - surprisal(model, sub).perplexity) / ppl < 1e-9
     with pytest.raises(DomainError):
         prefix_perplexity(model, [t], [0.0])
 

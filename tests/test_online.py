@@ -1,10 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from trajlm import online
 from trajlm.errors import DomainError, SessionFullError
 from trajlm.model import ModelConfig, forward_batch, init_model
 from trajlm.online import open_session, partial_verdict
-from trajlm.scoring import ThresholdTable, perplexity, token_log_probs
+from trajlm.scoring import ThresholdTable, surprisal, token_log_probs
 from trajlm.vocab import EncodedTrajectory
 
 CFG = ModelConfig(vocab_size=24, d_model=32, n_heads=4, n_layers=3, d_ff=64, max_seq_len=32, seed=8)
@@ -13,6 +18,12 @@ CFG = ModelConfig(vocab_size=24, d_model=32, n_heads=4, n_layers=3, d_ff=64, max
 @pytest.fixture(scope="module")
 def model():
     return init_model(CFG)
+
+
+def _logits(s):
+    """The logits a session's next push scores against, its queued row computed first."""
+    s._pool.ready(s._slot)
+    return s._pool.logits[s._slot]
 
 
 def test_open_with_sot(model):
@@ -34,7 +45,7 @@ def test_open_twice_identical_state(model):
     for layer in range(CFG.n_layers):
         assert np.array_equal(s1.cached_kv(layer)[0], s2.cached_kv(layer)[0])
         assert np.array_equal(s1.cached_kv(layer)[1], s2.cached_kv(layer)[1])
-    assert np.array_equal(s1._last_logits, s2._last_logits)
+    assert np.array_equal(_logits(s1), _logits(s2))
 
 
 def test_open_session_validation(model):
@@ -57,7 +68,8 @@ def test_push_matches_batch_scorer(model):
         surprisals = [s.push(tok)[0] for tok in ids[1:]]
         rel = np.abs(np.array(surprisals) + batch_lp) / np.abs(batch_lp)
         assert rel.max() < 1e-9
-        assert abs(s.running_perplexity - perplexity(model, enc)) < 1e-9 * perplexity(model, enc)
+        ppl = surprisal(model, enc).perplexity
+        assert abs(s.running_perplexity - ppl) < 1e-9 * ppl
 
 
 def _flat(cache, layer, name):
@@ -111,14 +123,15 @@ def test_offset_chunks_match_full_forward(model):
 def test_cached_call_past_max_seq_len_leaves_session_unchanged():
     cfg = ModelConfig(vocab_size=10, d_model=8, n_heads=2, n_layers=2, d_ff=16, max_seq_len=6, seed=0)
     s = open_session(init_model(cfg), [1, 3, 4])
-    buffers = [(k.copy(), v.copy()) for k, v in s._kv]
-    logits = s._last_logits.copy()
+    pool, slot = s._pool, s._slot
+    buffers = [(k.copy(), v.copy()) for k, v in pool.caches[slot]]
+    logits = pool.logits[slot].copy()
     for bad in ([5, 6, 7, 8], [5, 99]):  # past max_seq_len; valid length with an unknown id
         with pytest.raises(DomainError):
-            s._advance(bad)
+            pool.run(slot, bad, len(s))
         assert len(s) == 3
-        assert np.array_equal(s._last_logits, logits)
-        for (k, v), (k0, v0) in zip(s._kv, buffers):
+        assert np.array_equal(pool.logits[slot], logits)
+        for (k, v), (k0, v0) in zip(pool.caches[slot], buffers):
             assert np.array_equal(k, k0) and np.array_equal(v, v0)
 
 
@@ -202,7 +215,133 @@ def test_fork_and_its_original_diverge_each_as_a_fresh_session(model):
         assert got[name] == pushes[len(prefix) - 1:]
         assert (len(session), session.scored_count, session.surprisal_sum) == \
             (len(ref), ref.scored_count, ref.surprisal_sum)
-        assert np.array_equal(session._last_logits, ref._last_logits)
+        assert np.array_equal(_logits(session), _logits(ref))
         for layer in range(CFG.n_layers):
             assert np.array_equal(session.cached_kv(layer)[0], ref.cached_kv(layer)[0])
             assert np.array_equal(session.cached_kv(layer)[1], ref.cached_kv(layer)[1])
+
+
+@st.composite
+def _tiny_configs(draw):
+    n_heads = draw(st.sampled_from([1, 2, 4]))
+    d_model = n_heads * draw(st.integers(max(1, 4 // n_heads), 16 // n_heads))
+    return ModelConfig(vocab_size=draw(st.integers(5, 12)), d_model=d_model, n_heads=n_heads,
+                       n_layers=draw(st.integers(1, 2)), d_ff=draw(st.integers(4, 16)),
+                       max_seq_len=draw(st.integers(3, 16)), seed=draw(st.integers(0, 2**16)))
+
+
+_OPS = st.tuples(st.sampled_from(["open", "open", "push", "push", "push", "push", "push", "fork", "drop", "ppl"]),
+                 st.integers(0, 7), st.integers(0, 2**16))
+
+
+def _state(s):
+    return len(s), s.scored_count, s.surprisal_sum
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(cfg=_tiny_configs(), ops=st.lists(_OPS, min_size=10, max_size=60))
+def test_interleaved_sessions_each_equal_a_lone_session_bit_for_bit(cfg, ops):
+    """Up to 8 sessions of one model, opened on 1 or 2 ids, pushed, forked, dropped
+    and read in any order, flush their queued rows together. Each session's pushes,
+    len, scored count and surprisal sum equal those of a fresh session of a copy of
+    the model (a pool of its own) pushed the same ids alone, bit for bit, and its
+    surprisals match token_log_probs within C04's 1e-9."""
+    model = init_model(cfg)
+    live = []  # [session, conditioning ids, pushed ids, push results]
+    ended = []  # (conditioning ids, pushed ids, push results, _state when dropped or at the end)
+    for op, pick, arg in ops:
+        if op == "open" and len(live) < 8:
+            cond = [arg % cfg.vocab_size, arg // 7 % cfg.vocab_size][:1 + arg % 2]
+            live.append([open_session(model, cond), cond, [], []])
+        if not live:
+            continue
+        session, cond, pushed, results = live[pick % len(live)]
+        if op == "fork" and len(live) < 8:
+            live.append([session.fork(), cond, list(pushed), list(results)])
+        elif op == "drop":
+            ended.append((cond, pushed, results, _state(session)))
+            del live[pick % len(live)], session  # its last references: the session is dropped here
+        elif op == "ppl" and results:
+            assert session.running_perplexity == results[-1][1]
+        elif op == "ppl":
+            with pytest.raises(DomainError):
+                session.running_perplexity
+        elif op == "push" and not session.full:
+            pushed.append(arg % cfg.vocab_size)
+            results.append(session.push(pushed[-1]))
+    ended += [(cond, pushed, results, _state(session)) for session, cond, pushed, results in live]
+    lone_model = model.copy()
+    for cond, pushed, results, state in ended:
+        lone = open_session(lone_model, cond)
+        assert [lone.push(t) for t in pushed] == results
+        assert _state(lone) == state
+        if pushed:
+            lp = token_log_probs(model, [cond + pushed])[0][len(cond) - 1:]
+            got = np.array([s for s, _ in results])
+            assert np.all(np.abs(got + lp) <= 1e-9 * np.abs(lp))
+            assert math.isclose(results[-1][1], math.exp(-lp.mean()), rel_tol=1e-9)
+
+
+def _count_forward_rows(monkeypatch) -> list[int]:
+    """The number of id rows of each forward_batch call a session makes from here on."""
+    rows, real = [], online.forward_batch
+
+    def counting(model, ids, **kwargs):
+        rows.append(len(ids))
+        return real(model, ids, **kwargs)
+
+    monkeypatch.setattr(online, "forward_batch", counting)
+    return rows
+
+
+def test_pool_capacity_stays_at_the_most_sessions_open_at_once():
+    model = init_model(CFG)
+    rng = np.random.default_rng(4)
+    live = [open_session(model, [1])]
+    pool = live[0]._pool
+    for _ in range(1000):
+        if len(live) == 8 or rng.random() < 0.4:
+            live.pop(int(rng.integers(len(live))))
+        live.append(open_session(model, [int(rng.integers(1, CFG.vocab_size))]))
+        live[-1].push(int(rng.integers(1, CFG.vocab_size)))
+    assert 1 <= len(pool.caches) <= 8  # the pool's capacity: slots with buffers
+
+
+def test_a_dropped_sessions_queued_row_is_never_computed(monkeypatch):
+    model = init_model(CFG)
+    a, b, c = (open_session(model, [1]) for _ in range(3))  # three rows queued at position 0
+    rows = _count_forward_rows(monkeypatch)
+    del b
+    a.push(3)  # computes the rows of a and c
+    c.push(4)  # c's logits are ready: queues its row without a flush
+    del c
+    a.push(5)  # computes a's row alone
+    assert rows == [2, 1]
+
+
+def test_a_rejected_push_flushes_nothing_and_leaves_every_queue(monkeypatch):
+    cfg = ModelConfig(vocab_size=10, d_model=8, n_heads=2, n_layers=1, d_ff=16, max_seq_len=4, seed=0)
+    model = init_model(cfg)
+    full = open_session(model, [1])
+    for tok in (3, 4, 5, 6):
+        full.push(tok)
+    a, b = open_session(model, [1]), open_session(model, [2])
+    a.push(3)
+    b.push(5)
+    queue, states = dict(a._pool.queue), [_state(s) for s in (full, a, b)]
+    assert len(queue) == 2
+    rows = _count_forward_rows(monkeypatch)
+    for session, token, error in ((a, cfg.vocab_size, DomainError), (b, -1, DomainError), (full, 3, SessionFullError)):
+        with pytest.raises(error):
+            session.push(token)
+    assert rows == []
+    assert a._pool.queue == queue
+    assert [_state(s) for s in (full, a, b)] == states
+
+
+def test_sessions_of_two_models_or_of_a_copy_never_share_a_pool():
+    model = init_model(CFG)
+    s = open_session(model, [1])
+    assert open_session(model, [2])._pool is s._pool
+    for other in (init_model(CFG), model.copy()):
+        assert open_session(other, [1])._pool is not s._pool

@@ -10,7 +10,6 @@ from trajlm.scoring import (
     CHUNK_TOKENS,
     classify,
     compute_thresholds,
-    perplexity,
     score_corpus,
     surprisal,
     token_log_probs,
@@ -92,20 +91,20 @@ def test_surprisal_alignment_metadata():
 
 def test_perplexity_probability_one_floor():
     peaked = constant_logit_model([0.0, 0.0, 1e4, 0.0])
-    assert math.isclose(perplexity(peaked, traj([1, 2, 2, 2])), 1.0, abs_tol=1e-6)
+    assert math.isclose(surprisal(peaked, traj([1, 2, 2, 2])).perplexity, 1.0, abs_tol=1e-6)
 
 
 def test_perplexity_uniform_equals_vocab_size():
     m = uniform_model(16)
-    assert math.isclose(perplexity(m, traj([1, 3, 7, 9, 11])), 16.0, abs_tol=1e-6)
+    assert math.isclose(surprisal(m, traj([1, 3, 7, 9, 11])).perplexity, 16.0, abs_tol=1e-6)
 
 
 def test_perplexity_geometric_mean_identity():
     # transitions with probabilities 1/2 then 1/8: PPL = exp((ln2 + ln8)/2) = 4
     m = from_probs([0.25, 0.125, 0.5, 0.125])
-    assert math.isclose(perplexity(m, traj([1, 2, 3])), 4.0, rel_tol=1e-10)
-    assert math.isclose(perplexity(m, traj([1, 2])), 2.0, rel_tol=1e-10)
-    assert math.isclose(perplexity(m, traj([1, 3])), 8.0, rel_tol=1e-10)
+    assert math.isclose(surprisal(m, traj([1, 2, 3])).perplexity, 4.0, rel_tol=1e-10)
+    assert math.isclose(surprisal(m, traj([1, 2])).perplexity, 2.0, rel_tol=1e-10)
+    assert math.isclose(surprisal(m, traj([1, 3])).perplexity, 8.0, rel_tol=1e-10)
 
 
 def test_memorized_corpus_log_probs_near_zero():
@@ -212,7 +211,7 @@ def test_score_corpus_perplexity_is_bit_identical_to_perplexity():
     ]
     reports, _ = score_corpus(m, corpus)
     for t, report in zip(corpus, reports):
-        assert report.perplexity == perplexity(m, t)
+        assert report.perplexity == surprisal(m, t).perplexity
         assert report.perplexity == np.exp(np.mean(report.surprisal.values))
 
 
@@ -272,7 +271,7 @@ def test_score_corpus_fits_thresholds_on_its_own_perplexities():
             ([1, 2], "a"), ([1, 3], "a"), ([1, 2, 3], "b"), ([1, 2, 2], "b"), ([1, 3, 3], "b"),
         ])
     ]
-    ppls = [perplexity(m, t) for t in corpus]
+    ppls = [surprisal(m, t).perplexity for t in corpus]
     agents = [t.agent for t in corpus]
     reports, table = score_corpus(m, corpus, scope="per_agent")
     assert table == compute_thresholds(ppls, agents)
