@@ -98,13 +98,15 @@ class _Pool:
         """Compute slot's queued row, if it has one, with every other queued row."""
         if slot not in self.queue:
             return
-        if len(self.queue) == 1:
-            token_id, pos = self.queue[slot]
+        # A copy: the garbage collector can drop a session, and its row, while the flush runs.
+        rows = self.queue.copy()
+        if len(rows) == 1:
+            token_id, pos = rows[slot]
             self.run(slot, [token_id], pos)
         else:
-            ids, pos = np.array(list(self.queue.values())).T
-            logits, _ = forward_batch(self.model, ids[:, None], kv=[self.caches[s] for s in self.queue], pos=pos)
-            for s, row in zip(self.queue, logits):
+            ids, pos = np.array(list(rows.values())).T
+            logits, _ = forward_batch(self.model, ids[:, None], kv=[self.caches[s] for s in rows], pos=pos)
+            for s, row in zip(rows, logits):
                 self.logits[s] = row[-1]
         self.queue.clear()
 

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -345,3 +346,24 @@ def test_sessions_of_two_models_or_of_a_copy_never_share_a_pool():
     assert open_session(model, [2])._pool is s._pool
     for other in (init_model(CFG), model.copy()):
         assert open_session(other, [1])._pool is not s._pool
+
+
+def test_a_session_collected_during_a_flush_leaves_the_other_rows_in_place(monkeypatch):
+    """A session held only by a reference cycle is dropped whenever the garbage collector
+    runs, which can be inside a flush; every other row still reaches its own slot."""
+    model = init_model(CFG)
+    a, b, c = (open_session(model, [tok]) for tok in (1, 2, 3))
+    cycle = [b]
+    cycle.append(cycle)
+    del b, cycle
+    real = online.forward_batch
+
+    def collecting(*args, **kwargs):
+        out = real(*args, **kwargs)
+        gc.collect()
+        return out
+
+    monkeypatch.setattr(online, "forward_batch", collecting)
+    a.push(4)  # flushes the rows of a, b and c; b is collected inside the call
+    lone = open_session(model.copy(), [3])
+    assert c.push(5) == lone.push(5)
