@@ -444,6 +444,36 @@ def test_in_place_attention_writes_only_its_own_temporaries():
             _assert_bits_unchanged([k0, v0], [k[:, :pos], v[:, :pos]])
 
 
+def test_forward_batch_per_row_positions_equal_one_row_calls_bit_for_bit():
+    """Rows at positions 2, 0, 2 and 5, each on its own cache (two share a position),
+    in one call give the logits and cache rows of one one-row call each."""
+    m = tiny_model()
+    rng = np.random.default_rng(6)
+    seqs = [[int(t) for t in rng.integers(1, TINY.vocab_size, size=n)] for n in (3, 1, 3, 6)]
+    shape = (1, TINY.max_seq_len, TINY.d_model)
+
+    def cache_of(prefix):
+        kv = [(np.zeros(shape), np.zeros(shape)) for _ in range(TINY.n_layers)]
+        if prefix:
+            forward_batch(m, [prefix], kv=kv)
+        return kv
+
+    lone_kv = [cache_of(seq[:-1]) for seq in seqs]
+    lone = [forward_batch(m, [seq[-1:]], kv=kv, pos=len(seq) - 1)[0][0] for seq, kv in zip(seqs, lone_kv)]
+    kv = [cache_of(seq[:-1]) for seq in seqs]
+    logits, _ = forward_batch(m, [seq[-1:] for seq in seqs], kv=kv, pos=np.array([len(seq) - 1 for seq in seqs]))
+    for got, want, caches, lone_caches in zip(logits, lone, kv, lone_kv):
+        assert np.array_equal(got, want)
+        for (k, v), (k0, v0) in zip(caches, lone_caches):
+            assert np.array_equal(k, k0) and np.array_equal(v, v0)
+    pos = np.array([1, 2])
+    for bad in (dict(ids=[[3, 4], [5, 6]], kv=kv[:2], pos=pos), dict(ids=[[3], [5]], kv=kv[:3], pos=pos),
+                dict(ids=[[3], [5]], kv=kv[:2], pos=np.array([1, TINY.max_seq_len])),
+                dict(ids=[[3], [5]], kv=kv[:2], pos=pos, collect=True), dict(ids=[[3], [5]], pos=pos)):
+        with pytest.raises(DomainError):
+            forward_batch(m, **bad)
+
+
 def test_softmax_overwrites_its_argument():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(3, 5, 5))
