@@ -15,25 +15,21 @@ relative. partial_verdict judges the running perplexity through
 scoring.classify, the one verdict rule of batch scoring.
 
 The sessions of one model share a pool, and each session is a slot in it. A
-push, and an open on one id, queues its forward row instead of running it.
-The first call that needs a queued session's new logits (that session's next
-push, its fork or cached_kv) runs every queued row of the pool in one
-forward_batch call, each row at its own position, cache slot and key range.
-Every row is bit-identical to what a lone session computes, and a queue of
-one row is a lone session's one-row call. The push that flushes carries the
-latency of the whole batch. A dropped session frees its slot, and its queued
-row is never computed. A pool is not thread-safe, so the sessions of one
-model must not be pushed from different threads, and the model must not
-change while sessions are open.
-
-Session.fork copies a session's state, so prefixes that continue differently
-share the work of their common part: the fork and the original then score as
-two sessions that were each fed the whole prefix, bit for bit.
+push, and an open on one id, queues its forward row instead of running it. A
+session's next push needs the logits of its queued row, so it first runs
+every queued row of the pool in one forward_batch call, each row at its own
+position, cache slot and key range. So sessions pushed one id each in turn
+share one call per round, as in evaluate.prefix_perplexity. Every row is
+bit-identical to what a lone session computes, and a queue of one row is a
+lone session's one-row call. The push that flushes carries the latency of the
+whole batch. A dropped session frees its slot, and its queued row is never
+computed. A pool is not thread-safe, so the sessions of one model must not be
+pushed from different threads, and the model must not change while sessions
+are open.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 import weakref
 
@@ -77,14 +73,6 @@ class _Pool:
         self.logits[slot] = None
         self._free.append(slot)
 
-    def clone(self, slot: int, n_rows: int) -> int:
-        """A new slot holding copies of slot's first n_rows cache rows, and its logits."""
-        twin = self.acquire()
-        for (k, v), (k2, v2) in zip(self.caches[slot], self.caches[twin]):
-            k2[:, :n_rows], v2[:, :n_rows] = k[:, :n_rows], v[:, :n_rows]
-        self.logits[twin] = self.logits[slot]
-        return twin
-
     def run(self, slot: int, ids: list[int], pos: int) -> None:
         """Feed ids to one slot now, in one cached call at positions [pos, pos + len(ids)).
 
@@ -95,7 +83,8 @@ class _Pool:
         self.logits[slot] = logits[0, -1]
 
     def ready(self, slot: int) -> None:
-        """Compute slot's queued row, if it has one, with every other queued row."""
+        """Before slot's session reads its logits, compute its queued row, if it has
+        one, with every other queued row of the pool in one forward_batch call."""
         if slot not in self.queue:
             return
         # A copy: the garbage collector can drop a session, and its row, while the flush runs.
@@ -156,27 +145,11 @@ class Session:
         """True once the session holds max_seq_len + 1 ids and takes no more."""
         return self._n_tokens > self.model.config.max_seq_len
 
-    def cached_kv(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
-        """Views of the key/value rows cached so far for one layer."""
-        self._pool.ready(self._slot)
-        k, v = self._pool.caches[self._slot][layer]
-        return k[0, :self._n_tokens], v[0, :self._n_tokens]
-
     @property
     def running_perplexity(self) -> float:
         if self.scored_count == 0:
             raise DomainError("no scored positions yet")
         return math.exp(self.surprisal_sum / self.scored_count)
-
-    def fork(self) -> Session:
-        """An independent session in this one's state: copies of the cache rows
-        filled so far, the surprisal sum and count and the last logits. A push
-        to either session leaves the other unchanged."""
-        self._pool.ready(self._slot)
-        twin = copy.copy(self)
-        twin._slot = self._pool.clone(self._slot, self._n_tokens)
-        weakref.finalize(twin, self._pool.release, twin._slot)
-        return twin
 
     def push(self, token_id: int) -> tuple[float, float]:
         """Score one arriving token; returns (its surprisal, running perplexity).

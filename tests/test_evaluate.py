@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trajlm import evaluate
+from trajlm import evaluate, online
 from trajlm.errors import DomainError
 from trajlm.evaluate import (
     _as_binary,
@@ -20,7 +20,7 @@ from trajlm.evaluate import (
     prefix_perplexity,
 )
 from trajlm.model import ModelConfig, init_model
-from trajlm.online import Session, open_session
+from trajlm.online import open_session
 from trajlm.scoring import ScoreReport, classify, compute_thresholds, surprisal
 from trajlm.vocab import EncodedTrajectory
 
@@ -295,11 +295,12 @@ def fresh_prefix_perplexity(model, traj, ratio):
     return session.running_perplexity
 
 
-def test_prefix_tree_walk_equals_a_fresh_session_per_cut_bit_for_bit(monkeypatch):
+def test_prefix_perplexity_equals_a_fresh_session_per_cut_bit_for_bit(monkeypatch):
     """Routes that share prefixes, repeated routes, two heads (SOT, and an agent and
-    weekday pair) and one-location cuts: the one walk reads every cut's perplexity
-    as a fresh session would, bit for bit, opening one session per head and pushing
-    each distinct prefix once."""
+    weekday pair) and one-location cuts, in windows of 3 trajectories: every cut's
+    perplexity is a fresh session's, bit for bit. Each distinct trajectory opens one
+    session, and each window makes at most one forward_batch call per depth,
+    computing each row a read needs once."""
     cfg = ModelConfig(vocab_size=12, d_model=16, n_heads=2, n_layers=2, d_ff=32, max_seq_len=24, seed=3)
     model = init_model(cfg)
     rng = np.random.default_rng(0)
@@ -308,35 +309,40 @@ def test_prefix_tree_walk_equals_a_fresh_session_per_cut_bit_for_bit(monkeypatch
         head = [1] if i % 2 else [9, 10]
         body = [int(x) for x in rng.integers(3, 6, size=int(rng.integers(1, 18)))]
         corpus.append(EncodedTrajectory(ids=head + body + [2], prefix_len=len(head), traj_id=f"t{i}"))
-    corpus += corpus[1:6]  # repeated trajectories share their whole path
+    corpus += corpus[1:6]  # repeated trajectories
     ratios = [0.01, 0.3, 0.5, 0.8, 1.0]
-    calls = {"open": 0, "push": 0}
-    real_open, real_push = open_session, Session.push
+    opened, rows = [], []
+    real_open, real_forward = open_session, online.forward_batch
 
     def counted_open(*args):
-        calls["open"] += 1
+        opened.append(args[1])
         return real_open(*args)
 
-    def counted_push(self, token_id):
-        calls["push"] += 1
-        return real_push(self, token_id)
+    def counted_forward(model, ids, **kwargs):
+        rows.append(len(ids))
+        return real_forward(model, ids, **kwargs)
 
+    window = 3
+    monkeypatch.setattr(evaluate, "_WINDOW", window)
     monkeypatch.setattr(evaluate, "open_session", counted_open)
-    monkeypatch.setattr(Session, "push", counted_push)
+    monkeypatch.setattr(online, "forward_batch", counted_forward)
     got = prefix_perplexity(model, corpus, ratios)
     monkeypatch.undo()
     assert got == [[fresh_prefix_perplexity(model, t, r) for t in corpus] for r in ratios]
-    prefixes = set()
+    distinct = []  # the first copy of each trajectory, by head and ids
     for t in corpus:
-        n_loc = len(t.ids) - t.prefix_len
-        cut = t.prefix_len + math.ceil(max(ratios) * n_loc)
-        prefixes.update(tuple(t.ids[:k]) for k in range(2, cut + 1))
-    assert calls == {"open": 2, "push": len(prefixes)}
+        if all((t.prefix_len, t.ids) != (u.prefix_len, u.ids) for u in distinct):
+            distinct.append(t)
+    assert len(distinct) < len(corpus)
+    assert opened == [t.ids[:1] for t in distinct]
+    pushes = [t.prefix_len + math.ceil(max(ratios) * (len(t.ids) - t.prefix_len)) - 1 for t in distinct]
+    assert len(rows) <= sum(max(pushes[k:k + window]) for k in range(0, len(distinct), window))
+    assert sum(rows) == sum(pushes)  # the open's row and every push's but the last
 
 
 def test_prefix_tree_walk_takes_a_path_longer_than_the_recursion_limit():
-    """The walk keeps its own stack, so a route longer than Python's recursion limit
-    is walked, and its fork deep in the path scores as fresh sessions do."""
+    """Two routes of max_seq_len + 1 ids, more than Python's recursion limit, that
+    part deep in the path: every cut scores as a fresh session's, bit for bit."""
     cfg = ModelConfig(vocab_size=6, d_model=4, n_heads=1, n_layers=1, d_ff=4, max_seq_len=1100, seed=1)
     model = init_model(cfg)
     shared = [1] + [3 + i % 3 for i in range(1050)]
@@ -345,6 +351,39 @@ def test_prefix_tree_walk_takes_a_path_longer_than_the_recursion_limit():
     assert len(corpus[0].ids) == cfg.max_seq_len + 1 > sys.getrecursionlimit()
     ratios = [0.5, 1.0]
     got = prefix_perplexity(model, corpus, ratios)
+    assert got == [[fresh_prefix_perplexity(model, t, r) for t in corpus] for r in ratios]
+
+
+@st.composite
+def _prefix_cases(draw):
+    """A tiny model and a corpus of up to 12 routes, drawn from up to 3 stems so that
+    routes share prefixes, some of them repeated, with heads of 1 and 2 ids and up to
+    max_seq_len + 1 ids."""
+    n_heads = draw(st.sampled_from([1, 2]))
+    cfg = ModelConfig(vocab_size=draw(st.integers(4, 10)), d_model=n_heads * draw(st.integers(2, 8 // n_heads)),
+                      n_heads=n_heads, n_layers=draw(st.integers(1, 2)), d_ff=draw(st.integers(4, 16)),
+                      max_seq_len=draw(st.integers(4, 20)), seed=draw(st.integers(0, 2**16)))
+    token = st.integers(1, cfg.vocab_size - 1)  # any id but PAD
+    stems = draw(st.lists(st.lists(token, min_size=2, max_size=cfg.max_seq_len + 1), min_size=1, max_size=3))
+    corpus = []
+    for i in range(draw(st.integers(1, 9))):
+        stem = draw(st.sampled_from(stems))
+        ids = (stem[:draw(st.integers(2, len(stem)))] + draw(st.lists(token, max_size=4)))[:cfg.max_seq_len + 1]
+        head = draw(st.integers(1, min(2, len(ids) - 1)))
+        corpus.append(EncodedTrajectory(ids=ids, prefix_len=head, traj_id=f"t{i}"))
+    corpus += draw(st.lists(st.sampled_from(corpus), max_size=3))
+    ratios = draw(st.lists(st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)),
+                           min_size=1, max_size=4, unique=True))
+    return init_model(cfg), corpus, ratios
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=_prefix_cases(), window=st.integers(1, 4))
+def test_prefix_perplexity_equals_fresh_sessions_on_drawn_corpora_bit_for_bit(case, window):
+    model, corpus, ratios = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluate, "_WINDOW", window)
+        got = prefix_perplexity(model, corpus, ratios)
     assert got == [[fresh_prefix_perplexity(model, t, r) for t in corpus] for r in ratios]
 
 

@@ -27,25 +27,32 @@ def _logits(s):
     return s._pool.logits[s._slot]
 
 
+def _cached_kv(s, layer):
+    """Views of a session's cached key/value rows for one layer, its queued row computed first."""
+    s._pool.ready(s._slot)
+    k, v = s._pool.caches[s._slot][layer]
+    return k[0, :len(s)], v[0, :len(s)]
+
+
 def test_open_with_sot(model):
     s = open_session(model, [1])
     assert len(s) == 1
     assert s.scored_count == 0
-    k, v = s.cached_kv(0)
+    k, v = _cached_kv(s, 0)
     assert k.shape == (1, CFG.d_model) and v.shape == (1, CFG.d_model)
 
 
 def test_open_with_agent_weekday_prefix(model):
     s = open_session(model, [5, 6])
     assert len(s) == 2
-    assert s.cached_kv(1)[0].shape == (2, CFG.d_model)
+    assert _cached_kv(s, 1)[0].shape == (2, CFG.d_model)
 
 
 def test_open_twice_identical_state(model):
     s1, s2 = open_session(model, [5, 6]), open_session(model, [5, 6])
     for layer in range(CFG.n_layers):
-        assert np.array_equal(s1.cached_kv(layer)[0], s2.cached_kv(layer)[0])
-        assert np.array_equal(s1.cached_kv(layer)[1], s2.cached_kv(layer)[1])
+        assert np.array_equal(_cached_kv(s1, layer)[0], _cached_kv(s2, layer)[0])
+        assert np.array_equal(_cached_kv(s1, layer)[1], _cached_kv(s2, layer)[1])
     assert np.array_equal(_logits(s1), _logits(s2))
 
 
@@ -86,7 +93,7 @@ def test_cache_matches_full_forward_kv(model):
         s.push(tok)
     _, cache = forward_batch(model, np.asarray(ids)[None, :], collect=True)
     for layer in range(CFG.n_layers):
-        k, v = s.cached_kv(layer)
+        k, v = _cached_kv(s, layer)
         assert np.allclose(k, _flat(cache, layer, "kh"), rtol=1e-9, atol=1e-12)
         assert np.allclose(v, _flat(cache, layer, "vh"), rtol=1e-9, atol=1e-12)
 
@@ -100,7 +107,7 @@ def test_prefill_then_push_matches_batch(model):
     assert np.max(np.abs(surprisals + batch_lp[k - 1:]) / np.abs(batch_lp[k - 1:])) < 1e-9
     _, cache = forward_batch(model, np.asarray(ids)[None, :], collect=True)
     for layer in range(CFG.n_layers):
-        k_rows, v_rows = s.cached_kv(layer)
+        k_rows, v_rows = _cached_kv(s, layer)
         assert np.allclose(k_rows, _flat(cache, layer, "kh"), rtol=1e-9, atol=1e-12)
         assert np.allclose(v_rows, _flat(cache, layer, "vh"), rtol=1e-9, atol=1e-12)
 
@@ -194,34 +201,6 @@ def test_running_perplexity_identity(model):
     assert np.isclose(s.running_perplexity, np.exp(np.mean(surprisals)), rtol=1e-12)
 
 
-def test_fork_and_its_original_diverge_each_as_a_fresh_session(model):
-    """A fork holds copies of its original's state. Pushed different continuations in
-    turn, each scores its own bit for bit as a fresh session pushed its whole prefix."""
-    prefix, ours, theirs = [1, 3, 4, 5], [6, 7, 8], [9, 10, 11]
-
-    def fresh(ids):
-        s = open_session(model, ids[:1])
-        return s, [s.push(tok) for tok in ids[1:]]
-
-    original = open_session(model, prefix[:1])
-    for tok in prefix[1:]:
-        original.push(tok)
-    fork = original.fork()
-    got = {"ours": [], "theirs": []}
-    for a, b in zip(ours, theirs):
-        got["ours"].append(original.push(a))
-        got["theirs"].append(fork.push(b))
-    for session, name, rest in ((original, "ours", ours), (fork, "theirs", theirs)):
-        ref, pushes = fresh(prefix + rest)
-        assert got[name] == pushes[len(prefix) - 1:]
-        assert (len(session), session.scored_count, session.surprisal_sum) == \
-            (len(ref), ref.scored_count, ref.surprisal_sum)
-        assert np.array_equal(_logits(session), _logits(ref))
-        for layer in range(CFG.n_layers):
-            assert np.array_equal(session.cached_kv(layer)[0], ref.cached_kv(layer)[0])
-            assert np.array_equal(session.cached_kv(layer)[1], ref.cached_kv(layer)[1])
-
-
 @st.composite
 def _tiny_configs(draw):
     n_heads = draw(st.sampled_from([1, 2, 4]))
@@ -231,7 +210,7 @@ def _tiny_configs(draw):
                        max_seq_len=draw(st.integers(3, 16)), seed=draw(st.integers(0, 2**16)))
 
 
-_OPS = st.tuples(st.sampled_from(["open", "open", "push", "push", "push", "push", "push", "fork", "drop", "ppl"]),
+_OPS = st.tuples(st.sampled_from(["open", "open", "push", "push", "push", "push", "push", "drop", "ppl"]),
                  st.integers(0, 7), st.integers(0, 2**16))
 
 
@@ -242,8 +221,8 @@ def _state(s):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(cfg=_tiny_configs(), ops=st.lists(_OPS, min_size=10, max_size=60))
 def test_interleaved_sessions_each_equal_a_lone_session_bit_for_bit(cfg, ops):
-    """Up to 8 sessions of one model, opened on 1 or 2 ids, pushed, forked, dropped
-    and read in any order, flush their queued rows together. Each session's pushes,
+    """Up to 8 sessions of one model, opened on 1 or 2 ids, pushed, dropped and read
+    in any order, flush their queued rows together. Each session's pushes,
     len, scored count and surprisal sum equal those of a fresh session of a copy of
     the model (a pool of its own) pushed the same ids alone, bit for bit, and its
     surprisals match token_log_probs within C04's 1e-9."""
@@ -257,9 +236,7 @@ def test_interleaved_sessions_each_equal_a_lone_session_bit_for_bit(cfg, ops):
         if not live:
             continue
         session, cond, pushed, results = live[pick % len(live)]
-        if op == "fork" and len(live) < 8:
-            live.append([session.fork(), cond, list(pushed), list(results)])
-        elif op == "drop":
+        if op == "drop":
             ended.append((cond, pushed, results, _state(session)))
             del live[pick % len(live)], session  # its last references: the session is dropped here
         elif op == "ppl" and results:
