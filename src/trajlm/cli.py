@@ -8,7 +8,8 @@ file of a preset (pol_corpora, porto_corpora) before it creates the output
 directory, so a rejected config leaves nothing behind. Run values come from
 the config file alone (the code holds no fallback), and the threshold scope is
 the --scope flag. Artifacts embed the config hash and tool version. Exit codes:
-0 success, 1 usage/config error, 2 data or model error. On glibc, main first
+0 success, 1 usage/config error, 2 data or model error. A library warning is
+printed as one `warning: <message>` line on stderr. On glibc, main first
 asks the allocator to keep freed heap pages (_keep_freed_heap_pages), so
 training steps reuse their memory.
 """
@@ -21,6 +22,7 @@ import csv
 import ctypes
 import hashlib
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -561,20 +563,27 @@ def _keep_freed_heap_pages() -> None:
     mallopt(M_TOP_PAD, HEAP_TOP_PAD)
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """warnings.showwarning for the CLI: the message alone, with no source location."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     _keep_freed_heap_pages()
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-        return args.fn(args)
-    except SystemExit as e:
-        return int(e.code or 0)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (TrajLMError, DataError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DATA
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            args = parser.parse_args(argv)
+            return args.fn(args)
+        except SystemExit as e:
+            return int(e.code or 0)
+        except ConfigError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return EXIT_USAGE
+        except (TrajLMError, DataError, OSError) as e:
+            print(f"error: {e}", file=sys.stderr)
+            return EXIT_DATA
 
 
 if __name__ == "__main__":

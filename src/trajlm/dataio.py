@@ -77,17 +77,28 @@ def encode_record(rec: CorpusRecord, vocab: Vocab) -> EncodedTrajectory:
     return encode([*head, *rec.tokens, EOT], vocab, len(head), traj_id=rec.traj_id, agent=rec.agent)
 
 
-def record_tokens(texts, path, lineno: int) -> list[Token]:
+def record_tokens(texts, path, lineno: int, known: dict[str, Token] | None = None) -> list[Token]:
     """The tokens of 'kind:value' texts, as a record's `tokens` may hold them: none of
-    FRAMING_KINDS. Any other text is a DataError naming path:lineno."""
-    try:
-        tokens = [Token.parse(t) for t in texts]
-    except DomainError as e:
-        raise DataError(f"{path}:{lineno}: {e}") from e
-    for token in tokens:
-        if token.kind in FRAMING_KINDS:
-            raise DataError(f"{path}:{lineno}: tokens may not hold {str(token)!r}, "
-                            "which the encoder or the agent and weekday fields supply")
+    FRAMING_KINDS. Any other text is a DataError naming path:lineno.
+
+    known maps texts already accepted to their tokens, which are frozen and so
+    shared; a text found there is not parsed again, and each new one accepted
+    is added to it.
+    """
+    known = {} if known is None else known
+    tokens = []
+    for text in texts:
+        token = known.get(text) if isinstance(text, str) else None
+        if token is None:
+            try:
+                token = Token.parse(text)
+            except DomainError as e:
+                raise DataError(f"{path}:{lineno}: {e}") from e
+            if token.kind in FRAMING_KINDS:
+                raise DataError(f"{path}:{lineno}: tokens may not hold {str(token)!r}, "
+                                "which the encoder or the agent and weekday fields supply")
+            known[text] = token
+        tokens.append(token)
     return tokens
 
 
@@ -130,6 +141,7 @@ def read_corpus(path) -> list[CorpusRecord]:
     line is a DataError naming it."""
     records = []
     first_line: dict[str, int] = {}
+    known: dict[str, Token] = {}  # each distinct token text is parsed once
     with decoding(path), open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -148,7 +160,7 @@ def read_corpus(path) -> list[CorpusRecord]:
             try:
                 rec = CorpusRecord(
                     traj_id=obj["id"],
-                    tokens=record_tokens(obj["tokens"], path, lineno),
+                    tokens=record_tokens(obj["tokens"], path, lineno, known),
                     agent=obj.get("agent"),
                     weekday=obj.get("weekday"),
                 )
@@ -300,12 +312,14 @@ def write_surprisals(path, reports: list[ScoreReport], vocab: Vocab,
                      encoded: list[EncodedTrajectory], config_hash: str = "") -> None:
     """Per-position dump: id,pos,token,surprisal (one row per scored token).
 
-    reports[i] is the report of encoded[i], as score_corpus returns them.
+    reports[i] is the report of encoded[i], as score_corpus returns them. Each
+    token's text is built once per vocab id.
     """
+    names = [str(vocab.token(i)) for i in range(len(vocab))]
     rows = (
-        [r.traj_id, pos, vocab.token(t.ids[pos]), float(value)]
+        [r.traj_id, pos, names[t.ids[pos]], value]
         for r, t in zip(reports, encoded, strict=True)
-        for value, pos in zip(r.surprisal.values, r.surprisal.target_positions)
+        for pos, value in zip(r.surprisal.target_positions, r.surprisal.values.tolist())
     )
     write_csv(path, ["id", "pos", "token", "surprisal"], rows, config_hash)
 

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DomainError
 from .model import Model, check_lengths
 from .online import open_session
-from .scoring import ScoreReport, ThresholdTable, classify, score_corpus
+from .scoring import ScoreReport, ThresholdTable, classify, first_copies, score_corpus
 from .vocab import EncodedTrajectory
 
 
@@ -140,8 +140,8 @@ def prefix_perplexity(
     as one list per ratio in corpus order.
 
     The conditioning prefix is always kept, and the perplexity is a session's
-    opened on ids[:1] and pushed the rest of the cut. A repeated trajectory,
-    the same head and ids, takes its first copy's values. The distinct ones
+    opened on ids[:1] and pushed the rest of the cut. A repeated trajectory
+    takes its first copy's values (scoring.first_copies). The distinct ones
     are taken _WINDOW at a time, one session each, and the sessions move in
     lockstep: at each depth every live session is pushed its next id, so the
     model's session pool runs the depth's rows in one forward_batch call. A
@@ -158,8 +158,8 @@ def prefix_perplexity(
         reads.append({})
         for j, ratio in enumerate(ratios):
             reads[-1].setdefault(traj.prefix_len + math.ceil(ratio * n_loc), []).append(j)
-    first: dict[tuple, int] = {}  # (head length, *ids) -> the index of its first copy
-    distinct = [i for i, t in enumerate(corpus) if first.setdefault((t.prefix_len, *t.ids), i) == i]
+    first = first_copies(corpus)
+    distinct = [i for i, f in enumerate(first) if f == i]
     out = [[math.nan] * len(corpus) for _ in ratios]
     for start in range(0, len(distinct), _WINDOW):
         live = [(i, open_session(model, corpus[i].ids[:1])) for i in distinct[start:start + _WINDOW] if reads[i]]
@@ -171,10 +171,7 @@ def prefix_perplexity(
                 for j in reads[i].get(depth, ()):
                     out[j][i] = session.running_perplexity
             live = [(i, session) for i, session in live if depth < max(reads[i])]
-    for values in out:
-        for i, traj in enumerate(corpus):
-            values[i] = values[first[traj.prefix_len, *traj.ids]]
-    return out
+    return [[values[f] for f in first] for values in out]
 
 
 def completion_ratio_eval(

@@ -7,13 +7,16 @@ itself a prediction target. Perplexity is exp of the mean surprisal over those s
 so a perfectly predicted trajectory scores exactly 1.
 
 `token_log_probs` is the one scoring kernel: one forward call over a batch of
-equal-length id rows. `score_corpus` is the batch entry point. It groups the
-corpus by length and makes one forward call per exact-length chunk of at most
-CHUNK_TOKENS positions; `surprisal` calls the same kernel with one row. No row
-is padded, so a trajectory's trace is the same bits in any chunk, and a
-`surprisal(...).perplexity` equals `score_corpus`'s bit for bit through the one
-formula, `SurprisalTrace.perplexity`. One trace per trajectory gives its perplexity,
-threshold fit, verdict and localization.
+equal-length id rows. `score_corpus` is the batch entry point. It computes a
+repeated trajectory (the same head length and ids, as `first_copies` decides)
+once, groups the distinct ones by length and makes one forward call per
+exact-length chunk of at most CHUNK_TOKENS positions; `surprisal` calls the
+same kernel with one row. No row is padded, so a trajectory's trace is the same
+bits in any chunk, and a `surprisal(...).perplexity` equals `score_corpus`'s
+bit for bit through the one formula, `SurprisalTrace.perplexity`. One trace per
+trajectory gives its perplexity, threshold fit, verdict and localization; a
+repeat takes its first copy's trace, and threshold fits still count every
+trajectory.
 
 A threshold table stores only its fits, from which `threshold_for` computes
 each cutoff; a report's verdict is likewise computed from its perplexity and
@@ -151,22 +154,34 @@ def classify(
     return ScoreReport(traj_id, ppl, table.threshold_for(scope, agent), agent=agent, surprisal=trace)
 
 
+def first_copies(corpus: list[EncodedTrajectory]) -> list[int]:
+    """For each trajectory, the index of its first copy in corpus: the first
+    trajectory with the same head length and ids. A trajectory is its own first
+    copy when no earlier one repeats it; agent and traj_id play no part."""
+    first: dict[tuple, int] = {}
+    return [first.setdefault((t.prefix_len, *t.ids), i) for i, t in enumerate(corpus)]
+
+
 def score_corpus(model: Model, corpus: list[EncodedTrajectory], scope: str = "global",
                  table: ThresholdTable | None = None) -> tuple[list[ScoreReport], ThresholdTable]:
     """Score every trajectory from one surprisal trace each; returns (reports, table).
 
-    Trajectories are grouped by length and each group is scored in chunks of
-    CHUNK_TOKENS // (length - 1) rows (at least one), one token_log_probs call
-    per chunk; reports come back in corpus order. check_lengths runs on the
-    whole corpus before the first forward call. With table None, thresholds
-    are fitted on these same perplexities, with per-agent entries under scope
-    'per_agent' for the agents the corpus has. Every report carries its trace.
+    Only first copies (first_copies) are computed: they are grouped by length
+    and each group is scored in chunks of CHUNK_TOKENS // (length - 1) rows (at
+    least one), one token_log_probs call per chunk. A repeat shares its first
+    copy's trace and perplexity, and reports come back in corpus order, each
+    with its own id and agent. check_lengths runs on the whole corpus before
+    the first forward call. With table None, thresholds are fitted on one
+    perplexity per trajectory, repeats included, with per-agent entries under
+    scope 'per_agent' for the agents the corpus has. Every report carries its trace.
     """
     check_lengths(model, corpus)
+    first = first_copies(corpus)
     by_length: dict[int, list[int]] = {}
     for i, t in enumerate(corpus):
-        by_length.setdefault(len(t.ids), []).append(i)
-    traces: list[SurprisalTrace | None] = [None] * len(corpus)
+        if first[i] == i:
+            by_length.setdefault(len(t.ids), []).append(i)
+    traces: dict[int, SurprisalTrace] = {}
     for length, members in by_length.items():
         rows = max(1, CHUNK_TOKENS // (length - 1))
         for start in range(0, len(members), rows):
@@ -174,11 +189,12 @@ def score_corpus(model: Model, corpus: list[EncodedTrajectory], scope: str = "gl
             log_probs = token_log_probs(model, [corpus[i].ids for i in chunk])
             for i, lp in zip(chunk, log_probs):
                 traces[i] = SurprisalTrace(-lp)
-    ppls = [trace.perplexity for trace in traces]
+    distinct_ppls = {i: trace.perplexity for i, trace in traces.items()}
+    ppls = [distinct_ppls[f] for f in first]
     if table is None:
         table = compute_thresholds(ppls, [t.agent for t in corpus] if scope == "per_agent" else None)
     reports = [
-        classify(t.traj_id, ppl, table, scope=scope, agent=t.agent, trace=trace)
-        for t, ppl, trace in zip(corpus, ppls, traces)
+        classify(t.traj_id, ppl, table, scope=scope, agent=t.agent, trace=traces[f])
+        for t, ppl, f in zip(corpus, ppls, first)
     ]
     return reports, table

@@ -281,6 +281,23 @@ def test_score_fit_thresholds_and_eval_composability(pol_pipeline):
                                      "eval_b.csv": None, "loss.csv": None})
 
 
+def test_score_prints_a_library_warning_as_one_line(pol_pipeline, capsys):
+    """An agent with a single day gets no per-agent fit: stderr holds that warning as
+    one line, with no source path or line, then the error its missing fit causes."""
+    p = pol_pipeline
+    records = dataio.read_corpus(p["corpus"])
+    lone = records[-1]
+    corpus = p["tmp"] / "lone.jsonl"
+    dataio.write_corpus(corpus, [r for r in records if r.agent != lone.agent] + [lone])
+    capsys.readouterr()
+    assert run("score", "--checkpoint", p["ckpt"], "--vocab", p["vocab"], "--corpus", corpus,
+               "--out", p["tmp"] / "scores.csv", "--fit-thresholds", "--scope", "per_agent") == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: threshold entry {lone.agent!r} omitted: only 1 sample(s)",
+        f"error: agent {lone.agent!r} has no per-agent threshold; score with scope='global' instead",
+    ]
+
+
 def test_eval_reads_only_a_scores_file(pol_pipeline, capsys):
     p = pol_pipeline
     scores, thresholds = p["tmp"] / "scores.csv", p["tmp"] / "thresholds.csv"

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trajlm import scoring
 from trajlm.errors import DomainError
+from trajlm.evaluate import completion_ratio_eval, global_eval
 from trajlm.model import ModelConfig, init_model
 from trajlm.scoring import (
     CHUNK_TOKENS,
@@ -281,3 +284,81 @@ def test_score_corpus_fits_thresholds_on_its_own_perplexities():
     assert set(table.fits) == {None}
     assert table == compute_thresholds(ppls)
     assert all(r.threshold == table.threshold_for("global") for r in reports)
+
+
+def test_score_corpus_computes_each_distinct_trajectory_once(monkeypatch):
+    """Repeats under one agent or under two share their first copy's forward rows,
+    while the same ids under another head length are a distinct trajectory. Every
+    report is a one-row surprisal's, bit for bit, and the threshold fits count
+    every trajectory, repeats included."""
+    cfg = ModelConfig(vocab_size=12, d_model=8, n_heads=2, n_layers=1, d_ff=16, max_seq_len=12, seed=6)
+    m = init_model(cfg)
+    distinct = [([1, 3, 4, 5, 2], 1), ([9, 10, 4, 4, 2], 2), ([9, 10, 4, 4, 2], 1), ([1, 6, 2], 1)]
+    picks = [(0, "a"), (1, "a"), (0, "b"), (2, "b"), (0, "a"), (3, "b"), (1, "b"), (3, "a"), (2, "b")]
+    corpus = [
+        EncodedTrajectory(ids=list(distinct[k][0]), prefix_len=distinct[k][1], traj_id=f"t{i}", agent=agent)
+        for i, (k, agent) in enumerate(picks)
+    ]
+    rows = []
+    real = scoring.forward_batch
+
+    def counting(model, ids, *args, **kwargs):
+        rows.append(len(ids))
+        return real(model, ids, *args, **kwargs)
+
+    monkeypatch.setattr(scoring, "forward_batch", counting)
+    reports, table = score_corpus(m, corpus, scope="per_agent")
+    monkeypatch.undo()
+    assert sum(rows) == len(distinct) < len(corpus)
+    for t, report in zip(corpus, reports):
+        alone = surprisal(m, t)
+        assert (report.traj_id, report.agent) == (t.traj_id, t.agent)
+        assert np.array_equal(report.surprisal.values, alone.values)
+        assert report.perplexity == alone.perplexity
+    ppls = [surprisal(m, t).perplexity for t in corpus]
+    agents = [t.agent for t in corpus]
+    assert table == compute_thresholds(ppls, agents)
+    assert table.fits[None][2] == table.fits["a"][2] + table.fits["b"][2] == len(corpus)
+    assert [r.threshold for r in reports] == [table.threshold_for("per_agent", a) for a in agents]
+    _, table = score_corpus(m, corpus)
+    assert table == compute_thresholds(ppls)
+    assert table.fits[None][2] == len(corpus)
+
+
+@st.composite
+def _scoring_cases(draw):
+    """A tiny model and a corpus of 2 to 12 trajectories drawn from up to 3 stems, so
+    that trajectories share prefixes, some repeated under another id or agent, with
+    heads of 1 and 2 ids and up to max_seq_len + 1 ids; and truth labels with at
+    least one anomalous trajectory."""
+    n_heads = draw(st.sampled_from([1, 2]))
+    cfg = ModelConfig(vocab_size=draw(st.integers(4, 10)), d_model=n_heads * draw(st.integers(2, 8 // n_heads)),
+                      n_heads=n_heads, n_layers=draw(st.integers(1, 2)), d_ff=draw(st.integers(4, 16)),
+                      max_seq_len=draw(st.integers(4, 20)), seed=draw(st.integers(0, 2**16)))
+    token = st.integers(1, cfg.vocab_size - 1)  # any id but PAD
+    stems = draw(st.lists(st.lists(token, min_size=2, max_size=cfg.max_seq_len + 1), min_size=1, max_size=3))
+    agent = st.sampled_from(["a", "b"])
+    drawn = []
+    for _ in range(draw(st.integers(2, 9))):
+        stem = draw(st.sampled_from(stems))
+        ids = (stem[:draw(st.integers(2, len(stem)))] + draw(st.lists(token, max_size=4)))[:cfg.max_seq_len + 1]
+        drawn.append((ids, draw(st.integers(1, min(2, len(ids) - 1))), draw(agent)))
+    drawn += [(ids, head, draw(agent)) for ids, head, _ in draw(st.lists(st.sampled_from(drawn), max_size=3))]
+    corpus = [EncodedTrajectory(ids=list(ids), prefix_len=head, traj_id=f"t{i}", agent=a)
+              for i, (ids, head, a) in enumerate(drawn)]
+    labels = draw(st.lists(st.sampled_from(["normal", "anomalous"]), min_size=len(corpus), max_size=len(corpus)))
+    labels[draw(st.integers(0, len(corpus) - 1))] = "anomalous"
+    return init_model(cfg), corpus, {t.traj_id: label for t, label in zip(corpus, labels)}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=_scoring_cases())
+def test_score_corpus_equals_one_row_traces_and_ratio_one_completion_on_drawn_corpora(case):
+    model, corpus, truth = case
+    reports, table = score_corpus(model, corpus)
+    for t, report in zip(corpus, reports):
+        alone = surprisal(model, t)
+        assert np.array_equal(report.surprisal.values, alone.values)
+        assert report.perplexity == alone.perplexity
+    rep = global_eval(reports, truth)
+    assert completion_ratio_eval(model, corpus, truth, [1.0], table) == {1.0: (rep.f1, rep.pr_auc)}
