@@ -146,8 +146,11 @@ def prefix_perplexity(
     lockstep: at each depth every live session is pushed its next id, so the
     model's session pool runs the depth's rows in one forward_batch call. A
     perplexity is read where its cut ends, and a session leaves once its
-    longest cut is read. A pooled row is bit-identical to a lone session's, so
-    every value equals that of a fresh session pushed its cut, bit for bit.
+    longest cut is read. The distinct trajectories are taken in order of their
+    longest cut, longest first and ties by index, so a window's sessions leave
+    close together and its depths keep most of their rows. A pooled row is
+    bit-identical to a lone session's, so every value equals that of a fresh
+    session pushed its cut, bit for bit, in any order.
     """
     for ratio in ratios:
         if not 0.0 < ratio <= 1.0:
@@ -159,10 +162,10 @@ def prefix_perplexity(
         for j, ratio in enumerate(ratios):
             reads[-1].setdefault(traj.prefix_len + math.ceil(ratio * n_loc), []).append(j)
     first = first_copies(corpus)
-    distinct = [i for i, f in enumerate(first) if f == i]
+    distinct = sorted((i for i, f in enumerate(first) if f == i and reads[i]), key=lambda i: (-max(reads[i]), i))
     out = [[math.nan] * len(corpus) for _ in ratios]
     for start in range(0, len(distinct), _WINDOW):
-        live = [(i, open_session(model, corpus[i].ids[:1])) for i in distinct[start:start + _WINDOW] if reads[i]]
+        live = [(i, open_session(model, corpus[i].ids[:1])) for i in distinct[start:start + _WINDOW]]
         depth = 1
         while live:
             depth += 1

@@ -16,16 +16,23 @@ scoring.classify, the one verdict rule of batch scoring.
 
 The sessions of one model share a pool, and each session is a slot in it. A
 push, and an open on one id, queues its forward row instead of running it. A
-session's next push needs the logits of its queued row, so it first runs
-every queued row of the pool in one forward_batch call, each row at its own
-position, cache slot and key range. So sessions pushed one id each in turn
-share one call per round, as in evaluate.prefix_perplexity. Every row is
+session's next push needs the log-probabilities of its queued row, so it
+first runs every queued row of the pool in one forward_batch call, each row at
+its own position and cache slot, and takes log_softmax of the flush's stacked
+logits in one call; a push then only reads its token's entry. So sessions
+pushed one id each in turn share one call per round, as in
+evaluate.prefix_perplexity. A one-id row attends over its cache's first
+model._key_width(pos) keys, pos + 1 rounded up to a multiple of
+model.KEY_CLASS, with the keys past pos masked, so a flush runs attention once
+per width class; a lone session reads the same keys, so every row is
 bit-identical to what a lone session computes, and a queue of one row is a
-lone session's one-row call. The push that flushes carries the latency of the
-whole batch. A dropped session frees its slot, and its queued row is never
-computed. A pool is not thread-safe, so the sessions of one model must not be
-pushed from different threads, and the model must not change while sessions
-are open.
+lone session's one-row call. The masked rows must be finite: a slot's buffers
+start zeroed, and a reused slot holds an earlier session's rows. Padding the
+keys changes only the BLAS summation order, so results stay within 1e-9 of
+batch scoring. The push that flushes carries the latency of the whole batch. A
+dropped session frees its slot, and its queued row is never computed. A pool
+is not thread-safe, so the sessions of one model must not be pushed from
+different threads, and the model must not change while sessions are open.
 """
 
 from __future__ import annotations
@@ -43,18 +50,22 @@ from .scoring import ScoreReport, ThresholdTable, classify
 class _Pool:
     """The key/value cache slots of one model's sessions, and the rows queued for them.
 
-    A slot holds, per layer, (1, max_seq_len, d_model) key and value buffers,
-    the cache a one-row forward_batch call takes, and the logits of the last
-    position computed. The queue maps a slot to the (token id, position) of
-    its one pending row. A released slot keeps its buffers for the next
-    session, so the pool holds as many slots as sessions were ever open at
-    once; a session writes every cache row before it reads it.
+    A slot holds, per layer, a (1, max_seq_len, 2 * d_model) buffer of key and
+    value rows, the cache a one-row forward_batch call takes, and the
+    log-probabilities of the next token after the last position computed. The
+    queue maps a slot to the (token id, position) of its one pending row. A
+    released slot keeps its buffers for the next session, and the pool lives as
+    long as its model, so it holds as many slots as sessions of the model were
+    ever open at once. A one-column call reads masked cache rows past its
+    position, which must be finite: buffers start zeroed, and a reused slot
+    holds an earlier session's rows. The pool refers to its model weakly, so
+    that it does not keep the model alive.
     """
 
     def __init__(self, model: Model):
-        self.model = model
-        self.caches: list[list[tuple[np.ndarray, np.ndarray]]] = []
-        self.logits: list[np.ndarray | None] = []
+        self.model = weakref.proxy(model)
+        self.caches: list[list[np.ndarray]] = []
+        self.logp: list[np.ndarray | None] = []
         self.queue: dict[int, tuple[int, int]] = {}
         self._free: list[int] = []
 
@@ -62,15 +73,14 @@ class _Pool:
         if self._free:
             return self._free.pop()
         cfg = self.model.config
-        shape = (1, cfg.max_seq_len, cfg.d_model)
-        self.caches.append([(np.empty(shape, dtype=DTYPE), np.empty(shape, dtype=DTYPE))
-                            for _ in range(cfg.n_layers)])
-        self.logits.append(None)
+        shape = (1, cfg.max_seq_len, 2 * cfg.d_model)
+        self.caches.append([np.zeros(shape, dtype=DTYPE) for _ in range(cfg.n_layers)])
+        self.logp.append(None)
         return len(self.caches) - 1
 
     def release(self, slot: int) -> None:
         self.queue.pop(slot, None)
-        self.logits[slot] = None
+        self.logp[slot] = None
         self._free.append(slot)
 
     def run(self, slot: int, ids: list[int], pos: int) -> None:
@@ -80,11 +90,12 @@ class _Pool:
         row, so a rejected call leaves the slot unchanged.
         """
         logits, _ = forward_batch(self.model, [ids], kv=self.caches[slot], pos=pos)
-        self.logits[slot] = logits[0, -1]
+        self.logp[slot] = log_softmax(logits[:, -1])[0]
 
     def ready(self, slot: int) -> None:
-        """Before slot's session reads its logits, compute its queued row, if it has
-        one, with every other queued row of the pool in one forward_batch call."""
+        """Before slot's session reads its log-probabilities, compute its queued row,
+        if it has one, with every other queued row of the pool in one forward_batch
+        call and one log_softmax call."""
         if slot not in self.queue:
             return
         # A copy: the garbage collector can drop a session, and its row, while the flush runs.
@@ -95,19 +106,22 @@ class _Pool:
         else:
             ids, pos = np.array(list(rows.values())).T
             logits, _ = forward_batch(self.model, ids[:, None], kv=[self.caches[s] for s in rows], pos=pos)
-            for s, row in zip(rows, logits):
-                self.logits[s] = row[-1]
+            for s, row in zip(rows, log_softmax(logits[:, -1])):
+                self.logp[s] = row
         self.queue.clear()
 
 
-# One pool per live model object; a pool holds its model, so the id is not reused while it lives.
-_POOLS: weakref.WeakValueDictionary[int, _Pool] = weakref.WeakValueDictionary()
+# One pool per live model object, dropped when the model is collected, before its id can be
+# reused. Kept between sessions, a pool's slots skip allocating and zeroing their buffers again:
+# that took about 5 % of a round of 64 interleaved porto-shaped sessions.
+_POOLS: dict[int, _Pool] = {}
 
 
 def _pool_of(model: Model) -> _Pool:
     pool = _POOLS.get(id(model))
     if pool is None:
         pool = _POOLS[id(model)] = _Pool(model)
+        weakref.finalize(model, _POOLS.pop, id(model), None)
     return pool
 
 
@@ -165,7 +179,7 @@ class Session:
             raise SessionFullError(f"session already holds max_seq_len + 1 = {max_seq_len + 1} tokens")
         _check_id(self.model, token_id)
         self._pool.ready(self._slot)
-        s = float(-log_softmax(self._pool.logits[self._slot])[token_id])
+        s = float(-self._pool.logp[self._slot][token_id])
         if self._n_tokens < max_seq_len:
             self._pool.queue[self._slot] = (int(token_id), self._n_tokens)
         self._n_tokens += 1

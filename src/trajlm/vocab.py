@@ -69,14 +69,19 @@ _SPECIALS = (PAD, SOT, EOT)
 
 
 class Vocab:
-    """Immutable bijection between tokens and dense integer ids."""
+    """Immutable bijection between tokens and dense integer ids.
+
+    Ids are looked up by a token's (kind, value) pair, a tuple of strings that
+    hashes and compares in C, rather than by the Token dataclass, whose hash
+    and equality run Python code on every lookup.
+    """
 
     def __init__(self, tokens: Sequence[Token]):
         if tuple(tokens[:3]) != _SPECIALS:
             raise DomainError("vocab must start with PAD, SOT, EOT")
         self._id_to_token: tuple[Token, ...] = tuple(tokens)
-        self._token_to_id: dict[Token, int] = {t: i for i, t in enumerate(tokens)}
-        if len(self._token_to_id) != len(self._id_to_token):
+        self._key_to_id: dict[tuple[str, str], int] = {(t.kind, t.value): i for i, t in enumerate(tokens)}
+        if len(self._key_to_id) != len(self._id_to_token):
             raise DomainError("vocab contains duplicate tokens")
 
     def __len__(self) -> int:
@@ -87,9 +92,18 @@ class Vocab:
 
     def id(self, token: Token) -> int:
         try:
-            return self._token_to_id[token]
+            return self._key_to_id[token.kind, token.value]
         except KeyError:
             raise VocabError(f"token {str(token)!r} is not in the vocabulary") from None
+
+    def ids(self, tokens: Sequence[Token]) -> list[int]:
+        """The id of each token, in order; the first unknown one is a VocabError, as in id."""
+        try:
+            return [self._key_to_id[t.kind, t.value] for t in tokens]
+        except KeyError:
+            for t in tokens:
+                self.id(t)
+            raise
 
     def token(self, token_id: int) -> Token:
         if not 0 <= token_id < len(self._id_to_token):
@@ -183,7 +197,7 @@ def encode(
     The tokens are encoded as given: the caller supplies the head and EOT.
     Raises VocabError naming the first unknown token; there is no UNK fallback.
     """
-    return EncodedTrajectory(ids=[vocab.id(t) for t in tokens], prefix_len=prefix_len,
+    return EncodedTrajectory(ids=vocab.ids(tokens), prefix_len=prefix_len,
                              traj_id=traj_id, agent=agent)
 
 

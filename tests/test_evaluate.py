@@ -299,8 +299,9 @@ def test_prefix_perplexity_equals_a_fresh_session_per_cut_bit_for_bit(monkeypatc
     """Routes that share prefixes, repeated routes, two heads (SOT, and an agent and
     weekday pair) and one-location cuts, in windows of 3 trajectories: every cut's
     perplexity is a fresh session's, bit for bit. Each distinct trajectory opens one
-    session, and each window makes at most one forward_batch call per depth,
-    computing each row a read needs once."""
+    session, longest cut first and ties in corpus order, and each window makes one
+    forward_batch call per depth of its longest cut, computing each row a read
+    needs once."""
     cfg = ModelConfig(vocab_size=12, d_model=16, n_heads=2, n_layers=2, d_ff=32, max_seq_len=24, seed=3)
     model = init_model(cfg)
     rng = np.random.default_rng(0)
@@ -334,9 +335,10 @@ def test_prefix_perplexity_equals_a_fresh_session_per_cut_bit_for_bit(monkeypatc
         if all((t.prefix_len, t.ids) != (u.prefix_len, u.ids) for u in distinct):
             distinct.append(t)
     assert len(distinct) < len(corpus)
-    assert opened == [t.ids[:1] for t in distinct]
     pushes = [t.prefix_len + math.ceil(max(ratios) * (len(t.ids) - t.prefix_len)) - 1 for t in distinct]
-    assert len(rows) <= sum(max(pushes[k:k + window]) for k in range(0, len(distinct), window))
+    order = sorted(range(len(distinct)), key=lambda k: -pushes[k])  # a stable sort: ties in corpus order
+    assert opened == [distinct[k].ids[:1] for k in order]
+    assert len(rows) == sum(pushes[k] for k in order[::window])  # each window's longest session
     assert sum(rows) == sum(pushes)  # the open's row and every push's but the last
 
 

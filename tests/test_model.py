@@ -5,6 +5,7 @@ import pytest
 
 from trajlm.errors import ConfigError, DomainError
 from trajlm.model import (
+    KEY_CLASS,
     ModelConfig,
     backward,
     forward_batch,
@@ -404,7 +405,7 @@ def test_forward_batch_keep_is_a_row_prefix_without_a_cache():
     assert np.allclose(packed, padded[keep], rtol=1e-12, atol=1e-14)
     with pytest.raises(DomainError, match="prefix"):
         forward_batch(m, ids, keep=np.array([[True, False, True, True], [True, True, False, False]]))
-    kv = [(np.zeros((2, TINY.max_seq_len, TINY.d_model)),) * 2 for _ in range(TINY.n_layers)]
+    kv = [np.zeros((2, TINY.max_seq_len, 2 * TINY.d_model)) for _ in range(TINY.n_layers)]
     with pytest.raises(DomainError, match="kv"):
         forward_batch(m, ids, kv=kv, keep=keep)
 
@@ -431,41 +432,64 @@ def test_in_place_attention_writes_only_its_own_temporaries():
     backward(m, ids)
     _assert_bits_unchanged(before, params + [ids, keep])
 
-    kv = [(np.zeros((3, PACK.max_seq_len, PACK.d_model)), np.zeros((3, PACK.max_seq_len, PACK.d_model)))
-          for _ in range(PACK.n_layers)]
+    kv = [np.zeros((3, PACK.max_seq_len, 2 * PACK.d_model)) for _ in range(PACK.n_layers)]
     forward_batch(m, inputs[:, :3], kv=kv)
     for pos, t_new in ((3, 2), (5, 1)):  # several new rows under the mask, then one
         chunk = inputs[:, pos : pos + t_new]
-        cached = [(k[:, :pos].copy(), v[:, :pos].copy()) for k, v in kv]
+        cached = [buf[:, :pos].copy() for buf in kv]
         before = _snapshot(*params, chunk)
         forward_batch(m, chunk, kv=kv, pos=pos)
         _assert_bits_unchanged(before, params + [chunk])
-        for (k, v), (k0, v0) in zip(kv, cached):
-            _assert_bits_unchanged([k0, v0], [k[:, :pos], v[:, :pos]])
+        _assert_bits_unchanged(cached, [buf[:, :pos] for buf in kv])
 
 
-def test_forward_batch_per_row_positions_equal_one_row_calls_bit_for_bit():
-    """Rows at positions 2, 0, 2 and 5, each on its own cache (two share a position),
-    in one call give the logits and cache rows of one one-row call each."""
-    m = tiny_model()
+LONG = ModelConfig(vocab_size=20, d_model=8, n_heads=2, n_layers=2, d_ff=16, max_seq_len=2 * KEY_CLASS + 3, seed=5)
+
+
+def _zeroed_cache(cfg):
+    return [np.zeros((1, cfg.max_seq_len, 2 * cfg.d_model)) for _ in range(cfg.n_layers)]
+
+
+def _assert_per_row_equals_one_row_calls(cfg, lengths, stale):
+    """Rows at positions lengths - 1, each on its own cache, in one call give the logits
+    and cache rows of one one-row call each on a zeroed cache. With stale, each
+    pooled cache first holds another sequence's rows, which past the row's position
+    stay in place and add nothing."""
+    m = init_model(cfg)
     rng = np.random.default_rng(6)
-    seqs = [[int(t) for t in rng.integers(1, TINY.vocab_size, size=n)] for n in (3, 1, 3, 6)]
-    shape = (1, TINY.max_seq_len, TINY.d_model)
+    seqs = [[int(t) for t in rng.integers(1, cfg.vocab_size, size=n)] for n in lengths]
 
-    def cache_of(prefix):
-        kv = [(np.zeros(shape), np.zeros(shape)) for _ in range(TINY.n_layers)]
+    def cache_of(prefix, stale=False):
+        kv = _zeroed_cache(cfg)
+        if stale:
+            forward_batch(m, rng.integers(1, cfg.vocab_size, size=(1, cfg.max_seq_len)), kv=kv)
         if prefix:
             forward_batch(m, [prefix], kv=kv)
         return kv
 
     lone_kv = [cache_of(seq[:-1]) for seq in seqs]
     lone = [forward_batch(m, [seq[-1:]], kv=kv, pos=len(seq) - 1)[0][0] for seq, kv in zip(seqs, lone_kv)]
-    kv = [cache_of(seq[:-1]) for seq in seqs]
+    kv = [cache_of(seq[:-1], stale) for seq in seqs]
+    past = [[buf[:, len(seq):].copy() for buf in caches] for seq, caches in zip(seqs, kv)]
     logits, _ = forward_batch(m, [seq[-1:] for seq in seqs], kv=kv, pos=np.array([len(seq) - 1 for seq in seqs]))
-    for got, want, caches, lone_caches in zip(logits, lone, kv, lone_kv):
+    for seq, got, want, caches, lone_caches, rest in zip(seqs, logits, lone, kv, lone_kv, past):
         assert np.array_equal(got, want)
-        for (k, v), (k0, v0) in zip(caches, lone_caches):
-            assert np.array_equal(k, k0) and np.array_equal(v, v0)
+        n = len(seq)
+        for buf, lone_buf, buf_rest in zip(caches, lone_caches, rest):
+            assert np.array_equal(buf[:, :n], lone_buf[:, :n])
+            assert np.array_equal(buf[:, n:], buf_rest)
+            assert np.any(buf_rest[..., cfg.d_model:] != 0) == (stale and n < cfg.max_seq_len)
+
+
+def test_forward_batch_per_row_positions_equal_one_row_calls_bit_for_bit():
+    """Rows at positions 2, 0, 2 and 5 (two share a position), and rows on both sides
+    of a key width boundary and in a last class capped at max_seq_len, on caches
+    whose rows past each position hold another sequence's values: one call gives
+    the logits and cache rows of one one-row call each."""
+    _assert_per_row_equals_one_row_calls(TINY, (3, 1, 3, 6), stale=False)
+    _assert_per_row_equals_one_row_calls(
+        LONG, (KEY_CLASS, KEY_CLASS + 1, 1, LONG.max_seq_len, KEY_CLASS, 2 * KEY_CLASS + 1), stale=True)
+    m, kv = tiny_model(), [_zeroed_cache(TINY) for _ in range(3)]
     pos = np.array([1, 2])
     for bad in (dict(ids=[[3, 4], [5, 6]], kv=kv[:2], pos=pos), dict(ids=[[3], [5]], kv=kv[:3], pos=pos),
                 dict(ids=[[3], [5]], kv=kv[:2], pos=np.array([1, TINY.max_seq_len])),

@@ -1,5 +1,6 @@
 import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from trajlm import online
 from trajlm.errors import DomainError, SessionFullError
-from trajlm.model import ModelConfig, forward_batch, init_model
+from trajlm.model import KEY_CLASS, ModelConfig, forward_batch, init_model
 from trajlm.online import open_session, partial_verdict
 from trajlm.scoring import ThresholdTable, surprisal, token_log_probs
 from trajlm.vocab import EncodedTrajectory
@@ -21,17 +22,17 @@ def model():
     return init_model(CFG)
 
 
-def _logits(s):
-    """The logits a session's next push scores against, its queued row computed first."""
+def _logp(s):
+    """The log-probabilities a session's next push scores against, its queued row computed first."""
     s._pool.ready(s._slot)
-    return s._pool.logits[s._slot]
+    return s._pool.logp[s._slot]
 
 
 def _cached_kv(s, layer):
     """Views of a session's cached key/value rows for one layer, its queued row computed first."""
     s._pool.ready(s._slot)
-    k, v = s._pool.caches[s._slot][layer]
-    return k[0, :len(s)], v[0, :len(s)]
+    rows = s._pool.caches[s._slot][layer][0, :len(s)]
+    return rows[:, :CFG.d_model], rows[:, CFG.d_model:]
 
 
 def test_open_with_sot(model):
@@ -53,7 +54,7 @@ def test_open_twice_identical_state(model):
     for layer in range(CFG.n_layers):
         assert np.array_equal(_cached_kv(s1, layer)[0], _cached_kv(s2, layer)[0])
         assert np.array_equal(_cached_kv(s1, layer)[1], _cached_kv(s2, layer)[1])
-    assert np.array_equal(_logits(s1), _logits(s2))
+    assert np.array_equal(_logp(s1), _logp(s2))
 
 
 def test_open_session_validation(model):
@@ -116,31 +117,30 @@ def test_offset_chunks_match_full_forward(model):
     """Chunks with t_new > 1 at pos > 0 see the cached prefix under the offset mask."""
     ids = np.random.default_rng(12).integers(1, CFG.vocab_size, size=(2, 20))
     full, cache = forward_batch(model, ids, collect=True)
-    shape = (2, CFG.max_seq_len, CFG.d_model)
-    kv = [(np.zeros(shape), np.zeros(shape)) for _ in range(CFG.n_layers)]
+    kv = [np.zeros((2, CFG.max_seq_len, 2 * CFG.d_model)) for _ in range(CFG.n_layers)]
     chunks = [(0, 3), (3, 8), (8, 9), (9, 20)]
     logits = np.concatenate([forward_batch(model, ids[:, a:b], kv=kv, pos=a)[0] for a, b in chunks], axis=1)
     assert np.allclose(logits, full, rtol=1e-9, atol=1e-12)
-    for layer, (k_buf, v_buf) in enumerate(kv):
-        for name, buf in (("kh", k_buf), ("vh", v_buf)):
+    for layer, buf in enumerate(kv):
+        for name, half in (("kh", buf[..., :CFG.d_model]), ("vh", buf[..., CFG.d_model:])):
             want = cache["layers"][layer][name].transpose(0, 2, 1, 3).reshape(2, 20, CFG.d_model)
-            assert np.allclose(buf[:, :20], want, rtol=1e-9, atol=1e-12)
-            assert np.all(buf[:, 20:] == 0.0)
+            assert np.allclose(half[:, :20], want, rtol=1e-9, atol=1e-12)
+            assert np.all(half[:, 20:] == 0.0)
 
 
 def test_cached_call_past_max_seq_len_leaves_session_unchanged():
     cfg = ModelConfig(vocab_size=10, d_model=8, n_heads=2, n_layers=2, d_ff=16, max_seq_len=6, seed=0)
     s = open_session(init_model(cfg), [1, 3, 4])
     pool, slot = s._pool, s._slot
-    buffers = [(k.copy(), v.copy()) for k, v in pool.caches[slot]]
-    logits = pool.logits[slot].copy()
+    buffers = [buf.copy() for buf in pool.caches[slot]]
+    logp = pool.logp[slot].copy()
     for bad in ([5, 6, 7, 8], [5, 99]):  # past max_seq_len; valid length with an unknown id
         with pytest.raises(DomainError):
             pool.run(slot, bad, len(s))
         assert len(s) == 3
-        assert np.array_equal(pool.logits[slot], logits)
-        for (k, v), (k0, v0) in zip(pool.caches[slot], buffers):
-            assert np.array_equal(k, k0) and np.array_equal(v, v0)
+        assert np.array_equal(pool.logp[slot], logp)
+        for buf, buf0 in zip(pool.caches[slot], buffers):
+            assert np.array_equal(buf, buf0)
 
 
 def test_push_into_full_session_errors_without_mutation():
@@ -207,7 +207,7 @@ def _tiny_configs(draw):
     d_model = n_heads * draw(st.integers(max(1, 4 // n_heads), 16 // n_heads))
     return ModelConfig(vocab_size=draw(st.integers(5, 12)), d_model=d_model, n_heads=n_heads,
                        n_layers=draw(st.integers(1, 2)), d_ff=draw(st.integers(4, 16)),
-                       max_seq_len=draw(st.integers(3, 16)), seed=draw(st.integers(0, 2**16)))
+                       max_seq_len=draw(st.integers(3, 3 * KEY_CLASS)), seed=draw(st.integers(0, 2**16)))
 
 
 _OPS = st.tuples(st.sampled_from(["open", "open", "push", "push", "push", "push", "push", "drop", "ppl"]),
@@ -221,8 +221,8 @@ def _state(s):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(cfg=_tiny_configs(), ops=st.lists(_OPS, min_size=10, max_size=60))
 def test_interleaved_sessions_each_equal_a_lone_session_bit_for_bit(cfg, ops):
-    """Up to 8 sessions of one model, opened on 1 or 2 ids, pushed, dropped and read
-    in any order, flush their queued rows together. Each session's pushes,
+    """Up to 8 sessions of one model, opened on 1 to 2 * KEY_CLASS ids, pushed, dropped
+    and read in any order, flush their queued rows together. Each session's pushes,
     len, scored count and surprisal sum equal those of a fresh session of a copy of
     the model (a pool of its own) pushed the same ids alone, bit for bit, and its
     surprisals match token_log_probs within C04's 1e-9."""
@@ -231,7 +231,10 @@ def test_interleaved_sessions_each_equal_a_lone_session_bit_for_bit(cfg, ops):
     ended = []  # (conditioning ids, pushed ids, push results, _state when dropped or at the end)
     for op, pick, arg in ops:
         if op == "open" and len(live) < 8:
-            cond = [arg % cfg.vocab_size, arg // 7 % cfg.vocab_size][:1 + arg % 2]
+            # 1 or 2 ids, or a third of the time up to 2 * KEY_CLASS, so that one flush
+            # holds rows in different key width classes
+            n_cond = min(1 + arg % 2 if arg % 3 else 1 + arg // 3 % (2 * KEY_CLASS), cfg.max_seq_len)
+            cond = [(arg // 7**j) % cfg.vocab_size for j in range(n_cond)]
             live.append([open_session(model, cond), cond, [], []])
         if not live:
             continue
@@ -285,13 +288,51 @@ def test_pool_capacity_stays_at_the_most_sessions_open_at_once():
     assert 1 <= len(pool.caches) <= 8  # the pool's capacity: slots with buffers
 
 
+def test_a_flush_of_n_rows_makes_one_log_softmax_call(monkeypatch):
+    """Sessions at positions in different key width classes flush together: one
+    forward_batch call and one log_softmax call per flush, and each push only reads
+    its token's entry."""
+    model = init_model(CFG)
+    sessions = [open_session(model, [1])]
+    for _ in range(KEY_CLASS + 1):  # one session past the first width class
+        sessions[0].push(3)
+    sessions += [open_session(model, [2]) for _ in range(4)]
+    rows = _count_forward_rows(monkeypatch)
+    calls, real = [], online.log_softmax
+
+    def counting(logits):
+        calls.append(logits.shape)
+        return real(logits)
+
+    monkeypatch.setattr(online, "log_softmax", counting)
+    for _ in range(2):
+        for s in sessions:
+            s.push(4)
+    assert rows == [5, 5]
+    assert calls == [(5, CFG.vocab_size), (5, CFG.vocab_size)]
+
+
+def test_a_models_pool_outlives_its_sessions_and_dies_with_the_model():
+    """A pool keeps its slots, buffers and all, after its last session is dropped, and
+    is dropped itself once its model is collected."""
+    model = init_model(CFG)
+    first = open_session(model, [1])
+    pool, buffers = weakref.ref(first._pool), first._pool.caches[0]
+    del first
+    s = open_session(model, [2])
+    assert s._pool is pool() and len(s._pool.caches) == 1 and s._pool.caches[s._slot] is buffers
+    s.push(3)
+    del s, model
+    assert pool() is None
+
+
 def test_a_dropped_sessions_queued_row_is_never_computed(monkeypatch):
     model = init_model(CFG)
     a, b, c = (open_session(model, [1]) for _ in range(3))  # three rows queued at position 0
     rows = _count_forward_rows(monkeypatch)
     del b
     a.push(3)  # computes the rows of a and c
-    c.push(4)  # c's logits are ready: queues its row without a flush
+    c.push(4)  # c's log-probabilities are ready: queues its row without a flush
     del c
     a.push(5)  # computes a's row alone
     assert rows == [2, 1]

@@ -88,6 +88,15 @@ def test_encode_unknown_token_is_an_error():
     assert str(exc.value) == "token 'staypoint:beach' is not in the vocabulary"
 
 
+def test_ids_are_the_id_of_each_token_and_name_the_first_unknown():
+    tokens = [sp("work"), sp("home"), sp("work"), Token("special", "EOT")]
+    vocab = build_vocab([tokens])
+    assert vocab.ids(tokens) == [vocab.id(t) for t in tokens]
+    with pytest.raises(VocabError) as exc:
+        vocab.ids([sp("work"), sp("beach"), sp("gym")])
+    assert str(exc.value) == "token 'staypoint:beach' is not in the vocabulary"
+
+
 def test_decode_pad_and_range():
     vocab = build_vocab([[sp("work")]])
     assert vocab.token(0) == Token("special", "PAD")
