@@ -21,6 +21,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import DataError, DomainError, VocabError, decoding
 from .scoring import ScoreReport, ThresholdTable
@@ -60,8 +61,14 @@ FRAMING_KINDS = ("special", "agent_id", "weekday")
 
 def _head(rec: CorpusRecord) -> list[Token]:
     """The conditioning tokens of a record: its agent, then its weekday, when given."""
-    fields = (("agent_id", rec.agent), ("weekday", rec.weekday))
-    return [Token(kind, value) for kind, value in fields if value is not None]
+    return list(_head_of(rec.agent, rec.weekday))
+
+
+@lru_cache(maxsize=4096)
+def _head_of(agent: str | None, weekday: str | None) -> tuple[Token, ...]:
+    # Tokens are frozen, so a corpus's records share one checked head per (agent, weekday).
+    fields = (("agent_id", agent), ("weekday", weekday))
+    return tuple(Token(kind, value) for kind, value in fields if value is not None)
 
 
 def full_tokens(rec: CorpusRecord) -> list[Token]:

@@ -9,17 +9,17 @@ verified against finite differences. Parameters and activations are float64
 (DTYPE) and no layer is stochastic, so training and scoring are deterministic.
 
 forward_batch is the only implementation of the block. Training, batch
-scoring and online sessions all run it: sessions pass their per-layer
-key/value cache and feed one new row per session, so their results differ
-from a batch forward only by BLAS summation order. A one-column cached call
-attends over a fixed width class of keys, not over exactly the keys fed: a
-row at position pos reads its cache's first _key_width(pos) keys and masks
-those past pos, so rows in one class share one attention call. Rows of many
-sessions at different positions run in one call with a per-row position
-vector: the position-wise layers run on the stacked (n, 1, d_model) rows,
-where numpy's stacked matmul makes the same BLAS call per row as for a lone
-row, and attention runs once per width class, so every row is bit-identical
-to a one-row call on its own cache.
+scoring and online sessions all run it. Without a cache it runs whole
+sequences from position 0. Its one cached form feeds one new row per session
+against that session's per-layer key/value cache, so a session's results
+differ from a batch forward only by BLAS summation order. Rows of many
+sessions at different positions run in one cached call with a per-row
+position vector: the position-wise layers run on the stacked (n, 1, d_model)
+rows, where numpy's stacked matmul makes the same BLAS call per row as for a
+lone row, and attention runs once per width class of keys. A row at position
+pos reads its cache's first _key_width(pos) keys and masks those past pos, so
+its bits do not depend on the other rows of the call: a lone session is a
+call of one row.
 
 Training computes only the positions whose targets are scored. backward
 passes forward_batch a `keep` mask (True where the target is not PAD; a
@@ -50,7 +50,7 @@ LN_EPS = 1e-5
 INIT_STD = 0.02
 DTYPE = np.dtype(np.float64)
 
-# Key width class of a one-column cached call (_key_width). A wider class makes
+# Key width class of a cached call (_key_width). A wider class makes
 # fewer attention calls per flush of many sessions, each over more masked keys.
 # A round of 64 interleaved porto-shaped sessions made 7652 attention calls at
 # width 1, 2836 at 4, 1668 at 8 and 1016 at 16; its time was within noise from
@@ -223,7 +223,7 @@ def _layernorm_backward(dy: np.ndarray, cache: tuple) -> tuple[np.ndarray, np.nd
 # ---------------------------------------------------------------------------
 
 def _key_width(pos: int, max_seq_len: int) -> int:
-    """Keys a one-column cached call reads for a row at position pos: pos + 1
+    """Keys a cached call reads for a row at position pos: pos + 1
     rounded up to a multiple of KEY_CLASS, at most max_seq_len. It depends on the
     row's own position only, so a row reads the same keys alone or in any batch."""
     return min(-(-(pos + 1) // KEY_CLASS) * KEY_CLASS, max_seq_len)
@@ -265,39 +265,34 @@ def forward_batch(
     ids: np.ndarray,
     collect: bool = False,
     kv: list | None = None,
-    pos: int | np.ndarray = 0,
+    pos: np.ndarray | None = None,
     keep: np.ndarray | None = None,
 ) -> tuple[np.ndarray, dict | None]:
-    """Run the network over an (n_seq, t_new) id batch at positions [pos, pos + t_new).
+    """Run the network over an (n_seq, t_new) id batch.
 
     Returns logits of shape (n_seq, t_new, vocab_size) and, when collect is
     set, the intermediate activations needed by backward().
 
-    kv is an optional key/value cache: one (n_seq, max_seq_len, 2 * d_model)
-    buffer per layer, each row holding a position's key in its first d_model
-    columns and its value in the last, whose rows [0, pos) hold the
-    projections of the tokens fed before. The call writes the new rows
-    [pos, pos + t_new) and attends over rows [0, pos + t_new). Without kv the
-    batch is a whole sequence and pos is 0.
+    Without kv each row is a whole sequence at positions [0, t_new).
 
-    A one-column cached call (t_new 1) attends over rows [0, w) instead, where
-    w = _key_width(pos) is pos + 1 rounded up to a multiple of KEY_CLASS, at
-    most max_seq_len; the keys past pos are masked out. Their value halves
-    must be finite, so that a masked key adds an exact zero: a zeroed buffer,
-    or rows an earlier sequence left there.
-
-    pos may instead be an (n_seq,) int vector for a one-column call, and kv
-    then holds one cache per row, kv[r] being the per-layer
-    (1, max_seq_len, 2 * d_model) buffers that a one-row call takes. Row r
+    kv and pos come together and make a cached call, with one id column:
+    pos is an (n_seq,) int vector and kv holds one cache per row, kv[r] being
+    per-layer (1, max_seq_len, 2 * d_model) buffers. A buffer row holds a
+    position's key in its first d_model columns and its value in the last,
+    and rows [0, pos[r]) hold the projections of the tokens fed before. Row r
     gets pos_emb row pos[r], writes its key and value at position pos[r] of
-    kv[r] and attends over that cache's keys [0, _key_width(pos[r])), those
-    past pos[r] masked. Position-wise layers run on the stacked rows, and per
-    layer each row is written once and each width class is gathered once and
-    attended once, so each row's logits are bit-identical to those of a
-    one-row call with int pos on kv[r]. Such a call collects no activations.
+    kv[r] and attends over that cache's keys [0, w), where w =
+    _key_width(pos[r]) is pos[r] + 1 rounded up to a multiple of KEY_CLASS,
+    at most max_seq_len; the keys past pos[r] are masked out. Their value
+    halves must be finite, so that a masked key adds an exact zero: a zeroed
+    buffer, or rows an earlier sequence left there. Position-wise layers run
+    on the stacked rows, and per layer each row is written once and each
+    width class is gathered once and attended once, so each row's logits are
+    bit-identical to those of a call of that row alone. A cached call collects
+    no activations.
 
     keep is an optional (n_seq, t_new) bool mask that is a prefix of each row
-    (no True after a False), and cannot be combined with kv. With it only the
+    (no True after a False), for a call without kv. With it only the
     N = keep.sum() kept positions are computed: logits come back packed as
     (N, vocab_size) in row-major order of keep, and so do the collected
     activations, except attention's, which stay padded. A kept position
@@ -310,26 +305,25 @@ def forward_batch(
     if ids.ndim != 2:
         raise DomainError(f"expected (n_seq, seq_len) ids, got shape {ids.shape}")
     n_seq, t_new = ids.shape
-    per_row = np.ndim(pos) > 0
-    if per_row:
+    if (kv is None) != (pos is None):
+        raise DomainError("a cached call takes both kv and pos: a cache and a position per row")
+    if kv is not None:
         pos = np.asarray(pos)
-        if kv is None or t_new != 1 or collect or keep is not None:
-            raise DomainError("per-row positions take a kv cache and one id column, and collect nothing")
+        if t_new != 1 or collect or keep is not None:
+            raise DomainError("a cached call takes one id column, and collects and keeps nothing")
         if pos.shape != (n_seq,) or len(kv) != n_seq:
-            raise DomainError(f"per-row positions need {n_seq} positions and {n_seq} caches")
+            raise DomainError(f"a cached call needs {n_seq} positions and {n_seq} caches")
         if pos.min() < 0:
             raise DomainError("positions must be >= 0")
         end = int(pos.max()) + 1
     else:
-        end = pos + t_new
+        end = t_new
     if end > cfg.max_seq_len:
         raise DomainError(f"sequence length {end} exceeds max_seq_len {cfg.max_seq_len}")
     if ids.min() < 0 or ids.max() >= cfg.vocab_size:
         raise DomainError(f"token ids must lie in [0, {cfg.vocab_size})")
     if keep is not None:
         keep = np.asarray(keep)
-        if kv is not None:
-            raise DomainError("keep packs a whole batch and cannot be combined with a kv cache")
         if keep.dtype != bool or keep.shape != ids.shape:
             raise DomainError(f"keep must be a bool mask of shape {ids.shape}, got {keep.dtype} {keep.shape}")
         if np.any(keep[:, 1:] & ~keep[:, :-1]):
@@ -337,7 +331,7 @@ def forward_batch(
 
     cache: dict | None = {"layers": []} if collect else None
 
-    if per_row:
+    if kv is not None:
         x = p["tok_emb"][ids] + p["pos_emb"][pos][:, None]
         at = pos.tolist()
         classes: dict[int, list[int]] = {}  # key width -> the rows that read it
@@ -346,17 +340,10 @@ def forward_batch(
         # Per class: its width, its rows and, per row, the keys past the row's position.
         groups = [(w, rows, (np.arange(w) > pos[rows, None])[:, None, None]) for w, rows in classes.items()]
     elif keep is None:
-        x = p["tok_emb"][ids] + p["pos_emb"][pos:end]
+        x = p["tok_emb"][ids] + p["pos_emb"][:t_new]
     else:
-        x = p["tok_emb"][ids[keep]] + p["pos_emb"][pos + np.nonzero(keep)[1]]
-    # The keys a call attends over, and those it hides; a per-row call has its own per class.
-    if t_new > 1:
-        width, hidden = end, ~np.tri(t_new, end, pos, dtype=bool)  # row i hides keys past pos + i
-    elif kv is not None and not per_row:
-        width = _key_width(pos, cfg.max_seq_len)
-        hidden = np.arange(width) > pos
-    else:
-        width, hidden = end, None
+        x = p["tok_emb"][ids[keep]] + p["pos_emb"][np.nonzero(keep)[1]]
+    hidden = ~np.tri(t_new, dtype=bool) if t_new > 1 else None  # row i hides the keys past i
     scale = np.sqrt(np.asarray(cfg.d_head, dtype=DTYPE))
     d = cfg.d_model
 
@@ -366,7 +353,7 @@ def forward_batch(
         q = a @ p[f"{pre}.attn.wq"]
         k = a @ p[f"{pre}.attn.wk"]
         v = a @ p[f"{pre}.attn.wv"]
-        if per_row:
+        if kv is not None:
             kv_new = np.concatenate([k, v], axis=-1)
             ctx = np.empty_like(q)
             for w, rows, row_hidden in groups:
@@ -378,11 +365,6 @@ def forward_batch(
         else:
             if keep is not None:
                 q, k, v = _scatter(q, keep), _scatter(k, keep), _scatter(v, keep)
-            if kv is not None:
-                buf = kv[i]
-                buf[:, pos:end, :d] = k
-                buf[:, pos:end, d:] = v
-                k, v = buf[:, :width, :d], buf[:, :width, d:]
             ctx, (qh, kh, vh, attn) = _attend(q, k, v, cfg.n_heads, scale, hidden)
             if keep is not None:
                 ctx = ctx[keep]

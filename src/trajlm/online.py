@@ -15,24 +15,24 @@ relative. partial_verdict judges the running perplexity through
 scoring.classify, the one verdict rule of batch scoring.
 
 The sessions of one model share a pool, and each session is a slot in it. A
-push, and an open on one id, queues its forward row instead of running it. A
+push, and each id of an open, queues its forward row instead of running it. A
 session's next push needs the log-probabilities of its queued row, so it
 first runs every queued row of the pool in one forward_batch call, each row at
 its own position and cache slot, and takes log_softmax of the flush's stacked
 logits in one call; a push then only reads its token's entry. So sessions
 pushed one id each in turn share one call per round, as in
-evaluate.prefix_perplexity. A one-id row attends over its cache's first
-model._key_width(pos) keys, pos + 1 rounded up to a multiple of
-model.KEY_CLASS, with the keys past pos masked, so a flush runs attention once
-per width class; a lone session reads the same keys, so every row is
-bit-identical to what a lone session computes, and a queue of one row is a
-lone session's one-row call. The masked rows must be finite: a slot's buffers
-start zeroed, and a reused slot holds an earlier session's rows. Padding the
-keys changes only the BLAS summation order, so results stay within 1e-9 of
-batch scoring. The push that flushes carries the latency of the whole batch. A
-dropped session frees its slot, and its queued row is never computed. A pool
-is not thread-safe, so the sessions of one model must not be pushed from
-different threads, and the model must not change while sessions are open.
+evaluate.prefix_perplexity, and an open on k ids makes k - 1 flushes. A row
+attends over its cache's first model._key_width(pos) keys, pos + 1 rounded up
+to a multiple of model.KEY_CLASS, with the keys past pos masked, so a flush
+runs attention once per width class and every row is bit-identical to the
+same row flushed alone: a lone session is a one-row flush. The masked rows
+must be finite: a slot's buffers start zeroed, and a reused slot holds an
+earlier session's rows. Padding the keys changes only the BLAS summation
+order, so results stay within 1e-9 of batch scoring. The push that flushes
+carries the latency of the whole batch. A dropped session frees its slot, and
+its queued row is never computed. A pool is not thread-safe, so the sessions
+of one model must not be pushed from different threads, and the model must
+not change while sessions are open.
 """
 
 from __future__ import annotations
@@ -51,12 +51,12 @@ class _Pool:
     """The key/value cache slots of one model's sessions, and the rows queued for them.
 
     A slot holds, per layer, a (1, max_seq_len, 2 * d_model) buffer of key and
-    value rows, the cache a one-row forward_batch call takes, and the
+    value rows, the cache of one row of a cached forward_batch call, and the
     log-probabilities of the next token after the last position computed. The
     queue maps a slot to the (token id, position) of its one pending row. A
     released slot keeps its buffers for the next session, and the pool lives as
     long as its model, so it holds as many slots as sessions of the model were
-    ever open at once. A one-column call reads masked cache rows past its
+    ever open at once. A cached call reads masked cache rows past its
     position, which must be finite: buffers start zeroed, and a reused slot
     holds an earlier session's rows. The pool refers to its model weakly, so
     that it does not keep the model alive.
@@ -83,15 +83,6 @@ class _Pool:
         self.logp[slot] = None
         self._free.append(slot)
 
-    def run(self, slot: int, ids: list[int], pos: int) -> None:
-        """Feed ids to one slot now, in one cached call at positions [pos, pos + len(ids)).
-
-        forward_batch validates the ids and the length before it writes a cache
-        row, so a rejected call leaves the slot unchanged.
-        """
-        logits, _ = forward_batch(self.model, [ids], kv=self.caches[slot], pos=pos)
-        self.logp[slot] = log_softmax(logits[:, -1])[0]
-
     def ready(self, slot: int) -> None:
         """Before slot's session reads its log-probabilities, compute its queued row,
         if it has one, with every other queued row of the pool in one forward_batch
@@ -100,14 +91,10 @@ class _Pool:
             return
         # A copy: the garbage collector can drop a session, and its row, while the flush runs.
         rows = self.queue.copy()
-        if len(rows) == 1:
-            token_id, pos = rows[slot]
-            self.run(slot, [token_id], pos)
-        else:
-            ids, pos = np.array(list(rows.values())).T
-            logits, _ = forward_batch(self.model, ids[:, None], kv=[self.caches[s] for s in rows], pos=pos)
-            for s, row in zip(rows, log_softmax(logits[:, -1])):
-                self.logp[s] = row
+        ids, pos = np.array(list(rows.values())).T
+        logits, _ = forward_batch(self.model, ids[:, None], kv=[self.caches[s] for s in rows], pos=pos)
+        for s, row in zip(rows, log_softmax(logits[:, -1])):
+            self.logp[s] = row
         self.queue.clear()
 
 
@@ -128,25 +115,28 @@ def _pool_of(model: Model) -> _Pool:
 class Session:
     """Single-owner incremental scorer over one immutable model.
 
-    The constructor feeds the conditioning tokens. The session is a slot in
-    its model's pool, whose caches hold the post-projection key and value rows
-    of every token fed; pushes append one row per layer and never touch
-    earlier rows. len() counts the tokens taken, at most max_seq_len + 1.
+    The constructor checks every conditioning token, then feeds them one
+    queued row at a time, so a rejected open holds no slot. The session is a
+    slot in its model's pool, whose caches hold the post-projection key and
+    value rows of every token fed; pushes append one row per layer and never
+    touch earlier rows. len() counts the tokens taken, at most
+    max_seq_len + 1.
     """
 
     def __init__(self, model: Model, conditioning_ids: list[int]):
         ids = [int(t) for t in conditioning_ids]
-        if len(ids) == 0:
-            raise DomainError("conditioning must contain at least one token")
+        max_seq_len = model.config.max_seq_len
+        if not 1 <= len(ids) <= max_seq_len:
+            raise DomainError(f"conditioning must hold 1 to max_seq_len = {max_seq_len} tokens, got {len(ids)}")
+        for token_id in ids:
+            _check_id(model, token_id)
         self.model = model
         self._pool = _pool_of(model)
         self._slot = self._pool.acquire()
         weakref.finalize(self, self._pool.release, self._slot)
-        if len(ids) == 1:
-            _check_id(model, ids[0])
-            self._pool.queue[self._slot] = (ids[0], 0)
-        else:
-            self._pool.run(self._slot, ids, 0)
+        for pos, token_id in enumerate(ids):  # each id's row is queued once the one before it is computed
+            self._pool.ready(self._slot)
+            self._pool.queue[self._slot] = (token_id, pos)
         self._n_tokens = len(ids)
         self.surprisal_sum = 0.0
         self.scored_count = 0

@@ -124,6 +124,19 @@ def test_only_dataio_parses_token_text():
     assert callers - {"vocab"} == {"dataio"}
 
 
+def test_only_online_calls_forward_batch_with_a_cache():
+    """Outside model.py, which defines it, only online passes forward_batch a kv cache,
+    by keyword or as its fourth argument: the session pool is the one owner of the
+    cached form."""
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "forward_batch"
+                    and (len(node.args) > 3 or any(k.arg == "kv" for k in node.keywords))):
+                callers.add(path.stem)
+    assert callers - {"model"} == {"online"}
+
+
 def _calls_by_function(node, scope=()):
     """Yield (dotted name of the enclosing def or class, called name) for each call under node."""
     for child in ast.iter_child_nodes(node):

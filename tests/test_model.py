@@ -419,6 +419,10 @@ def _assert_bits_unchanged(before, after):
         assert b.dtype == a.dtype and b.tobytes() == a.tobytes()
 
 
+def _zeroed_cache(cfg):
+    return [np.zeros((1, cfg.max_seq_len, 2 * cfg.d_model)) for _ in range(cfg.n_layers)]
+
+
 def test_in_place_attention_writes_only_its_own_temporaries():
     m = init_model(PACK)
     params = list(m.params.values())
@@ -432,44 +436,46 @@ def test_in_place_attention_writes_only_its_own_temporaries():
     backward(m, ids)
     _assert_bits_unchanged(before, params + [ids, keep])
 
-    kv = [np.zeros((3, PACK.max_seq_len, 2 * PACK.d_model)) for _ in range(PACK.n_layers)]
-    forward_batch(m, inputs[:, :3], kv=kv)
-    for pos, t_new in ((3, 2), (5, 1)):  # several new rows under the mask, then one
-        chunk = inputs[:, pos : pos + t_new]
-        cached = [buf[:, :pos].copy() for buf in kv]
-        before = _snapshot(*params, chunk)
-        forward_batch(m, chunk, kv=kv, pos=pos)
-        _assert_bits_unchanged(before, params + [chunk])
-        _assert_bits_unchanged(cached, [buf[:, :pos] for buf in kv])
+    kv = [_zeroed_cache(PACK) for _ in inputs]
+    for pos in range(inputs.shape[1]):  # each position one cached call of all rows
+        col = inputs[:, pos : pos + 1]
+        cached = [[buf[:, :pos].copy() for buf in caches] for caches in kv]
+        before = _snapshot(*params, col)
+        forward_batch(m, col, kv=kv, pos=np.full(len(col), pos))
+        _assert_bits_unchanged(before, params + [col])
+        for caches, rows in zip(kv, cached):
+            _assert_bits_unchanged(rows, [buf[:, :pos] for buf in caches])
 
 
 LONG = ModelConfig(vocab_size=20, d_model=8, n_heads=2, n_layers=2, d_ff=16, max_seq_len=2 * KEY_CLASS + 3, seed=5)
 
 
-def _zeroed_cache(cfg):
-    return [np.zeros((1, cfg.max_seq_len, 2 * cfg.d_model)) for _ in range(cfg.n_layers)]
-
-
 def _assert_per_row_equals_one_row_calls(cfg, lengths, stale):
     """Rows at positions lengths - 1, each on its own cache, in one call give the logits
-    and cache rows of one one-row call each on a zeroed cache. With stale, each
-    pooled cache first holds another sequence's rows, which past the row's position
-    stay in place and add nothing."""
+    and cache rows of each sequence fed by one-row calls into a zeroed cache. With
+    stale, each pooled cache first holds another sequence's rows, which past the
+    row's position stay in place and add nothing."""
     m = init_model(cfg)
     rng = np.random.default_rng(6)
     seqs = [[int(t) for t in rng.integers(1, cfg.vocab_size, size=n)] for n in lengths]
 
-    def cache_of(prefix, stale=False):
+    def one_row(ids, kv):
+        """One-row cached calls feeding ids at positions [0, len(ids)); the last call's logits."""
+        for at, token in enumerate(ids):
+            logits, _ = forward_batch(m, [[token]], kv=[kv], pos=np.array([at]))
+        return logits[0]
+
+    def cache_of(prefix):
         kv = _zeroed_cache(cfg)
         if stale:
-            forward_batch(m, rng.integers(1, cfg.vocab_size, size=(1, cfg.max_seq_len)), kv=kv)
+            one_row(rng.integers(1, cfg.vocab_size, size=cfg.max_seq_len), kv)
         if prefix:
-            forward_batch(m, [prefix], kv=kv)
+            one_row(prefix, kv)
         return kv
 
-    lone_kv = [cache_of(seq[:-1]) for seq in seqs]
-    lone = [forward_batch(m, [seq[-1:]], kv=kv, pos=len(seq) - 1)[0][0] for seq, kv in zip(seqs, lone_kv)]
-    kv = [cache_of(seq[:-1], stale) for seq in seqs]
+    lone_kv = [_zeroed_cache(cfg) for _ in seqs]
+    lone = [one_row(seq, kv) for seq, kv in zip(seqs, lone_kv)]
+    kv = [cache_of(seq[:-1]) for seq in seqs]
     past = [[buf[:, len(seq):].copy() for buf in caches] for seq, caches in zip(seqs, kv)]
     logits, _ = forward_batch(m, [seq[-1:] for seq in seqs], kv=kv, pos=np.array([len(seq) - 1 for seq in seqs]))
     for seq, got, want, caches, lone_caches, rest in zip(seqs, logits, lone, kv, lone_kv, past):
@@ -493,7 +499,9 @@ def test_forward_batch_per_row_positions_equal_one_row_calls_bit_for_bit():
     pos = np.array([1, 2])
     for bad in (dict(ids=[[3, 4], [5, 6]], kv=kv[:2], pos=pos), dict(ids=[[3], [5]], kv=kv[:3], pos=pos),
                 dict(ids=[[3], [5]], kv=kv[:2], pos=np.array([1, TINY.max_seq_len])),
-                dict(ids=[[3], [5]], kv=kv[:2], pos=pos, collect=True), dict(ids=[[3], [5]], pos=pos)):
+                dict(ids=[[3], [5]], kv=kv[:2], pos=pos, collect=True), dict(ids=[[3], [5]], pos=pos),
+                dict(ids=[[3], [5]], kv=kv[:2], pos=pos, keep=np.ones((2, 1), dtype=bool)),
+                dict(ids=[[3]], pos=2), dict(ids=[[3, 4]], pos=2), dict(ids=[[3]], kv=kv[:1])):
         with pytest.raises(DomainError):
             forward_batch(m, **bad)
 

@@ -103,7 +103,7 @@ def test_prefill_then_push_matches_batch(model):
     ids = [int(x) for x in np.random.default_rng(11).integers(1, CFG.vocab_size, size=20)]
     batch_lp = token_log_probs(model, [ids])[0]
     k = 5
-    s = open_session(model, ids[:k])  # one cached call with t_new = 5
+    s = open_session(model, ids[:k])  # five queued rows, four of them flushed
     surprisals = np.array([s.push(tok)[0] for tok in ids[k:]])
     assert np.max(np.abs(surprisals + batch_lp[k - 1:]) / np.abs(batch_lp[k - 1:])) < 1e-9
     _, cache = forward_batch(model, np.asarray(ids)[None, :], collect=True)
@@ -113,30 +113,32 @@ def test_prefill_then_push_matches_batch(model):
         assert np.allclose(v_rows, _flat(cache, layer, "vh"), rtol=1e-9, atol=1e-12)
 
 
-def test_offset_chunks_match_full_forward(model):
-    """Chunks with t_new > 1 at pos > 0 see the cached prefix under the offset mask."""
-    ids = np.random.default_rng(12).integers(1, CFG.vocab_size, size=(2, 20))
-    full, cache = forward_batch(model, ids, collect=True)
-    kv = [np.zeros((2, CFG.max_seq_len, 2 * CFG.d_model)) for _ in range(CFG.n_layers)]
-    chunks = [(0, 3), (3, 8), (8, 9), (9, 20)]
-    logits = np.concatenate([forward_batch(model, ids[:, a:b], kv=kv, pos=a)[0] for a, b in chunks], axis=1)
-    assert np.allclose(logits, full, rtol=1e-9, atol=1e-12)
-    for layer, buf in enumerate(kv):
-        for name, half in (("kh", buf[..., :CFG.d_model]), ("vh", buf[..., CFG.d_model:])):
-            want = cache["layers"][layer][name].transpose(0, 2, 1, 3).reshape(2, 20, CFG.d_model)
-            assert np.allclose(half[:, :20], want, rtol=1e-9, atol=1e-12)
-            assert np.all(half[:, 20:] == 0.0)
+def test_an_open_on_k_ids_equals_an_open_on_one_pushed_the_rest_bit_for_bit(model):
+    """An open feeds its ids as pushes do: each leaves the same cache rows, len and
+    log-probabilities as an open on ids[:1] pushed ids[1:k], bit for bit."""
+    ids = [int(x) for x in np.random.default_rng(13).integers(1, CFG.vocab_size, size=KEY_CLASS + 3)]
+    for k in range(2, len(ids) + 1):
+        opened, pushed = open_session(model, ids[:k]), open_session(model, ids[:1])
+        for tok in ids[1:k]:
+            pushed.push(tok)
+        assert len(opened) == len(pushed) == k
+        assert np.array_equal(_logp(opened), _logp(pushed))
+        for layer in range(CFG.n_layers):
+            assert np.array_equal(opened._pool.caches[opened._slot][layer][0, :k],
+                                  pushed._pool.caches[pushed._slot][layer][0, :k])
 
 
 def test_cached_call_past_max_seq_len_leaves_session_unchanged():
     cfg = ModelConfig(vocab_size=10, d_model=8, n_heads=2, n_layers=2, d_ff=16, max_seq_len=6, seed=0)
-    s = open_session(init_model(cfg), [1, 3, 4])
+    model = init_model(cfg)
+    s = open_session(model, [1, 3, 4])
     pool, slot = s._pool, s._slot
+    pool.ready(slot)
     buffers = [buf.copy() for buf in pool.caches[slot]]
     logp = pool.logp[slot].copy()
-    for bad in ([5, 6, 7, 8], [5, 99]):  # past max_seq_len; valid length with an unknown id
+    for token, at in ((5, cfg.max_seq_len), (99, len(s))):  # past max_seq_len; an unknown id
         with pytest.raises(DomainError):
-            pool.run(slot, bad, len(s))
+            forward_batch(model, [[token]], kv=[pool.caches[slot]], pos=np.array([at]))
         assert len(s) == 3
         assert np.array_equal(pool.logp[slot], logp)
         for buf, buf0 in zip(pool.caches[slot], buffers):
