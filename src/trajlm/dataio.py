@@ -7,7 +7,11 @@ ground truth, which lives only in the truth CSV. An optional first record
 {"_meta": {...}} carries the config hash and tool version; readers skip it, and
 ignore any other key, such as the answer key that earlier corpora carried. CSV
 artifacts start with a '#' comment line carrying the same provenance;
-`write_csv` writes all of them, the loss log included.
+`write_csv` writes all of them, the loss log included. Their fields are
+rendered as csv.writer(fh, lineterminator="\\n") writes them, one distinct field
+at a time: each distinct text is quoted once per file by the csv module itself,
+so its quoting rules stay the running Python's, and a trace scored for several
+trajectories has its per-position rows rendered once.
 
 `encode_record` frames a record: its agent and weekday fields head the ids, or
 SOT when it has neither, and EOT ends them; so `tokens` holds no special,
@@ -20,6 +24,7 @@ import csv
 import hashlib
 import json
 import math
+import types
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -202,17 +207,58 @@ def provenance_comment(config_hash: str) -> str:
     return f"# config_hash={meta['config_hash']} tool_version={meta['tool_version']}\n"
 
 
+class _Fields:
+    """Renders CSV fields as csv.writer(fh, lineterminator="\\n") writes them: None
+    as an empty field, an int or float as its str, and any other field's text
+    quoted by the csv module itself. Each distinct text is quoted once, and
+    each distinct nonzero float rendered once."""
+
+    def __init__(self):
+        # writerow returns what its file's write returns, here the line itself. The line
+        # terminator is the file's: the csv module quotes a field holding one of its characters.
+        self._writerow = csv.writer(types.SimpleNamespace(write=str), lineterminator="\n").writerow
+        # csv.writer writes a lone empty field as '""', but an empty field among others as nothing.
+        self._quoted = {"": ""}
+        self._floats: dict[float, str] = {}
+
+    def text(self, value) -> str:
+        """The field's text, as csv.writer writes it among other fields."""
+        kind = type(value)
+        if kind is float and value:  # 0.0 == -0.0, but their texts differ
+            text = self._floats.get(value)
+            if text is None:
+                text = self._floats[value] = str(value)
+            return text
+        if kind is int or kind is float:  # the text of an int or float needs no quotes
+            return str(value)
+        if value is None:
+            return ""
+        text = value if isinstance(value, str) else str(value)
+        quoted = self._quoted.get(text)
+        if quoted is None:
+            quoted = self._quoted[text] = self._writerow((text,))[:-1]
+        return quoted
+
+    def line(self, row) -> str:
+        """One row's line, as csv.writer writes it."""
+        fields = list(map(self.text, row))
+        return ('""' if fields == [""] else ",".join(fields)) + "\n"
+
+
 def write_csv(path, header: list[str], rows, config_hash: str = "") -> None:
     """Write a CSV artifact: the provenance comment, the header, then rows.
 
-    Every line ends in a bare newline and fields are quoted by the csv module;
-    None is an empty field and a float is written as its repr.
+    Every line ends in a bare newline, and one _Fields renders the file's fields
+    as csv.writer does: None is an empty field and a float is written as its
+    repr. rows is an iterable of field sequences; a typed writer that renders
+    its own lines passes a function instead, which is given the file's field
+    renderer (the _Fields's text method) and returns the lines of the rows.
     """
+    fields = _Fields()
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(provenance_comment(config_hash))
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(fields.line(header))
+        fh.writelines(rows(fields.text) if callable(rows) else map(fields.line, rows))
 
 
 def write_truth(path, records: list[TruthRecord], config_hash: str = "") -> None:
@@ -289,8 +335,11 @@ def read_loss_log(path) -> list[tuple[int, float]]:
 
 
 def write_scores(path, reports: list[ScoreReport], config_hash: str = "") -> None:
-    rows = ([r.traj_id, r.agent, r.perplexity, r.threshold, r.verdict] for r in reports)
-    write_csv(path, SCORES_HEADER, rows, config_hash)
+    def lines(field):
+        return (f"{field(r.traj_id)},{field(r.agent)},{field(r.perplexity)},{field(r.threshold)},{field(r.verdict)}\n"
+                for r in reports)
+
+    write_csv(path, SCORES_HEADER, lines, config_hash)
 
 
 def read_scores(path) -> list[ScoreReport]:
@@ -320,15 +369,23 @@ def write_surprisals(path, reports: list[ScoreReport], vocab: Vocab,
     """Per-position dump: id,pos,token,surprisal (one row per scored token).
 
     reports[i] is the report of encoded[i], as score_corpus returns them. Each
-    token's text is built once per vocab id.
+    token's text is rendered once per vocab id, and the rows of each distinct
+    (trace, ids) pair once: a repeat, which score_corpus gives its first copy's
+    trace, writes those rows again under its own id.
     """
-    names = [str(vocab.token(i)) for i in range(len(vocab))]
-    rows = (
-        [r.traj_id, pos, names[t.ids[pos]], value]
-        for r, t in zip(reports, encoded, strict=True)
-        for pos, value in zip(r.surprisal.target_positions, r.surprisal.values.tolist())
-    )
-    write_csv(path, ["id", "pos", "token", "surprisal"], rows, config_hash)
+    def lines(field):
+        names = [field(vocab.token(i)) for i in range(len(vocab))]
+        rendered: dict[int, tuple] = {}  # id(trace) -> (ids, rows); reports keeps each trace alive
+        for r, t in zip(reports, encoded, strict=True):
+            trace = r.surprisal
+            ids, rows = rendered.get(id(trace), (None, None))
+            if ids != t.ids:  # a new trace, or one shared by trajectories with other ids
+                rows = ["", *(f",{field(pos)},{names[t.ids[pos]]},{field(value)}\n"
+                              for pos, value in zip(trace.target_positions, trace.values.tolist()))]
+                rendered[id(trace)] = (t.ids, rows)
+            yield field(r.traj_id).join(rows)  # the id field heads each row
+
+    write_csv(path, ["id", "pos", "token", "surprisal"], lines, config_hash)
 
 
 def write_thresholds(path, table: ThresholdTable, config_hash: str = "") -> None:

@@ -124,15 +124,20 @@ def compute_thresholds(
     """Fit (mean, population std, count) of training perplexities.
 
     The global fit uses all samples; given agents, one per perplexity, each
-    agent's fit uses only that agent's samples. A fit with fewer than 2
-    samples is omitted with a warning rather than made from a degenerate estimate.
+    agent's fit uses only that agent's samples, in corpus order, gathered in
+    one pass over agents. A fit with fewer than 2 samples is omitted with a
+    warning rather than made from a degenerate estimate.
     """
     ppls = np.asarray(ppls, dtype=np.float64)
     if agents is not None and len(agents) != len(ppls):
         raise DomainError("agents must give one agent per perplexity")
+    indices: dict[str, list[int]] = {}
+    for i, a in enumerate(agents or ()):
+        if a is not None:
+            indices.setdefault(a, []).append(i)
     table = ThresholdTable()
-    for key in [None, *sorted({a for a in agents or () if a is not None})]:
-        values = ppls if key is None else ppls[[i for i, a in enumerate(agents) if a == key]]
+    for key in [None, *sorted(indices)]:
+        values = ppls if key is None else ppls[indices[key]]
         if len(values) < 2:
             name = "global" if key is None else key
             warnings.warn(f"threshold entry {name!r} omitted: only {len(values)} sample(s)")

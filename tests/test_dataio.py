@@ -1,15 +1,20 @@
+import csv
+import io
+import math
 import re
 import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trajlm import dataio
-from trajlm.scoring import ScoreReport, ThresholdTable, classify, compute_thresholds
-from trajlm.vocab import Token
+from trajlm.model import ModelConfig, init_model
+from trajlm.scoring import ScoreReport, SurprisalTrace, ThresholdTable, classify, compute_thresholds, score_corpus
+from trajlm.vocab import EOT, EOT_ID, PAD, SOT, SOT_ID, EncodedTrajectory, Token, Vocab
 
 TRUTH = [
     dataio.TruthRecord("r1", "anomalous", "detour", 0.3, 3),
@@ -32,6 +37,125 @@ def test_write_csv_layout(tmp_path):
         b'"x,y",,0.1\n'
         b'1,"say ""hi""",2.5\n'
     )
+
+
+def _reference(header, rows, config_hash="h") -> bytes:
+    """The bytes of a CSV artifact written row by row through csv.writer."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return (dataio.provenance_comment(config_hash) + buf.getvalue()).encode("utf-8")
+
+
+def _assert_writes_reference(path, write, header, rows):
+    """write(path) leaves the bytes of _reference(header, rows), or raises what writing them raises."""
+    try:
+        expected = _reference(header, rows)
+    except csv.Error:  # the csv module of Python 3.10 cannot write a NUL
+        with pytest.raises(csv.Error):
+            write(path)
+        return
+    write(path)
+    assert path.read_bytes() == expected
+
+
+# Every kind of field a writer meets, the byte traps among them: csv.writer writes
+# a lone empty field as '""' but an empty field among others as nothing, quotes a
+# field holding '\r' only from Python 3.13, and writes -0.0, 0.0, 1, 1.0 and True
+# differently though they compare equal.
+FIELDS = [None, "", ",", '"', "a\nb", "a\rb", " lead", "#hash", "é日本", "plain", math.nan, math.inf,
+          -math.inf, -0.0, 0.0, 5e-324, 0.1, 1e22, 1, 1.0, True, False, np.float64(0.1),
+          np.float64(-0.0), np.int64(-3), Token("cell", "15,10")]
+FIXED_ROWS = [[""], [None], ["", "x"], ["x", ""], ["", ""], [None, None], [], FIELDS, FIELDS[::-1],
+              [" "], ["#"], ["\r"], [0.0, -0.0, 0.0], [-0.0], [1, 1.0, True]]
+TEXTS = st.one_of(st.text(max_size=5), st.sampled_from(["", ",", '"', "a\nb", "a\rb", " lead", "#", "é"]))
+NUMBERS = st.one_of(st.floats(), st.integers(), st.sampled_from([0.0, -0.0, 5e-324, 1.0, 1]))
+FIELD = st.one_of(st.none(), TEXTS, NUMBERS, st.booleans(), st.sampled_from(FIELDS))
+
+
+def test_write_csv_writes_the_bytes_of_csv_writer(tmp_path):
+    for i, rows in enumerate([FIXED_ROWS, *([row] for row in FIXED_ROWS)]):
+        _assert_writes_reference(tmp_path / f"{i}.csv", lambda p: dataio.write_csv(p, ["a", "b"], rows, "h"),
+                                 ["a", "b"], rows)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(TEXTS, min_size=1, max_size=3), st.lists(st.lists(FIELD, max_size=4), max_size=6))
+def test_write_csv_writes_the_bytes_of_csv_writer_on_drawn_rows(header, rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        _assert_writes_reference(Path(tmp) / "t.csv", lambda p: dataio.write_csv(p, header, rows, "h"),
+                                 header, rows)
+
+
+def _surprisal_rows(reports, vocab, encoded):
+    return [[r.traj_id, pos, str(vocab.token(t.ids[pos])), value]
+            for r, t in zip(reports, encoded)
+            for pos, value in zip(r.surprisal.target_positions, r.surprisal.values.tolist())]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(TEXTS, st.none() | TEXTS, st.floats(), st.floats()), min_size=1, max_size=6))
+def test_typed_writers_write_the_bytes_of_csv_writer(samples):
+    """Each typed writer's file equals its rows written through csv.writer. The
+    surprisal reports share traces as score_corpus shares them, and beyond it:
+    each odd report takes the trace of the one before, whatever its ids."""
+    truth = [dataio.TruthRecord(i, agent or "", i, p, len(i) or None, None) for i, agent, p, _ in samples]
+    reports = [ScoreReport(i, p, t, agent) for i, agent, p, t in samples]
+    table = ThresholdTable({agent: (p, t, n + 2) for n, (_, agent, p, t) in enumerate(samples)})
+    scopes = [("global", None)] if None in table.fits else []
+    scopes += [("per_agent", agent) for agent in sorted(a for a in table.fits if a is not None)]
+    cells = sorted({Token("cell", text) for i, agent, _, _ in samples for text in (i, agent or i)})
+    vocab = Vocab([PAD, SOT, EOT, *cells])
+    encoded = [EncodedTrajectory([SOT_ID, vocab.id(Token("cell", i)), vocab.id(Token("cell", agent or i)), EOT_ID], 1,
+                                 traj_id=i) for i, agent, _, _ in samples]
+    traces = [SurprisalTrace(np.array([p, t, 0.5])) for _, _, p, t in samples]
+    traced = [ScoreReport(i, p, t, agent, traces[n - n % 2]) for n, (i, agent, p, t) in enumerate(samples)]
+    cases = [
+        (lambda p: dataio.write_truth(p, truth, "h"), dataio.TRUTH_HEADER,
+         [[r.traj_id, r.label, r.kind, r.ratio, r.dist, r.pos] for r in truth]),
+        (lambda p: dataio.write_scores(p, reports, "h"), dataio.SCORES_HEADER,
+         [[r.traj_id, r.agent, r.perplexity, r.threshold, r.verdict] for r in reports]),
+        (lambda p: dataio.write_thresholds(p, table, "h"), dataio.THRESHOLDS_HEADER,
+         [[scope, agent, table.threshold_for(scope, agent), *table.fits[agent]] for scope, agent in scopes]),
+        (lambda p: dataio.write_surprisals(p, traced, vocab, encoded, "h"), ["id", "pos", "token", "surprisal"],
+         _surprisal_rows(traced, vocab, encoded)),
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        for n, (write, header, rows) in enumerate(cases):
+            _assert_writes_reference(Path(tmp) / f"{n}.csv", write, header, rows)
+
+
+def test_a_repeat_writes_its_first_copys_rows_under_its_own_id(tmp_path):
+    vocab = Vocab([PAD, SOT, EOT, Token("cell", "1,2"), Token("cell", "3")])
+    ids = [[1, 3, 4, 2], [1, 4, 3, 3, 2], [1, 3, 4, 2], [1, 3, 4, 2]]
+    encoded = [EncodedTrajectory(row, 1, traj_id=f"t{n}") for n, row in enumerate(ids)]
+    model = init_model(ModelConfig(vocab_size=len(vocab), d_model=8, n_heads=2, n_layers=1, d_ff=8, max_seq_len=8, seed=0))
+    reports, _ = score_corpus(model, encoded)
+    assert reports[2].surprisal is reports[3].surprisal is reports[0].surprisal
+    path = tmp_path / "surprisals.csv"
+    dataio.write_surprisals(path, reports, vocab, encoded)
+    by_id = {}
+    for row in list(csv.reader(io.StringIO(path.read_text())))[2:]:
+        by_id.setdefault(row[0], []).append(row[1:])
+    assert by_id["t2"] == by_id["t3"] == by_id["t0"] != by_id["t1"]
+    assert [row[1] for row in by_id["t0"]] == ["cell:1,2", "cell:3", "special:EOT"]
+    assert path.read_bytes() == _reference(["id", "pos", "token", "surprisal"],
+                                           _surprisal_rows(reports, vocab, encoded), "")
+
+
+def test_trajectories_sharing_a_trace_each_write_their_own_tokens(tmp_path):
+    vocab = Vocab([PAD, SOT, EOT, Token("cell", "1,2"), Token("cell", "3")])
+    trace = SurprisalTrace(np.array([0.25, 1.5, 3.0]))
+    encoded = [EncodedTrajectory(row, 1, traj_id=i) for i, row in
+               [("a", [1, 3, 4, 2]), ("b", [1, 4, 3, 2]), ("a2", [1, 3, 4, 2]), ("b2", [1, 4, 3, 2])]]
+    reports = [ScoreReport(t.traj_id, 5.0, 4.0, surprisal=trace) for t in encoded]
+    path = tmp_path / "surprisals.csv"
+    dataio.write_surprisals(path, reports, vocab, encoded)
+    rows = list(csv.reader(io.StringIO(path.read_text())))[2:]
+    assert [row[2] for row in rows] == ["cell:1,2", "cell:3", "special:EOT", "cell:3", "cell:1,2", "special:EOT"] * 2
+    assert path.read_bytes() == _reference(["id", "pos", "token", "surprisal"],
+                                           _surprisal_rows(reports, vocab, encoded), "")
 
 
 def _crlf(path):

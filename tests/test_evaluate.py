@@ -342,7 +342,7 @@ def test_prefix_perplexity_equals_a_fresh_session_per_cut_bit_for_bit(monkeypatc
     assert sum(rows) == sum(pushes)  # the open's row and every push's but the last
 
 
-def test_prefix_tree_walk_takes_a_path_longer_than_the_recursion_limit():
+def test_prefix_perplexity_takes_a_path_longer_than_the_recursion_limit():
     """Two routes of max_seq_len + 1 ids, more than Python's recursion limit, that
     part deep in the path: every cut scores as a fresh session's, bit for bit."""
     cfg = ModelConfig(vocab_size=6, d_model=4, n_heads=1, n_layers=1, d_ff=4, max_seq_len=1100, seed=1)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -145,6 +146,26 @@ def test_compute_thresholds_small_group_omitted_with_warning():
     with pytest.warns(UserWarning):
         table = compute_thresholds([1.0])
     assert table.fits == {}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.floats(min_value=1e-3, max_value=1e6),
+                          st.sampled_from([None, "global", "a", "b", "c,d", "e"])), max_size=40))
+def test_per_agent_fits_equal_the_per_agent_definition(samples):
+    """Each agent's fit is (mean, population std, count) of its own perplexities
+    taken in corpus order, bit for bit; None is no agent, and an agent named
+    global has its own fit."""
+    ppls = [p for p, _ in samples]
+    agents = [a for _, a in samples]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a fit of fewer than 2 samples is omitted with a warning
+        table = compute_thresholds(ppls, agents)
+    expected = {}
+    for key in [None, *sorted({a for a in agents if a is not None})]:
+        values = np.array([p for p, a in samples if key is None or a == key])
+        if len(values) >= 2:
+            expected[key] = (float(np.mean(values)), float(np.std(values)), len(values))
+    assert list(table.fits.items()) == list(expected.items())
 
 
 def test_two_scale_corpus_per_agent_vs_global():
