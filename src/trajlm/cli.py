@@ -10,8 +10,9 @@ the config file alone (the code holds no fallback), and the threshold scope is
 the --scope flag. Artifacts embed the config hash and tool version. Exit codes:
 0 success, 1 usage/config error, 2 data or model error. A library warning is
 printed as one `warning: <message>` line on stderr. On glibc, main first
-asks the allocator to keep freed heap pages (_keep_freed_heap_pages), so
-training steps reuse their memory.
+asks the allocator to keep freed heap pages in one arena
+(_keep_freed_heap_pages), so training steps reuse their memory and scoring's
+worker threads add no arenas of their own.
 """
 
 from __future__ import annotations
@@ -57,9 +58,11 @@ EXIT_DATA = 2
 # config's [world] configurations (which only chooses the corpora gen-data writes).
 ABLATION_CONFIGURATIONS = ["staypoint", "gps", "duration"]
 
-# glibc mallopt parameter: bytes kept at the heap top when free() trims it.
+# glibc mallopt parameters: bytes kept at the heap top when free() trims it,
+# and the most malloc arenas the process may have.
 M_TOP_PAD = -2
 HEAP_TOP_PAD = 64 << 20
+M_ARENA_MAX = -8
 
 
 def derive_seed(root: int, name: str) -> int:
@@ -545,12 +548,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _keep_freed_heap_pages() -> None:
-    """Ask glibc to keep HEAP_TOP_PAD bytes at the heap top when free() trims it.
+    """Ask glibc to keep HEAP_TOP_PAD bytes at the heap top when free() trims it,
+    in one malloc arena for all threads.
 
     A training step frees its activations at the end of the step; by default
     glibc hands that top of the heap back to the kernel, and the next step
     page-faults the same memory back in. Keeping it costs no resident memory
-    the step did not already touch. A no-op off Linux or without mallopt.
+    the step did not already touch. score_corpus's worker threads would each
+    get an arena of their own, each keeping its own top pad of freed pages, so
+    peak memory would grow with the worker count; one arena keeps one pad. A
+    no-op off Linux or without mallopt.
     """
     if not sys.platform.startswith("linux"):
         return
@@ -561,6 +568,7 @@ def _keep_freed_heap_pages() -> None:
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
     mallopt(M_TOP_PAD, HEAP_TOP_PAD)
+    mallopt(M_ARENA_MAX, 1)
 
 
 def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:

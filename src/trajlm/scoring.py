@@ -10,9 +10,13 @@ so a perfectly predicted trajectory scores exactly 1.
 equal-length id rows. `score_corpus` is the batch entry point. It computes a
 repeated trajectory (the same head length and ids, as `first_copies` decides)
 once, groups the distinct ones by length and makes one forward call per
-exact-length chunk of at most CHUNK_TOKENS positions; `surprisal` calls the
-same kernel with one row. No row is padded, so a trajectory's trace is the same
-bits in any chunk, and a `surprisal(...).perplexity` equals `score_corpus`'s
+exact-length chunk of at most CHUNK_TOKENS positions, on a thread pool with
+one worker per CPU the process may use (numpy releases the interpreter lock
+in its matrix products and large array loops, so the workers overlap there);
+`surprisal` calls the same kernel with one row. No row is
+padded, so a trajectory's trace is the same bits in any chunk, on any worker
+and in any order, and so every score, threshold and artifact is the same bytes
+with any number of CPUs. A `surprisal(...).perplexity` equals `score_corpus`'s
 bit for bit through the one formula, `SurprisalTrace.perplexity`. One trace per
 trajectory gives its perplexity, threshold fit, verdict and localization; a
 repeat takes its first copy's trace, and threshold fits still count every
@@ -25,6 +29,7 @@ threshold.
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -34,8 +39,10 @@ from .errors import DomainError
 from .model import Model, check_lengths, forward_batch, log_softmax
 from .vocab import EncodedTrajectory
 
-# Forward positions per score_corpus chunk. It bounds a chunk's activations: a
-# larger cap makes fewer calls but grows peak memory and runs no faster.
+# Forward positions per score_corpus chunk. It bounds a chunk's activations
+# (each worker holds one chunk's at a time): a larger cap makes fewer calls but
+# grows peak memory and runs no faster, and fewer, larger chunks leave the
+# workers less even shares of a corpus.
 CHUNK_TOKENS = 256
 
 
@@ -167,33 +174,53 @@ def first_copies(corpus: list[EncodedTrajectory]) -> list[int]:
     return [first.setdefault((t.prefix_len, *t.ids), i) for i, t in enumerate(corpus)]
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on: its affinity set where the
+    platform has one, else the machine's CPU count (at least 1)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def score_corpus(model: Model, corpus: list[EncodedTrajectory], scope: str = "global",
                  table: ThresholdTable | None = None) -> tuple[list[ScoreReport], ThresholdTable]:
     """Score every trajectory from one surprisal trace each; returns (reports, table).
 
     Only first copies (first_copies) are computed: they are grouped by length
     and each group is scored in chunks of CHUNK_TOKENS // (length - 1) rows (at
-    least one), one token_log_probs call per chunk. A repeat shares its first
-    copy's trace and perplexity, and reports come back in corpus order, each
-    with its own id and agent. check_lengths runs on the whole corpus before
-    the first forward call. With table None, thresholds are fitted on one
-    perplexity per trajectory, repeats included, with per-agent entries under
-    scope 'per_agent' for the agents the corpus has. Every report carries its trace.
+    least one), one token_log_probs call per chunk. The chunks run on a thread
+    pool of _usable_cpus() workers, submitted largest first (rows x length) so
+    the workers finish together; each trajectory takes its trace from its own
+    chunk's result, so the traces are the same bits with any worker count. If a
+    chunk raises, the first failing chunk in submission order raises here, the
+    chunks not yet started are cancelled and every worker has exited. A repeat
+    shares its first copy's trace and perplexity, and reports come back in
+    corpus order, each with its own id and agent. check_lengths runs on the
+    whole corpus before the first forward call. With table None, thresholds
+    are fitted on one perplexity per trajectory, repeats included, with
+    per-agent entries under scope 'per_agent' for the agents the corpus has.
+    Every report carries its trace.
     """
+    from concurrent.futures import ThreadPoolExecutor  # imported here: it slows `import trajlm`
+
     check_lengths(model, corpus)
     first = first_copies(corpus)
     by_length: dict[int, list[int]] = {}
     for i, t in enumerate(corpus):
         if first[i] == i:
             by_length.setdefault(len(t.ids), []).append(i)
-    traces: dict[int, SurprisalTrace] = {}
+    chunks = []
     for length, members in by_length.items():
         rows = max(1, CHUNK_TOKENS // (length - 1))
-        for start in range(0, len(members), rows):
-            chunk = members[start:start + rows]
-            log_probs = token_log_probs(model, [corpus[i].ids for i in chunk])
-            for i, lp in zip(chunk, log_probs):
-                traces[i] = SurprisalTrace(-lp)
+        chunks += [members[start:start + rows] for start in range(0, len(members), rows)]
+    chunks.sort(key=lambda chunk: len(chunk) * len(corpus[chunk[0]].ids), reverse=True)
+    pool = ThreadPoolExecutor(max_workers=_usable_cpus())
+    try:
+        futures = [pool.submit(token_log_probs, model, [corpus[i].ids for i in chunk]) for chunk in chunks]
+        traces = {i: SurprisalTrace(-lp) for chunk, future in zip(chunks, futures)
+                  for i, lp in zip(chunk, future.result())}
+    finally:
+        pool.shutdown(cancel_futures=True)
     distinct_ppls = {i: trace.perplexity for i, trace in traces.items()}
     ppls = [distinct_ppls[f] for f in first]
     if table is None:

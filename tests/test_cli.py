@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trajlm import dataio
+from trajlm import dataio, scoring
 from trajlm.checkpoint import read_checkpoint
 from trajlm.cli import RunConfig, build_parser, main, pol_corpora, porto_corpora
 from trajlm.errors import ConfigError
@@ -502,6 +502,23 @@ def porto_pipeline(porto_config, tmp_path):
         "--fit-thresholds", "--thresholds-out", thr)
     return dict(config=porto_config, data=out, corpus=out / "train.jsonl", vocab=vocab, ckpt=ckpt,
                 thresholds=thr, tmp=tmp_path)
+
+
+def test_score_writes_the_same_bytes_with_one_worker_or_four(porto_pipeline, monkeypatch):
+    """`score --fit-thresholds --per-position` on the porto training routes writes the
+    same scores, thresholds and surprisals bytes whether scoring has one worker or four."""
+    p = porto_pipeline
+    names = ("scores.csv", "thresholds.csv", "surprisals.csv")
+    written = []
+    for workers in (1, 4):
+        monkeypatch.setattr(scoring, "_usable_cpus", lambda: workers)
+        out = p["tmp"] / f"workers{workers}"
+        out.mkdir()
+        assert run("score", "--config", p["config"], "--checkpoint", p["ckpt"], "--vocab", p["vocab"],
+                   "--corpus", p["corpus"], "--out", out / names[0], "--fit-thresholds",
+                   "--thresholds-out", out / names[1], "--per-position", out / names[2]) == 0
+        written.append([(out / name).read_bytes() for name in names])
+    assert written[0] == written[1]
 
 
 def test_report_completion(porto_pipeline):

@@ -1,4 +1,7 @@
+import dataclasses
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -263,6 +266,8 @@ def test_score_corpus_chunks_match_one_row_traces_in_input_order():
 
 
 def test_score_corpus_makes_one_forward_call_per_exact_length_chunk(monkeypatch):
+    """One worker runs the chunks in the order they are submitted: largest
+    (rows x trajectory length) first."""
     m, corpus = mixed_length_corpus()
     shapes = []
     real = scoring.forward_batch
@@ -272,11 +277,59 @@ def test_score_corpus_makes_one_forward_call_per_exact_length_chunk(monkeypatch)
         return real(model, ids, *args, **kwargs)
 
     monkeypatch.setattr(scoring, "forward_batch", counting)
+    monkeypatch.setattr(scoring, "_usable_cpus", lambda: 1)
     score_corpus(m, corpus)
     members = {n: sum(len(t.ids) == n for t in corpus) for n in {len(t.ids) for t in corpus}}
     rows = {n: max(1, CHUNK_TOKENS // (n - 1)) for n in members}
     assert len(shapes) == sum(math.ceil(members[n] / rows[n]) for n in members) == 1 + 3 + 3 + 2 + 2
     assert all(r * t <= CHUNK_TOKENS or r == 1 for r, t in shapes)
+    sizes = [r * (t + 1) for r, t in shapes]
+    assert sizes == sorted(sizes, reverse=True) and sizes[0] > sizes[-1]
+
+
+def _score_with_workers(monkeypatch, workers, *args, **kwargs):
+    """score_corpus(*args, **kwargs) on a pool of the given number of workers,
+    with a short switch interval so that the workers interleave often."""
+    monkeypatch.setattr(scoring, "_usable_cpus", lambda: workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        return score_corpus(*args, **kwargs)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_score_corpus_is_the_same_bits_with_one_worker_or_four(monkeypatch):
+    """Four workers, more than the CPUs the test may have, give the traces,
+    perplexities, per-agent threshold fits and report order that one worker
+    gives, bit for bit, on a mixed-length corpus with repeats."""
+    m, corpus = mixed_length_corpus()
+    corpus = [dataclasses.replace(t, agent="abc"[i % 3]) for i, t in enumerate(corpus)]
+    corpus += [dataclasses.replace(t, traj_id=f"{t.traj_id}+", agent="c") for t in corpus[::4]]
+    results = [_score_with_workers(monkeypatch, w, m, corpus, scope="per_agent") for w in (1, 4)]
+    (one, one_table), (four, four_table) = results
+    assert [r.traj_id for r in four] == [r.traj_id for r in one] == [t.traj_id for t in corpus]
+    assert [r.agent for r in four] == [r.agent for r in one]
+    assert [r.surprisal.values.tobytes() for r in four] == [r.surprisal.values.tobytes() for r in one]
+    assert np.array([r.perplexity for r in four]).tobytes() == np.array([r.perplexity for r in one]).tobytes()
+    assert four_table == one_table and set(one_table.fits) == {None, "a", "b", "c"}
+    assert [r.threshold for r in four] == [r.threshold for r in one]
+
+
+def test_score_corpus_raises_a_chunk_error_alike_with_one_worker_or_four(monkeypatch):
+    """A chunk whose forward call raises makes score_corpus raise the same
+    DomainError with one worker and with four, and no worker thread outlives
+    the call."""
+    m, corpus = mixed_length_corpus()
+    corpus[5] = dataclasses.replace(corpus[5], ids=[corpus[5].ids[0], 20, *corpus[5].ids[2:]])  # past the vocab
+    before = threading.active_count()
+    messages = []
+    for workers in (1, 4):
+        with pytest.raises(DomainError) as info:
+            _score_with_workers(monkeypatch, workers, m, corpus)
+        messages.append(str(info.value))
+        assert threading.active_count() == before
+    assert messages == ["token ids must lie in [0, 20)"] * 2
 
 
 def test_score_corpus_names_an_overlong_trajectory_before_any_forward_call(monkeypatch):
