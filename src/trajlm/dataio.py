@@ -6,12 +6,12 @@ where each token string is "kind:value". A corpus is model input and holds no
 ground truth, which lives only in the truth CSV. An optional first record
 {"_meta": {...}} carries the config hash and tool version; readers skip it, and
 ignore any other key, such as the answer key that earlier corpora carried. CSV
-artifacts start with a '#' comment line carrying the same provenance;
-`write_csv` writes all of them, the loss log included. Their fields are
-rendered as csv.writer(fh, lineterminator="\\n") writes them, one distinct field
-at a time: each distinct text is quoted once per file by the csv module itself,
-so its quoting rules stay the running Python's, and a trace scored for several
-trajectories has its per-position rows rendered once.
+artifacts start with a '#' comment line carrying the same provenance, then
+the header and the rows. The csv module formats and parses all of them: one
+csv.writer(fh, lineterminator="\\n") writes each file, the loss log included,
+and one csv.reader reads it, so a quoted field may hold a line break and an id
+may start with '#'. '#' lines count as comments only before the header.
+`write_surprisals` renders the lines of each distinct trace once.
 
 `encode_record` frames a record: its agent and weekday fields head the ids, or
 SOT when it has neither, and EOT ends them; so `tokens` holds no special,
@@ -22,9 +22,11 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import math
 import types
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -114,6 +116,18 @@ def record_tokens(texts, path, lineno: int, known: dict[str, Token] | None = Non
     return tokens
 
 
+def _check_fields(rec: CorpusRecord, where: str) -> CorpusRecord:
+    """rec, if its id is a string, its weekday one when given, and its agent a non-empty
+    one when given: scores.csv and thresholds.csv write no agent as an empty field.
+    Any other record is a DataError naming where."""
+    for key, value in (("id", rec.traj_id), ("agent", rec.agent), ("weekday", rec.weekday)):
+        if not isinstance(value, str) and (key == "id" or value is not None):
+            raise DataError(f"{where}: record {key} must be a string, got {value!r}")
+    if rec.agent == "":
+        raise DataError(f"{where}: record agent must not be empty, which the CSV artifacts write as no agent")
+    return rec
+
+
 def stream_record(conditioning: str) -> CorpusRecord:
     """The tokenless record `trajlm stream` scores, headed by conditioning: one CSV row of
     agent_id and weekday tokens, as encode_record orders them, so a token holding a comma
@@ -127,7 +141,7 @@ def stream_record(conditioning: str) -> CorpusRecord:
     rec = CorpusRecord("<stdin>", [], fields.get("agent_id"), fields.get("weekday"))
     if _head(rec) != head:
         raise DataError(f"--conditioning must be agent_id:<agent>, then weekday:<day>, got {conditioning!r}")
-    return rec
+    return _check_fields(rec, "--conditioning")
 
 
 def provenance(config_hash: str = "") -> dict[str, str]:
@@ -178,9 +192,7 @@ def read_corpus(path) -> list[CorpusRecord]:
                 )
             except (KeyError, TypeError) as e:
                 raise DataError(f"{path}:{lineno}: bad corpus record: {e}") from e
-            for key, value in (("id", rec.traj_id), ("agent", rec.agent), ("weekday", rec.weekday)):
-                if not isinstance(value, str) and (key == "id" or value is not None):
-                    raise DataError(f"{path}:{lineno}: corpus {key} must be a string, got {value!r}")
+            _check_fields(rec, f"{path}:{lineno}")
             if rec.traj_id in first_line:
                 raise DataError(
                     f"{path}:{lineno}: duplicate id {rec.traj_id!r}, first on line {first_line[rec.traj_id]}"
@@ -207,58 +219,22 @@ def provenance_comment(config_hash: str) -> str:
     return f"# config_hash={meta['config_hash']} tool_version={meta['tool_version']}\n"
 
 
-class _Fields:
-    """Renders CSV fields as csv.writer(fh, lineterminator="\\n") writes them: None
-    as an empty field, an int or float as its str, and any other field's text
-    quoted by the csv module itself. Each distinct text is quoted once, and
-    each distinct nonzero float rendered once."""
-
-    def __init__(self):
-        # writerow returns what its file's write returns, here the line itself. The line
-        # terminator is the file's: the csv module quotes a field holding one of its characters.
-        self._writerow = csv.writer(types.SimpleNamespace(write=str), lineterminator="\n").writerow
-        # csv.writer writes a lone empty field as '""', but an empty field among others as nothing.
-        self._quoted = {"": ""}
-        self._floats: dict[float, str] = {}
-
-    def text(self, value) -> str:
-        """The field's text, as csv.writer writes it among other fields."""
-        kind = type(value)
-        if kind is float and value:  # 0.0 == -0.0, but their texts differ
-            text = self._floats.get(value)
-            if text is None:
-                text = self._floats[value] = str(value)
-            return text
-        if kind is int or kind is float:  # the text of an int or float needs no quotes
-            return str(value)
-        if value is None:
-            return ""
-        text = value if isinstance(value, str) else str(value)
-        quoted = self._quoted.get(text)
-        if quoted is None:
-            quoted = self._quoted[text] = self._writerow((text,))[:-1]
-        return quoted
-
-    def line(self, row) -> str:
-        """One row's line, as csv.writer writes it."""
-        fields = list(map(self.text, row))
-        return ('""' if fields == [""] else ",".join(fields)) + "\n"
+@contextmanager
+def _csv_file(path, header: list[str], config_hash: str):
+    """The open file of a CSV artifact and its csv.writer, past the provenance comment and the header."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(provenance_comment(config_hash))
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        yield fh, writer
 
 
 def write_csv(path, header: list[str], rows, config_hash: str = "") -> None:
-    """Write a CSV artifact: the provenance comment, the header, then rows.
-
-    Every line ends in a bare newline, and one _Fields renders the file's fields
-    as csv.writer does: None is an empty field and a float is written as its
-    repr. rows is an iterable of field sequences; a typed writer that renders
-    its own lines passes a function instead, which is given the file's field
-    renderer (the _Fields's text method) and returns the lines of the rows.
-    """
-    fields = _Fields()
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(provenance_comment(config_hash))
-        fh.write(fields.line(header))
-        fh.writelines(rows(fields.text) if callable(rows) else map(fields.line, rows))
+    """Write a CSV artifact: the provenance comment, the header, then rows, an
+    iterable of field sequences, all through one csv.writer. Every line ends in a
+    bare newline; None is an empty field and a number is written as its str."""
+    with _csv_file(path, header, config_hash) as (_, writer):
+        writer.writerows(rows)
 
 
 def write_truth(path, records: list[TruthRecord], config_hash: str = "") -> None:
@@ -266,27 +242,42 @@ def write_truth(path, records: list[TruthRecord], config_hash: str = "") -> None
     write_csv(path, TRUTH_HEADER, rows, config_hash)
 
 
-def _csv_rows(path, header: list[str], what: str, prefix: bool = False):
+def _csv_rows(path, header: list[str], what: str, least: int | None = None):
     """Yield (path:line, fields) for each data row of the CSV artifact at path, after its header.
 
-    Every row has exactly the header's fields or, with prefix, at least them.
-    '#' provenance lines and blank lines are skipped. Each line is parsed on its
-    own: the artifacts never quote a line break, and line numbers stay exact.
+    One csv.reader parses the file, so a quoted field may hold a line break, and
+    a row is named by the line it ends on. Lines end at '\\n' alone: a '\\r' that
+    no quotes hold is a DataError, not a line end, unless a '\\n' follows it. '#'
+    lines before the header are comments; blank rows are skipped. The file's
+    header is header, and each row has its fields; with least, the header may be
+    header's first k >= least fields, and each row has from least to k fields.
     """
-    with decoding(path), open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = (
-            (f"{path}:{lineno}", next(csv.reader([line])))
-            for lineno, line in enumerate(fh, start=1)
-            if line.strip() and not line.startswith("#")
-        )
-        n = len(header)
-        first = next(rows, (path, None))[1]
-        if first is None or (first[:n] if prefix else first) != header:
-            raise DataError(f"{path}: expected {what} CSV header {','.join(header)}, got {first}")
-        for where, row in rows:
-            if len(row) < n or (not prefix and len(row) > n):
-                raise DataError(f"{where}: {what} row needs {n} fields, got {row}")
-            yield where, row
+    with decoding(path), open(path, "r", encoding="utf-8", newline="\n") as fh:
+        comments = 0
+        for line in fh:
+            if line.strip() and not line.startswith("#"):
+                break
+            comments += 1
+        else:
+            line = ""
+        reader = csv.reader(itertools.chain([line], fh))
+        rows = ((f"{path}:{comments + reader.line_num}", row) for row in reader
+                if len(row) > 1 or row and row[0].strip())
+        try:
+            first = next(rows, (path, None))[1]
+            least = len(header) if least is None else least
+            if first is None or not least <= len(first) <= len(header) or first != header[:len(first)]:
+                expected = ",".join(header)
+                if least < len(header):
+                    expected = f"{','.join(header[:least])} or a longer prefix of {expected}"
+                raise DataError(f"{path}: expected {what} CSV header {expected}, got {first}")
+            for where, row in rows:
+                if not least <= len(row) <= len(first):
+                    count = least if least == len(first) else f"{least} to {len(first)}"
+                    raise DataError(f"{where}: {what} row needs {count} fields, got {row}")
+                yield where, row
+        except csv.Error as e:
+            raise DataError(f"{path}:{comments + reader.line_num}: bad {what} CSV: {e}") from e
 
 
 def _label(where: str, value: str, what: str) -> str:
@@ -298,19 +289,14 @@ def _label(where: str, value: str, what: str) -> str:
 def read_truth(path) -> dict[str, TruthRecord]:
     """Truth rows by id; a repeated id is a DataError naming its line."""
     out: dict[str, TruthRecord] = {}
-    for where, row in _csv_rows(path, TRUTH_HEADER[:2], "truth", prefix=True):
+    for where, row in _csv_rows(path, TRUTH_HEADER, "truth", least=2):
         if row[0] in out:
             raise DataError(f"{where}: duplicate id {row[0]!r}")
         _label(where, row[1], "truth label")
+        kind, ratio, dist, pos = row[2:] + [""] * (len(TRUTH_HEADER) - len(row))  # a missing field is empty
         try:
-            rec = TruthRecord(
-                traj_id=row[0],
-                label=row[1],
-                kind=row[2] if len(row) > 2 else "",
-                ratio=float(row[3]) if len(row) > 3 and row[3] else None,
-                dist=int(row[4]) if len(row) > 4 and row[4] else None,
-                pos=int(row[5]) if len(row) > 5 and row[5] else None,
-            )
+            rec = TruthRecord(row[0], row[1], kind, float(ratio) if ratio else None,
+                              int(dist) if dist else None, int(pos) if pos else None)
         except ValueError as e:
             raise DataError(f"{where}: bad truth row {row}: {e}") from e
         out[rec.traj_id] = rec
@@ -335,11 +321,8 @@ def read_loss_log(path) -> list[tuple[int, float]]:
 
 
 def write_scores(path, reports: list[ScoreReport], config_hash: str = "") -> None:
-    def lines(field):
-        return (f"{field(r.traj_id)},{field(r.agent)},{field(r.perplexity)},{field(r.threshold)},{field(r.verdict)}\n"
-                for r in reports)
-
-    write_csv(path, SCORES_HEADER, lines, config_hash)
+    rows = ([r.traj_id, r.agent, r.perplexity, r.threshold, r.verdict] for r in reports)
+    write_csv(path, SCORES_HEADER, rows, config_hash)
 
 
 def read_scores(path) -> list[ScoreReport]:
@@ -368,24 +351,24 @@ def write_surprisals(path, reports: list[ScoreReport], vocab: Vocab,
                      encoded: list[EncodedTrajectory], config_hash: str = "") -> None:
     """Per-position dump: id,pos,token,surprisal (one row per scored token).
 
-    reports[i] is the report of encoded[i], as score_corpus returns them. Each
-    token's text is rendered once per vocab id, and the rows of each distinct
-    (trace, ids) pair once: a repeat, which score_corpus gives its first copy's
-    trace, writes those rows again under its own id.
+    reports[i] is the report of encoded[i], as score_corpus returns them. The
+    lines of each distinct (trace, ids) pair are rendered once, by csv.writer
+    with an empty id field, and each report's id field, as csv.writer renders
+    it, is put in front of each of them: a repeat, which score_corpus gives its
+    first copy's trace, writes those lines again under its own id.
     """
-    def lines(field):
-        names = [field(vocab.token(i)) for i in range(len(vocab))]
-        rendered: dict[int, tuple] = {}  # id(trace) -> (ids, rows); reports keeps each trace alive
+    render = csv.writer(types.SimpleNamespace(write=str), lineterminator="\n").writerow  # returns the line
+    names = [str(vocab.token(i)) for i in range(len(vocab))]
+    rendered: dict[int, tuple] = {}  # id(trace) -> (ids, lines); reports keeps each trace alive
+    with _csv_file(path, ["id", "pos", "token", "surprisal"], config_hash) as (fh, _):
         for r, t in zip(reports, encoded, strict=True):
             trace = r.surprisal
-            ids, rows = rendered.get(id(trace), (None, None))
+            ids, lines = rendered.get(id(trace), (None, None))
             if ids != t.ids:  # a new trace, or one shared by trajectories with other ids
-                rows = ["", *(f",{field(pos)},{names[t.ids[pos]]},{field(value)}\n"
-                              for pos, value in zip(trace.target_positions, trace.values.tolist()))]
-                rendered[id(trace)] = (t.ids, rows)
-            yield field(r.traj_id).join(rows)  # the id field heads each row
-
-    write_csv(path, ["id", "pos", "token", "surprisal"], lines, config_hash)
+                lines = ["", *(render(("", pos, names[t.ids[pos]], value))
+                               for pos, value in zip(trace.target_positions, trace.values.tolist()))]
+                rendered[id(trace)] = (t.ids, lines)
+            fh.write(render((r.traj_id, ""))[:-2].join(lines))  # the id field, without its ",\n"
 
 
 def write_thresholds(path, table: ThresholdTable, config_hash: str = "") -> None:

@@ -281,6 +281,27 @@ def test_score_fit_thresholds_and_eval_composability(pol_pipeline):
                                      "eval_b.csv": None, "loss.csv": None})
 
 
+def test_ids_starting_with_a_hash_or_holding_a_line_break_go_through_score_and_eval(pol_pipeline):
+    """scores.csv and truth.csv carry every id of the corpus, so eval counts each trajectory once."""
+    p = pol_pipeline
+    records = dataio.read_corpus(p["corpus"])
+    truth = dataio.read_truth(p["data"] / "truth.csv")
+    new_ids = {records[0].traj_id: "#1", records[1].traj_id: "a\nb"}
+    for rec in records:
+        truth[rec.traj_id].traj_id = rec.traj_id = new_ids.get(rec.traj_id, rec.traj_id)
+    corpus, truth_csv = p["tmp"] / "odd_ids.jsonl", p["tmp"] / "odd_truth.csv"
+    dataio.write_corpus(corpus, records)
+    dataio.write_truth(truth_csv, list(truth.values()))
+    scores, out = p["tmp"] / "odd_scores.csv", p["tmp"] / "odd_eval.csv"
+    assert run("score", "--checkpoint", p["ckpt"], "--vocab", p["vocab"], "--corpus", corpus,
+               "--out", scores, "--fit-thresholds") == 0
+    assert [r.traj_id for r in dataio.read_scores(scores)][:2] == ["#1", "a\nb"]
+    assert run("eval", "--truth", truth_csv, "--scores", scores, "--out", out) == 0
+    header, row = read_rows(out)
+    counts = dict(zip(header, row))
+    assert sum(int(counts[k]) for k in ("tp", "fp", "fn", "tn")) == len(records)
+
+
 def test_score_prints_a_library_warning_as_one_line(pol_pipeline, capsys):
     """An agent with a single day gets no per-agent fit: stderr holds that warning as
     one line, with no source path or line, then the error its missing fit causes."""
@@ -399,8 +420,10 @@ def test_stream_writes_porto_cell_as_one_field(porto_pipeline, monkeypatch, caps
     ("special:SOT,{agent},staypoint:work", "", "--conditioning must be agent_id:<agent>, then weekday:<day>"),
     ('"{agent},weekday:Monday', "", "--conditioning must be one CSV row"),
     ('"{agent}"x,weekday:Monday', "", "--conditioning must be one CSV row"),
+    ("agent_id:,weekday:Monday", "", "--conditioning: record agent must not be empty"),
 ], ids=["pad-event", "sot-event", "weekday-event", "agent-event", "malformed-event", "reversed-head",
-        "repeated-head", "sot-and-location-head", "unclosed-quote-head", "text-after-quote-head"])
+        "repeated-head", "sot-and-location-head", "unclosed-quote-head", "text-after-quote-head",
+        "empty-agent-head"])
 def test_stream_reads_a_record_the_corpus_reader_would_take(pol_pipeline, monkeypatch, capsys,
                                                              conditioning, stdin, message):
     """A stdin token passes the rule of a corpus record's tokens, and --conditioning is
@@ -622,6 +645,7 @@ ERROR_LINE = {"scores-duplicate-id": 3}
     ("score", "corpus.jsonl", GOOD_INPUTS["corpus.jsonl"] + '{"id": "t2", "agent": "x", "tokens": ["agent_id:x", "cell:1,2"]}\n', 2),
     ("build-vocab", "corpus.jsonl", GOOD_INPUTS["corpus.jsonl"] + '{"id": "t2", "tokens": ["special:SOT", "cell:1,2"]}\n', 2),
     ("build-vocab", "corpus.jsonl", GOOD_INPUTS["corpus.jsonl"] + '{"id": "t2", "tokens": ["weekday:Monday", "cell:1,2"]}\n', 2),
+    ("build-vocab", "corpus.jsonl", GOOD_INPUTS["corpus.jsonl"] + '{"id": "t2", "agent": "", "tokens": ["cell:1,2"]}\n', 2),
 ], ids=["truth-no-label", "truth-bad-ratio", "scores-bad-float", "scores-short-row",
         "thresholds-bad-float", "thresholds-short-row", "config-bad-ratio",
         "truth-not-utf8", "corpus-not-utf8", "config-not-utf8",
@@ -643,7 +667,7 @@ ERROR_LINE = {"scores-duplicate-id": 3}
         "scores-nan-perplexity", "scores-nan-threshold", "scores-anomalous-below-threshold",
         "scores-anomalous-at-threshold", "scores-normal-above-threshold", "scores-duplicate-id",
         "score-corpus-eot-inside-tokens", "score-corpus-pad-token", "score-corpus-agent-token",
-        "corpus-sot-token", "corpus-weekday-token"])
+        "corpus-sot-token", "corpus-weekday-token", "corpus-agent-empty"])
 def test_bad_input_exits_with_one_line_error(pol_pipeline, capsys, request, command, name, text, code):
     p = pol_pipeline
     for file, good in GOOD_INPUTS.items():

@@ -253,3 +253,68 @@ def test_read_truth_names_a_duplicate_id(tmp_path):
     path.write_text("id,label\nt1,anomalous\nt2,normal\nt1,normal\n")
     with pytest.raises(dataio.DataError, match=f"{path}:4: duplicate id 't1'"):
         dataio.read_truth(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("id,label,pos\nt1,anomalous,4\n",
+     "expected truth CSV header id,label or a longer prefix of id,label,kind,ratio,dist,pos, got ['id', 'label', 'pos']"),
+    ("id,label\nt1,anomalous,detour\n", ":2: truth row needs 2 fields, got ['t1', 'anomalous', 'detour']"),
+    ("id,label,kind\nt1,anomalous,detour,0.5\n", ":2: truth row needs 2 to 3 fields"),
+], ids=["header-not-a-prefix", "row-longer-than-header", "row-longer-than-prefix"])
+def test_read_truth_reads_only_the_columns_its_header_names(tmp_path, text, message):
+    path = tmp_path / "truth.csv"
+    path.write_text(text)
+    with pytest.raises(dataio.DataError, match=re.escape(message)):
+        dataio.read_truth(path)
+    path.write_text("id,label,kind\nt1,anomalous,detour\nt2,normal\n")
+    assert list(dataio.read_truth(path).values()) == [dataio.TruthRecord("t1", "anomalous", "detour"),
+                                                      dataio.TruthRecord("t2", "normal")]
+
+
+# Ids and agents drawn from the texts a CSV artifact must carry: a leading '#', line
+# breaks, the delimiter, the quote and a leading space.
+NAMES = st.lists(st.sampled_from(["#", "#1", "\n", "\r", "\r\n", ",", '"', " ", "a", "é"]),
+                 min_size=1, max_size=4).map("".join)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _bare_cr(texts) -> bool:
+    """Whether csv.writer leaves one of texts unquoted though it holds a '\\r', as it
+    does before Python 3.13: no csv.reader can tell that '\\r' from a line end."""
+    def line(text):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow([text, ""])
+        return buf.getvalue()
+    return any("\r" in text and not line(text).startswith('"') for text in texts)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.dictionaries(NAMES, st.tuples(st.none() | NAMES, FINITE, FINITE, NAMES), min_size=1, max_size=6),
+       st.lists(st.floats(), max_size=4))
+def test_every_reader_returns_what_its_writer_wrote(samples, losses):
+    """Truth, scores, thresholds and the loss log read back as written, whatever their
+    ids, agents and kinds hold; a file the csv module cannot read back is a DataError
+    naming its line."""
+    truth = [dataio.TruthRecord(i, dataio.LABELS[n % 2], kind, p, n or None, len(kind))
+             for n, (i, (_, p, _, kind)) in enumerate(samples.items())]
+    reports = [ScoreReport(i, p, t, agent) for i, (agent, p, t, _) in samples.items()]
+    table = ThresholdTable({agent: (p, abs(t), n + 2) for n, (agent, p, t, _) in enumerate(samples.values())})
+    epochs = list(enumerate(losses))
+    ids, agents = list(samples), [a for a, _, _, _ in samples.values() if a is not None]
+    cases = [
+        (lambda p: dataio.write_truth(p, truth), lambda p: list(dataio.read_truth(p).values()), truth,
+         ids + [kind for _, _, _, kind in samples.values()]),
+        (lambda p: dataio.write_scores(p, reports), dataio.read_scores, reports, ids + agents),
+        (lambda p: dataio.write_thresholds(p, table), dataio.read_thresholds, table, agents),
+        (lambda p: dataio.write_csv(p, dataio.LOSS_HEADER, epochs), lambda p: repr(dataio.read_loss_log(p)),
+         repr(epochs), []),
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        for n, (write, read, value, texts) in enumerate(cases):
+            path = Path(tmp) / f"{n}.csv"
+            write(path)
+            if _bare_cr(texts):
+                with pytest.raises(dataio.DataError, match=re.escape(f"{path}:")):
+                    read(path)
+            else:
+                assert read(path) == value
