@@ -116,16 +116,23 @@ def record_tokens(texts, path, lineno: int, known: dict[str, Token] | None = Non
     return tokens
 
 
-def _check_fields(rec: CorpusRecord, where: str) -> CorpusRecord:
-    """rec, if its id is a string, its weekday one when given, and its agent a non-empty
-    one when given: scores.csv and thresholds.csv write no agent as an empty field.
-    Any other record is a DataError naming where."""
+def _field_error(rec: CorpusRecord) -> str:
+    """What makes rec's id, agent or weekday unfit for the pipeline, or '' if nothing does.
+
+    Its id must be a string, its weekday one when given, and its agent a non-empty one
+    when given: scores.csv and thresholds.csv write no agent as an empty field.
+    Neither its id nor its agent may hold a '\\r', which csv.writer leaves unquoted
+    before Python 3.13, so no reader could tell it from a line end.
+    """
     for key, value in (("id", rec.traj_id), ("agent", rec.agent), ("weekday", rec.weekday)):
         if not isinstance(value, str) and (key == "id" or value is not None):
-            raise DataError(f"{where}: record {key} must be a string, got {value!r}")
+            return f"record {key} must be a string, got {value!r}"
     if rec.agent == "":
-        raise DataError(f"{where}: record agent must not be empty, which the CSV artifacts write as no agent")
-    return rec
+        return "record agent must not be empty, which the CSV artifacts write as no agent"
+    if "\r" in rec.traj_id or rec.agent and "\r" in rec.agent:
+        return (f"record id and agent must not hold '\\r', which the CSV artifacts cannot carry, "
+                f"got id {rec.traj_id!r} and agent {rec.agent!r}")
+    return ""
 
 
 def stream_record(conditioning: str) -> CorpusRecord:
@@ -141,7 +148,10 @@ def stream_record(conditioning: str) -> CorpusRecord:
     rec = CorpusRecord("<stdin>", [], fields.get("agent_id"), fields.get("weekday"))
     if _head(rec) != head:
         raise DataError(f"--conditioning must be agent_id:<agent>, then weekday:<day>, got {conditioning!r}")
-    return _check_fields(rec, "--conditioning")
+    error = _field_error(rec)
+    if error:
+        raise DataError(f"--conditioning: {error}")
+    return rec
 
 
 def provenance(config_hash: str = "") -> dict[str, str]:
@@ -192,7 +202,9 @@ def read_corpus(path) -> list[CorpusRecord]:
                 )
             except (KeyError, TypeError) as e:
                 raise DataError(f"{path}:{lineno}: bad corpus record: {e}") from e
-            _check_fields(rec, f"{path}:{lineno}")
+            error = _field_error(rec)
+            if error:
+                raise DataError(f"{path}:{lineno}: {error}")
             if rec.traj_id in first_line:
                 raise DataError(
                     f"{path}:{lineno}: duplicate id {rec.traj_id!r}, first on line {first_line[rec.traj_id]}"

@@ -421,9 +421,10 @@ def test_stream_writes_porto_cell_as_one_field(porto_pipeline, monkeypatch, caps
     ('"{agent},weekday:Monday', "", "--conditioning must be one CSV row"),
     ('"{agent}"x,weekday:Monday', "", "--conditioning must be one CSV row"),
     ("agent_id:,weekday:Monday", "", "--conditioning: record agent must not be empty"),
+    ('"agent_id:a\rb",weekday:Monday', "", "--conditioning: record id and agent must not hold '\\r'"),
 ], ids=["pad-event", "sot-event", "weekday-event", "agent-event", "malformed-event", "reversed-head",
         "repeated-head", "sot-and-location-head", "unclosed-quote-head", "text-after-quote-head",
-        "empty-agent-head"])
+        "empty-agent-head", "carriage-return-agent-head"])
 def test_stream_reads_a_record_the_corpus_reader_would_take(pol_pipeline, monkeypatch, capsys,
                                                              conditioning, stdin, message):
     """A stdin token passes the rule of a corpus record's tokens, and --conditioning is
@@ -646,6 +647,8 @@ ERROR_LINE = {"scores-duplicate-id": 3}
     ("build-vocab", "corpus.jsonl", GOOD_INPUTS["corpus.jsonl"] + '{"id": "t2", "tokens": ["special:SOT", "cell:1,2"]}\n', 2),
     ("build-vocab", "corpus.jsonl", GOOD_INPUTS["corpus.jsonl"] + '{"id": "t2", "tokens": ["weekday:Monday", "cell:1,2"]}\n', 2),
     ("build-vocab", "corpus.jsonl", GOOD_INPUTS["corpus.jsonl"] + '{"id": "t2", "agent": "", "tokens": ["cell:1,2"]}\n', 2),
+    ("score", "corpus.jsonl", GOOD_INPUTS["corpus.jsonl"] + '{"id": "t\\r2", "tokens": ["cell:1,2"]}\n', 2),
+    ("score", "corpus.jsonl", GOOD_INPUTS["corpus.jsonl"] + '{"id": "t2", "agent": "x\\r", "tokens": ["cell:1,2"]}\n', 2),
 ], ids=["truth-no-label", "truth-bad-ratio", "scores-bad-float", "scores-short-row",
         "thresholds-bad-float", "thresholds-short-row", "config-bad-ratio",
         "truth-not-utf8", "corpus-not-utf8", "config-not-utf8",
@@ -667,7 +670,8 @@ ERROR_LINE = {"scores-duplicate-id": 3}
         "scores-nan-perplexity", "scores-nan-threshold", "scores-anomalous-below-threshold",
         "scores-anomalous-at-threshold", "scores-normal-above-threshold", "scores-duplicate-id",
         "score-corpus-eot-inside-tokens", "score-corpus-pad-token", "score-corpus-agent-token",
-        "corpus-sot-token", "corpus-weekday-token", "corpus-agent-empty"])
+        "corpus-sot-token", "corpus-weekday-token", "corpus-agent-empty", "score-corpus-id-cr",
+        "score-corpus-agent-cr"])
 def test_bad_input_exits_with_one_line_error(pol_pipeline, capsys, request, command, name, text, code):
     p = pol_pipeline
     for file, good in GOOD_INPUTS.items():
