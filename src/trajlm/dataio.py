@@ -93,7 +93,7 @@ def encode_record(rec: CorpusRecord, vocab: Vocab) -> EncodedTrajectory:
 
 def record_tokens(texts, path, lineno: int, known: dict[str, Token] | None = None) -> list[Token]:
     """The tokens of 'kind:value' texts, as a record's `tokens` may hold them: none of
-    FRAMING_KINDS. Any other text is a DataError naming path:lineno.
+    FRAMING_KINDS, and no line break. Any other text is a DataError naming path:lineno.
 
     known maps texts already accepted to their tokens, which are frozen and so
     shared; a text found there is not parsed again, and each new one accepted
@@ -111,6 +111,8 @@ def record_tokens(texts, path, lineno: int, known: dict[str, Token] | None = Non
             if token.kind in FRAMING_KINDS:
                 raise DataError(f"{path}:{lineno}: tokens may not hold {str(token)!r}, "
                                 "which the encoder or the agent and weekday fields supply")
+            if "\n" in text or "\r" in text:
+                raise DataError(f"{path}:{lineno}: a token may not hold a line break, got {text!r}")
             known[text] = token
         tokens.append(token)
     return tokens

@@ -33,9 +33,13 @@ no mask and run the padded layout unchanged.
 
 Attention works in place on the score arrays it creates: forward_batch
 scales and masks its scores in place and softmax overwrites them with the
-attention weights; backward turns d_attn into d_scores in place. These are
-the operations of the out-of-place forms in the same order, so the results
-are bit-identical to them.
+attention weights; backward turns d_attn into d_scores in place, and the
+logits that log_softmax overwrote into d_logits. These are the operations of
+the out-of-place forms in the same order, so the results are bit-identical.
+backward holds only what it still reads: no ReLU pre-activation (its mask is
+relu > 0), d_logits until d_hf and the w_out gradient exist, and each layer's
+activations until that layer is done. Each gradient is assigned when
+computed; only the embeddings' start from zeros, for np.add.at.
 """
 
 from __future__ import annotations
@@ -370,14 +374,11 @@ def forward_batch(
                 ctx = ctx[keep]
         x_mid = x + ctx @ p[f"{pre}.attn.wo"]
         f, ln2_cache = layernorm(x_mid, p[f"{pre}.ln2.g"], p[f"{pre}.ln2.b"])
-        pre_act = f @ p[f"{pre}.ffn.w1"] + p[f"{pre}.ffn.b1"]
-        relu = np.maximum(0.0, pre_act)
+        relu = np.maximum(0.0, f @ p[f"{pre}.ffn.w1"] + p[f"{pre}.ffn.b1"])
         ffn_out = relu @ p[f"{pre}.ffn.w2"] + p[f"{pre}.ffn.b2"]
         if collect:
-            cache["layers"].append(dict(
-                ln1=ln1_cache, a=a, qh=qh, kh=kh, vh=vh, attn=attn, ctx=ctx,
-                ln2=ln2_cache, f=f, pre_act=pre_act, relu=relu,
-            ))
+            cache["layers"].append(dict(ln1=ln1_cache, a=a, qh=qh, kh=kh, vh=vh, attn=attn, ctx=ctx,
+                                        ln2=ln2_cache, f=f, relu=relu))
         x = x_mid + ffn_out
 
     hf, final_cache = layernorm(x, p["final_ln.g"], p["final_ln.b"])
@@ -388,9 +389,11 @@ def forward_batch(
     return logits, cache
 
 
-def log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+def log_softmax(x: np.ndarray) -> np.ndarray:
+    """Max-subtracted log-softmax over the last axis computed in place: overwrites x and returns it."""
+    x -= x.max(axis=-1, keepdims=True)
+    x -= np.log(np.exp(x).sum(axis=-1, keepdims=True))
+    return x
 
 
 def nll_loss(logp: np.ndarray, targets: np.ndarray, pad_mask: np.ndarray) -> float:
@@ -437,42 +440,38 @@ def backward(model: Model, ids: np.ndarray) -> tuple[float, dict[str, np.ndarray
 
     cfg = model.config
     p = model.params
-    logits, cache = forward_batch(model, inputs, collect=True, keep=keep)
-
-    logp = log_softmax(logits)
+    logp, cache = forward_batch(model, inputs, collect=True, keep=keep)
+    log_softmax(logp)  # the logits, overwritten with their log-probabilities
     loss = nll_loss(logp, targets, np.ones(n_scored, dtype=bool))
 
-    # d loss / d logits = (softmax - onehot) / n_scored, one row per scored position
-    dlogits = np.exp(logp)
+    # d loss / d logits = (softmax - onehot) / n_scored, one row per scored position, written over logp
+    dlogits = np.exp(logp, out=logp)
     dlogits[np.arange(n_scored), targets] -= 1.0
     dlogits *= 1.0 / n_scored
 
-    grads = {name: np.zeros_like(arr) for name, arr in p.items()}
+    grads = dict.fromkeys(p)  # each gradient is assigned when computed, in model.params order
     scale = np.sqrt(np.asarray(cfg.d_head, dtype=DTYPE))
 
-    grads["w_out"] += cache["hf"].T @ dlogits
+    grads["w_out"] = cache.pop("hf").T @ dlogits
     d_hf = dlogits @ p["w_out"].T
-    dx, dg, db = _layernorm_backward(d_hf, cache["final_ln"])
-    grads["final_ln.g"] += dg
-    grads["final_ln.b"] += db
+    del logp, dlogits
+    dx, grads["final_ln.g"], grads["final_ln.b"] = _layernorm_backward(d_hf, cache.pop("final_ln"))
 
     for i in reversed(range(cfg.n_layers)):
         pre = f"layers.{i}"
-        lc = cache["layers"][i]
+        lc = cache["layers"].pop()  # released when the next layer's entry replaces it
         # feed-forward residual branch
-        grads[f"{pre}.ffn.w2"] += lc["relu"].T @ dx
-        grads[f"{pre}.ffn.b2"] += dx.sum(axis=0)
-        d_relu = dx @ p[f"{pre}.ffn.w2"].T
-        d_pre = d_relu * (lc["pre_act"] > 0)
-        grads[f"{pre}.ffn.w1"] += lc["f"].T @ d_pre
-        grads[f"{pre}.ffn.b1"] += d_pre.sum(axis=0)
+        grads[f"{pre}.ffn.w2"] = lc["relu"].T @ dx
+        grads[f"{pre}.ffn.b2"] = dx.sum(axis=0)
+        d_pre = dx @ p[f"{pre}.ffn.w2"].T
+        d_pre *= lc["relu"] > 0  # where the pre-activation is > 0, as relu = max(0, pre-activation)
+        grads[f"{pre}.ffn.w1"] = lc["f"].T @ d_pre
+        grads[f"{pre}.ffn.b1"] = d_pre.sum(axis=0)
         d_f = d_pre @ p[f"{pre}.ffn.w1"].T
-        d_x_mid_ln, dg, db = _layernorm_backward(d_f, lc["ln2"])
-        grads[f"{pre}.ln2.g"] += dg
-        grads[f"{pre}.ln2.b"] += db
+        d_x_mid_ln, grads[f"{pre}.ln2.g"], grads[f"{pre}.ln2.b"] = _layernorm_backward(d_f, lc["ln2"])
         d_x_mid = dx + d_x_mid_ln
         # attention residual branch; only attention itself runs on the padded layout
-        grads[f"{pre}.attn.wo"] += lc["ctx"].T @ d_x_mid
+        grads[f"{pre}.attn.wo"] = lc["ctx"].T @ d_x_mid
         d_ctx = _split_heads(_scatter(d_x_mid @ p[f"{pre}.attn.wo"].T, keep), cfg.n_heads)
         attn, vh, qh, kh = lc["attn"], lc["vh"], lc["qh"], lc["kh"]
         d_attn = d_ctx @ vh.transpose(0, 1, 3, 2)
@@ -486,15 +485,14 @@ def backward(model: Model, ids: np.ndarray) -> tuple[float, dict[str, np.ndarray
         d_kh /= scale
         d_q, d_k, d_v = (_merge_heads(d)[keep] for d in (d_qh, d_kh, d_vh))
         a = lc["a"]
-        grads[f"{pre}.attn.wq"] += a.T @ d_q
-        grads[f"{pre}.attn.wk"] += a.T @ d_k
-        grads[f"{pre}.attn.wv"] += a.T @ d_v
+        grads[f"{pre}.attn.wq"] = a.T @ d_q
+        grads[f"{pre}.attn.wk"] = a.T @ d_k
+        grads[f"{pre}.attn.wv"] = a.T @ d_v
         d_a = d_q @ p[f"{pre}.attn.wq"].T + d_k @ p[f"{pre}.attn.wk"].T + d_v @ p[f"{pre}.attn.wv"].T
-        d_x_in_ln, dg, db = _layernorm_backward(d_a, lc["ln1"])
-        grads[f"{pre}.ln1.g"] += dg
-        grads[f"{pre}.ln1.b"] += db
+        d_x_in_ln, grads[f"{pre}.ln1.g"], grads[f"{pre}.ln1.b"] = _layernorm_backward(d_a, lc["ln1"])
         dx = d_x_mid + d_x_in_ln
 
+    grads["pos_emb"], grads["tok_emb"] = np.zeros_like(p["pos_emb"]), np.zeros_like(p["tok_emb"])
     np.add.at(grads["pos_emb"], np.nonzero(keep)[1], dx)
     np.add.at(grads["tok_emb"], inputs[keep], dx)
     return loss, grads

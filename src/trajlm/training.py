@@ -6,8 +6,8 @@ A batch is right-padded to its longest trajectory; model.backward computes
 only its scored positions, so the padding costs work only in attention.
 Adam uses the published defaults of Kingma & Ba (2015) and every step clips
 the global gradient norm to CLIP_NORM. Its moments are two flat vectors in
-model.params order, updated in place, and each parameter array is updated in
-place from its slice of the step.
+model.params order, updated in place and all it holds between steps; each
+parameter array is updated in place from its slice of the step.
 """
 
 from __future__ import annotations
@@ -51,12 +51,13 @@ class TrainConfig:
 class AdamOptimizer:
     """Adaptive moment estimation with bias correction and global-norm clipping.
 
-    The moments m and v are two flat float64 vectors over every parameter in
-    model.params order. A step gathers the gradients into one flat vector,
-    updates the moments and computes the update in place with one scratch
-    vector, then subtracts each parameter's slice from that parameter in
-    place. Each element sees the same operations in the same order as a
-    per-parameter update, so the parameters are bit-identical to one.
+    Between steps it holds m and v, two flat float64 vectors over every
+    parameter in model.params order, and t. A step gathers the gradients into
+    a flat vector, updates the moments and computes the update in place with
+    one scratch vector, both freed on return, then subtracts each parameter's
+    slice from that parameter in place. Each element sees the same operations
+    in the same order as a per-parameter update, so the parameters are
+    bit-identical to one.
     """
 
     def __init__(self, model: Model, tc: TrainConfig):
@@ -65,13 +66,11 @@ class AdamOptimizer:
         n = sum(p.size for p in model.params.values())
         self.m = np.zeros(n, dtype=DTYPE)
         self.v = np.zeros(n, dtype=DTYPE)
-        self._grad = np.empty(n, dtype=DTYPE)
-        self._scratch = np.empty(n, dtype=DTYPE)
 
     def step(self, model: Model, grads: dict[str, np.ndarray]) -> None:
         total = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-        g, s = self._grad, self._scratch
-        np.concatenate([grads[name].ravel() for name in model.params], out=g)
+        g = np.concatenate([grads[name].ravel() for name in model.params])
+        s = np.empty_like(g)
         if total > CLIP_NORM:
             g *= CLIP_NORM / total
         self.t += 1

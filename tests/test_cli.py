@@ -649,6 +649,8 @@ ERROR_LINE = {"scores-duplicate-id": 3}
     ("build-vocab", "corpus.jsonl", GOOD_INPUTS["corpus.jsonl"] + '{"id": "t2", "agent": "", "tokens": ["cell:1,2"]}\n', 2),
     ("score", "corpus.jsonl", GOOD_INPUTS["corpus.jsonl"] + '{"id": "t\\r2", "tokens": ["cell:1,2"]}\n', 2),
     ("score", "corpus.jsonl", GOOD_INPUTS["corpus.jsonl"] + '{"id": "t2", "agent": "x\\r", "tokens": ["cell:1,2"]}\n', 2),
+    ("build-vocab", "corpus.jsonl", GOOD_INPUTS["corpus.jsonl"] + '{"id": "t2", "tokens": ["cell:a\\nb"]}\n', 2),
+    ("build-vocab", "corpus.jsonl", GOOD_INPUTS["corpus.jsonl"] + '{"id": "t2", "tokens": ["cell:c\\rd"]}\n', 2),
 ], ids=["truth-no-label", "truth-bad-ratio", "scores-bad-float", "scores-short-row",
         "thresholds-bad-float", "thresholds-short-row", "config-bad-ratio",
         "truth-not-utf8", "corpus-not-utf8", "config-not-utf8",
@@ -671,7 +673,7 @@ ERROR_LINE = {"scores-duplicate-id": 3}
         "scores-anomalous-at-threshold", "scores-normal-above-threshold", "scores-duplicate-id",
         "score-corpus-eot-inside-tokens", "score-corpus-pad-token", "score-corpus-agent-token",
         "corpus-sot-token", "corpus-weekday-token", "corpus-agent-empty", "score-corpus-id-cr",
-        "score-corpus-agent-cr"])
+        "score-corpus-agent-cr", "corpus-token-newline", "corpus-token-cr"])
 def test_bad_input_exits_with_one_line_error(pol_pipeline, capsys, request, command, name, text, code):
     p = pol_pipeline
     for file, good in GOOD_INPUTS.items():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -169,11 +170,17 @@ def test_ffn_zeros():
     assert np.array_equal(_logits(m, [3, 4, 5]), ref)
 
 
+def _pre_act(model, i, lc):
+    """Layer i's feed-forward pre-activation, from its collected input f and its weights."""
+    return lc["f"] @ model.params[f"layers.{i}.ffn.w1"] + model.params[f"layers.{i}.ffn.b1"]
+
+
 def test_ffn_relu_kills_negative_preactivations():
     m = tiny_model()
-    for lc in _layers(m, [[3, 4, 5, 6]]):
-        assert np.array_equal(lc["relu"], np.maximum(0.0, lc["pre_act"]))
-        assert np.any(lc["pre_act"] < 0.0)
+    for i, lc in enumerate(_layers(m, [[3, 4, 5, 6]])):
+        pre_act = _pre_act(m, i, lc)
+        assert np.array_equal(lc["relu"], np.maximum(0.0, pre_act))
+        assert np.any(pre_act < 0.0)
     for i in range(TINY.n_layers):
         m.params[f"layers.{i}.ffn.b1"][:] = -1e3
     for lc in _layers(m, [[3, 4, 5, 6]]):
@@ -189,7 +196,7 @@ def test_ffn_scalar_hand_case():
     m.params["layers.0.ffn.b1"][:] = 1.0
     (lc,) = _layers(m, [[3, 4]])
     assert np.all(lc["f"] == 0.5)
-    assert np.all(lc["pre_act"] == 2.0)  # 0.5 * 2 + 1
+    assert np.all(_pre_act(m, 0, lc) == 2.0)  # 0.5 * 2 + 1
     assert np.all(lc["relu"] == 2.0)
     m.params["layers.0.ffn.b1"][:] = -2.0
     (lc,) = _layers(m, [[3, 4]])
@@ -518,6 +525,21 @@ def test_softmax_overwrites_its_argument():
     assert np.all(out[~hidden] > 0.0)
 
 
+def test_log_softmax_overwrites_its_argument():
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(3, 5, 5))
+    hidden = np.broadcast_to(~np.tri(5, dtype=bool), x.shape)
+    x[hidden] = -np.inf
+    shifted = x - x.max(axis=-1, keepdims=True)
+    want = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))  # the out-of-place form
+    out = log_softmax(x)
+    assert out is x
+    assert out.tobytes() == want.tobytes()
+    assert np.allclose(np.exp(out).sum(axis=-1), 1.0, rtol=0, atol=1e-15)
+    assert np.all(out[hidden] == -np.inf)
+    assert np.all(np.isfinite(out[~hidden]) & (out[~hidden] <= 0.0))
+
+
 # --- training --------------------------------------------------------------
 
 def _toy_corpus(n=8, length=6, vocab=15, seed=0):
@@ -565,6 +587,39 @@ def test_train_rejects_overlong_sequences():
         train(init_model(cfg), _toy_corpus(length=8), TrainConfig(n_epochs=1, batch_size=64, learning_rate=3e-4, seed=0))
     # the last id is only a target, so max_seq_len + 1 ids train
     assert len(train(init_model(cfg), _toy_corpus(length=5), TrainConfig(n_epochs=1, batch_size=64, learning_rate=3e-4, seed=0))) == 1
+
+
+def test_a_training_step_holds_little_more_than_what_backward_reads():
+    """Traced peak of one porto-shaped step of train, optimizer included, against the float64
+    arrays backward reads. For n rows padded to t positions, N of them scored:
+    - per layer: a, ctx, f and the two layer norms' xhat, 5 (N, d_model); the attention heads
+      qh, kh and vh, 3 (n, t, d_model) padded; attn, (n, n_heads, t, t); relu, (N, d_ff)
+    - after the last layer: hf and the final norm's xhat, 2 (N, d_model); the logits, (N, vocab)
+    - Adam's moments m and v, one element per parameter each.
+    The slack of 40 % covers what is live at once besides these: one layer's backward
+    temporaries (d_attn, the head gradients, the masked feed-forward gradient), log_softmax's
+    exp and the step's flat gradient. The step measures about 1.24 times the arrays above; a
+    backward that also kept the feed-forward pre-activations, zeroed every gradient up front and
+    left the optimizer a flat gradient and scratch vector between steps measured about 1.9 times.
+    """
+    cfg = ModelConfig(vocab_size=300, d_model=64, n_heads=4, n_layers=4, d_ff=256, max_seq_len=48, seed=3)
+    rng = np.random.default_rng(8)
+    corpus = [EncodedTrajectory(rng.integers(3, cfg.vocab_size, size=int(rng.integers(30, 41))).tolist(), 1)
+              for _ in range(16)]
+    model = init_model(cfg)
+    n, t = len(corpus), max(len(tr.ids) for tr in corpus) - 1
+    n_scored = sum(len(tr.ids) - 1 for tr in corpus)
+    per_layer = (5 * n_scored * cfg.d_model + 3 * n * t * cfg.d_model + n * cfg.n_heads * t * t
+                 + n_scored * cfg.d_ff)
+    held = 8 * (cfg.n_layers * per_layer + n_scored * (2 * cfg.d_model + cfg.vocab_size)
+                + 2 * sum(p.size for p in model.params.values()))
+    tracemalloc.start()
+    try:
+        train(model, corpus, TrainConfig(n_epochs=1, batch_size=len(corpus), learning_rate=3e-3, seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.4 * held, f"traced peak {peak / 2**20:.2f} MiB, {peak / held:.2f} times the arrays backward reads"
 
 
 def test_train_config_validation():
